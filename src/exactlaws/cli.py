@@ -469,7 +469,7 @@ def cmd_analyze(args) -> int:
         provenance_info["h"] = str(args.h)
     report = sweep_structure(law, (v, w), scales, dirs, provenance=provenance_info)
     payload = report.to_json_dict()
-    payload["provenance"] = rep.provenance()
+    payload["provenance"] = {**rep.provenance(), "engine": report.engine}
     out = args.out or "structure"
     digest = rep.write_report(out + ".json", payload)
     rep.write_csv(out + ".csv", report.csv_rows())
@@ -499,7 +499,7 @@ def cmd_dissipation(args) -> int:
     elif args.method == "shell":
         payload["d_ball"] = None
     payload["method"] = args.method
-    payload["provenance"] = rep.provenance()
+    payload["provenance"] = {**rep.provenance(), "engine": report.engine}
     out = args.out or "dissipation"
     digest = rep.write_report(out + ".json", payload)
     print(f"wrote {out}.json (canonical hash {digest})")

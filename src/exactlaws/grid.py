@@ -186,24 +186,28 @@ def project_solenoidal(v: VectorField3) -> VectorField3:
     return VectorField3(grid, _irfftn(vh, grid.n))
 
 
-def _shift_phase(grid: Grid3, ell) -> np.ndarray:
+def _shift_phase(grid: Grid3, ell, m: int | None = None) -> np.ndarray:
     """Phase factors exp(i k.l) with the Nyquist planes taken as cosine modes.
 
     The cosine convention keeps shifted fields exactly real; lattice shifts
-    still reduce to index rolls because cos(pi*m) = (-1)^m.
+    still reduce to index rolls because cos(pi*m) = (-1)^m.  ``m`` evaluates
+    the factors on an m-point grid over the same cube, for spectra restricted
+    to a coarser grid; by default the grid's own n points are used.
     """
     ell = np.asarray(ell, dtype=np.float64)
     if ell.shape != (3,):
         raise ValueError("shift vector must have 3 components")
-    kx, ky, kz = grid.wavenumbers()
-    half = grid.n // 2
-    px = np.exp(1j * kx * ell[0])
-    px[half] = np.cos(kx[half] * ell[0])
-    py = np.exp(1j * ky * ell[1])
-    py[half] = np.cos(ky[half] * ell[1])
+    m = grid.n if m is None else m
+    k = 2.0 * np.pi * np.fft.fftfreq(m, d=grid.length / m)
+    kz = 2.0 * np.pi * np.fft.rfftfreq(m, d=grid.length / m)
+    half = m // 2
+    px = np.exp(1j * k * ell[0])
+    px[half] = np.cos(k[half] * ell[0])
+    py = np.exp(1j * k * ell[1])
+    py[half] = np.cos(k[half] * ell[1])
     pz = np.exp(1j * kz * ell[2])
     pz[-1] = np.cos(kz[-1] * ell[2])
-    return px[:, None, None] * py[None, :, None] * pz[None, None, :]
+    return px[:, None, None] * (py[:, None] * pz[None, :])[None]
 
 
 def shift(u, ell):

@@ -124,6 +124,7 @@ class StructureReport:
     combos: tuple[RawCombos, ...]
     combined: tuple[tuple[float, float], ...]
     metadata: dict = field(default_factory=dict)
+    engine: dict = field(default_factory=dict)  # StatsEngine.describe(); not in to_json_dict
 
     def to_json_dict(self) -> dict:
         return {
@@ -215,7 +216,9 @@ def sweep_structure(
         rc = RawCombos(law, r, raw_l, raw_t, raw_flux)
         combos.append(rc)
         combined.append(combine(law, rc))
-    return StructureReport(law, tuple(scales), tuple(combos), tuple(combined), metadata)
+    return StructureReport(
+        law, tuple(scales), tuple(combos), tuple(combined), metadata, engine.describe()
+    )
 
 
 def yaglom_helicity(
@@ -232,34 +235,23 @@ def yaglom_helicity(
     """
     r = _check_scale(v.grid, r)
     dirs = dirs if dirs is not None else default_directions()
-    w = curl(v) if w is None else w
+    v, w = _resolve_pair(LawKind.HELICITY, v, w)
     if w.grid != v.grid:
         raise ValueError("fields live on different grids")
     engine = StatsEngine(v.grid, {"a": v, "b": w})
-    total = 0.0
-    for nhat, wt in zip(dirs.directions, dirs.weights):
-        d = engine.increments(r * nhat)
-        da, db = d["a"], d["b"]
-        nd_a = nhat @ da
-        nd_b = nhat @ db
-        aa = np.einsum("cm,cm->m", da, da)
-        ab = np.einsum("cm,cm->m", da, db)
-        total += wt * float(np.mean(nd_a * ab - 0.5 * (nd_b * aa)))
-    return total / r
+    req = {"x": (LawKind.HELICITY, "a", "b")}
+    l1, l2, t1, t2, _ = _kernels.angular_term_sums(engine, req, r, dirs)["x"]
+    return ((t1 + l1) - 0.5 * (t2 + l2)) / r
 
 
 def dr_fourthirds(v: VectorField3, r: float, dirs: DirectionSet | None = None) -> float:
     """Four-thirds energy combination: (1/r) <(n.dv)|dv|^2> over directions and volume."""
     r = _check_scale(v.grid, r)
     dirs = dirs if dirs is not None else default_directions()
-    engine = StatsEngine(v.grid, {"a": v})
-    total = 0.0
-    for nhat, wt in zip(dirs.directions, dirs.weights):
-        da = engine.increments(r * nhat)["a"]
-        nd_a = nhat @ da
-        aa = np.einsum("cm,cm->m", da, da)
-        total += wt * float(np.mean(nd_a * aa))
-    return total / r
+    engine = StatsEngine(v.grid, {"a": v, "b": None})
+    req = {"x": (LawKind.HYDRO_ENERGY, "a", "b")}
+    l1, _, t1, _, _ = _kernels.angular_term_sums(engine, req, r, dirs)["x"]
+    return (l1 + t1) / r
 
 
 def elsasser(v: VectorField3, h: VectorField3) -> tuple[VectorField3, VectorField3]:

@@ -265,20 +265,14 @@ def dr_dissipation(
         raise ValueError("kernel must be 'long' or 'full'")
     eps = _check_eps(v.grid, eps)
     dirs = dirs if dirs is not None else default_directions()
-    engine = StatsEngine(v.grid, {"a": v})
+    engine = StatsEngine(v.grid, {"a": v, "b": None})
+    req = {"x": (LawKind.HYDRO_ENERGY, "a", "b")}
     radii, weights = radial_quadrature(eps, radial_nodes)
     total = 0.0
     for r, wq in zip(radii, weights):
         dphi = float(m.dphi_scaled(r, eps))
-        acc = 0.0
-        for nhat, wt in zip(dirs.directions, dirs.weights):
-            da = engine.increments(r * nhat)["a"]
-            nd = nhat @ da
-            if kernel == "long":
-                acc += wt * float(np.mean(nd * (nd * nd)))
-            else:
-                aa = np.einsum("cm,cm->m", da, da)
-                acc += wt * float(np.mean(nd * aa))
+        l1, _, t1, _, _ = _kernels.angular_term_sums(engine, req, r, dirs)["x"]
+        acc = l1 if kernel == "long" else l1 + t1
         total += wq * r * r * dphi * acc
     return np.pi * total  # (1/4) * 4*pi
 
@@ -316,6 +310,7 @@ class DissipationReport:
     directions: str
     extrapolation: dict = field(default_factory=dict)
     metadata: dict = field(default_factory=dict)
+    engine: dict = field(default_factory=dict)  # StatsEngine.describe(); not in to_json_dict
 
     def to_json_dict(self) -> dict:
         return {
@@ -378,11 +373,15 @@ def dissipation_matrix(
     ``requests`` maps labels to (law, first_name, second_name) into
     ``fields``; returns {label: {"ball": {part: [per-eps]}, "shell": ...}}.
     """
+    return _engine_matrix(StatsEngine(grid, fields), requests, m, epsilons, radial_nodes, dirs)
+
+
+def _engine_matrix(engine, requests, m, epsilons, radial_nodes, dirs) -> dict:
+    """``dissipation_matrix`` on an engine that is already built."""
     dirs = dirs if dirs is not None else default_directions()
     epsilons = [float(e) for e in epsilons]
     for e in epsilons:
-        _check_eps(grid, e)
-    engine = StatsEngine(grid, fields)
+        _check_eps(engine.grid, e)
     out = {
         label: {"ball": {"L": [], "T": []}, "shell": {"L": [], "T": []}}
         for label in requests
@@ -438,15 +437,8 @@ def sweep_dissipation(
     v, w = _resolve_pair(law, v, w)
     if w is not None and w.grid != v.grid:
         raise ValueError("fields live on different grids")
-    matrix = dissipation_matrix(
-        v.grid,
-        {"a": v, "b": w},
-        {"x": (law, "a", "b")},
-        m,
-        epsilons,
-        radial_nodes,
-        dirs,
-    )["x"]
+    engine = StatsEngine(v.grid, {"a": v, "b": w})
+    matrix = _engine_matrix(engine, {"x": (law, "a", "b")}, m, epsilons, radial_nodes, dirs)["x"]
     ball = tuple(matrix["ball"][part])
     shell = tuple(matrix["shell"][part])
     return DissipationReport(
@@ -459,4 +451,5 @@ def sweep_dissipation(
         radial_nodes=radial_nodes,
         directions=dirs.descriptor or f"custom:{len(dirs)}",
         extrapolation=extrapolate_to_zero(epsilons, ball),
+        engine=engine.describe(),
     )

@@ -7,7 +7,7 @@ import pytest
 
 from exactlaws import _kernels
 from exactlaws.cli import combine_consistency_checks, main, parse_ladder
-from exactlaws.grid import read_field
+from exactlaws.grid import VectorField3, make_grid, read_field, write_field
 from exactlaws.laws import LawKind
 from exactlaws.report import canonical_hash
 
@@ -101,6 +101,18 @@ class TestAnalyze:
         assert p1["provenance"]["timestamp"] != "" and "timestamp" in p2["provenance"]
         assert canonical_hash(p1) == canonical_hash(p2)
 
+    def test_engine_provenance_outside_hash(self, tmp_path, field_files):
+        v, _ = field_files
+        rc = run(["analyze", "--law", "helicity", "--v", v, "--scales", "0.1:0.4:2",
+                  "--dirs", "icosa:0", "--out", tmp_path / "rep"])
+        assert rc == 0
+        payload = json.loads((tmp_path / "rep.json").read_text())
+        assert payload["provenance"]["engine"] == {
+            "n": 16, "m": 16, "kmax": 4, "alias_free": True, "evaluation": "sine-series",
+        }
+        provenance = {k: x for k, x in payload["provenance"].items() if k != "engine"}
+        assert canonical_hash({**payload, "provenance": provenance}) == canonical_hash(payload)
+
 
 class TestDissipation:
     def test_both_methods_match(self, tmp_path, field_files):
@@ -126,6 +138,19 @@ class TestDissipation:
         payload = json.loads((tmp_path / "diss.json").read_text())
         assert payload["d_shell"] is None
         assert len(payload["d_ball"]) == 1
+
+    def test_engine_provenance(self, tmp_path):
+        rng = np.random.default_rng(2)
+        noise = tmp_path / "noise.fld"
+        write_field(VectorField3(make_grid(8), rng.standard_normal((3, 8, 8, 8))), noise)
+        rc = run(["dissipation", "--law", "hydro-energy", "--v", noise, "--part", "L",
+                  "--eps", "0.3:0.3:1", "--radial-nodes", 4, "--dirs", "icosa:0",
+                  "--out", tmp_path / "diss"])
+        assert rc == 0
+        payload = json.loads((tmp_path / "diss.json").read_text())
+        assert payload["provenance"]["engine"] == {
+            "n": 8, "m": 8, "kmax": 4, "alias_free": False, "evaluation": "per-shift-fft",
+        }
 
     def test_zero_field_passes(self, tmp_path):
         v = tmp_path / "z.fld"
