@@ -21,16 +21,23 @@ Two evaluation paths share that reduced grid:
   report value is the grid average of the aliased cubic products; the sine
   series gives the continuous average instead, which differs there.
 
-The per-law term means kept here are the building blocks shared by the
-structure-function combinations (raw combos), the ball quadrature of the
-dissipation functionals, and the radial shell form; keeping one source for
-the kernel algebra makes the exact degeneracies (equal-field cancellations,
-halving identities) hold to the last bit on both paths.
+The law table ``LAWS`` is the one place a law is defined: one row of
+coefficients per law over two kinds of cubic increment pieces, the cube
+<(n.dx)(n.dy)(n.dz)> and the trace <(n.dx)(dy.dz)>.  Both paths only
+evaluate pieces; the row turns them into the term means (L1, L2, T1, T2,
+flux) and assembles from those the structure-function combinations (raw
+combos), the ball quadrature of the dissipation functionals and the radial
+shell form.  Keeping one source for the kernel algebra makes the exact
+degeneracies (equal-field cancellations, halving identities) hold to the
+last bit on both paths.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
+from operator import add
 
 import numpy as np
 from scipy import fft as _fft
@@ -45,7 +52,7 @@ __all__ = [
     "ball_node",
     "shell_node",
     "COMBINE_COEFFS",
-    "SHELL_WEIGHTS",
+    "LAWS",
 ]
 
 
@@ -61,26 +68,66 @@ class LawKind(str, Enum):
         return self.value
 
 
-# Flux coefficients (c_L, c_T) entering the combined values
-# S_L = raw_L + c_L * raw_flux, S_T = raw_T + c_T * raw_flux.
-COMBINE_COEFFS: dict[LawKind, tuple[float, float]] = {
-    LawKind.HELICITY: (-0.4, 0.4),
-    LawKind.MHD_ENERGY: (0.8, -0.8),
-    LawKind.CROSS_HELICITY: (-0.8, 0.8),
-    LawKind.HYDRO_ENERGY: (0.8, -0.8),
-}
+@dataclass(frozen=True)
+class _LawRow:
+    """The coefficients of one law over the cubic increment pieces.
 
-# Radial shell weights (a, b_T, b_F): the shell form of each dissipation
-# functional is the quadrature of
-#   4*pi * [ a * r^3 * dphi_eps(r) * S_main(r)
-#            + r^2 * phi_eps(r) * (b_T * S_T(r) + b_F * S_flux(r)) ]
-# where S_main is S_L for the L part and S_T for the T part.
-SHELL_WEIGHTS: dict[LawKind, dict[str, tuple[float, float, float]]] = {
-    LawKind.HELICITY: {"L": (0.75, 1.5, 1.5), "T": (0.375, -0.75, -0.75)},
-    LawKind.MHD_ENERGY: {"L": (0.75, 1.5, -3.0), "T": (0.375, -0.75, 1.5)},
-    LawKind.CROSS_HELICITY: {"L": (0.75, 1.5, 3.0), "T": (0.375, -0.75, -1.5)},
-    LawKind.HYDRO_ENERGY: {"L": (0.75, 1.5, -3.0), "T": (0.375, -0.75, 1.5)},
+    A pattern "xyz" over the primary field a and the paired field b names the
+    cube piece <(n.dx)(n.dy)(n.dz)> and the trace piece <(n.dx)(dy.dz)>.  L1
+    and L2 sum the cube pieces of their patterns, T1 and T2 the trace-minus-
+    cube pieces of the same patterns; flux is the first trace minus the second.
+    """
+
+    l1: tuple[str, ...]
+    l2: tuple[str, ...]
+    flux: tuple[str, str]
+    raw: tuple[float, float]  # (p, q): raw_X = (p * X1 + q * X2) / r for X = L, T
+    combine: tuple[float, float]  # (c_L, c_T): S_X = raw_X + c_X * raw_flux
+    # part -> (a, b_T, b_F): the shell form of each dissipation functional is
+    # the quadrature of 4*pi * [a * r^3 * dphi_eps * S_main
+    #                           + r^2 * phi_eps * (b_T * S_T + b_F * S_flux)],
+    # S_main being S_L for the L part and S_T for the T part.
+    shell: dict
+    # The ball integrand groups the flux with T1 under 2*phi/r (then
+    # b_F = 2*a*p), or else adds it as a separate b_F * (phi/r) * flux term.
+    flux_with_t1: bool
+
+
+# The one place a law is defined; hydrodynamic energy is the MHD energy law
+# with a zero second field.
+LAWS: dict[LawKind, _LawRow] = {
+    LawKind.HELICITY: _LawRow(
+        l1=("aab",),
+        l2=("baa",),
+        flux=("baa", "aab"),
+        raw=(1.0, -0.5),
+        combine=(-0.4, 0.4),
+        shell={"L": (0.75, 1.5, 1.5), "T": (0.375, -0.75, -0.75)},
+        flux_with_t1=True,
+    ),
+    LawKind.MHD_ENERGY: _LawRow(
+        l1=("aaa", "abb"),
+        l2=("bab",),
+        flux=("abb", "bab"),
+        raw=(1.0, -2.0),
+        combine=(0.8, -0.8),
+        shell={"L": (0.75, 1.5, -3.0), "T": (0.375, -0.75, 1.5)},
+        flux_with_t1=False,
+    ),
+    LawKind.CROSS_HELICITY: _LawRow(
+        l1=("aba",),
+        l2=("bbb", "baa"),
+        flux=("baa", "aab"),
+        raw=(2.0, -1.0),
+        combine=(-0.8, 0.8),
+        shell={"L": (0.75, 1.5, 3.0), "T": (0.375, -0.75, -1.5)},
+        flux_with_t1=True,
+    ),
 }
+LAWS[LawKind.HYDRO_ENERGY] = LAWS[LawKind.MHD_ENERGY]
+
+# Flux coefficients (c_L, c_T) entering the combined values.
+COMBINE_COEFFS = {law: row.combine for law, row in LAWS.items()}
 
 _SUPPORT_RTOL = 1e-13  # spectral amplitudes below this (relative) count as empty
 
@@ -333,53 +380,45 @@ class StatsEngine:
         return rows[index]
 
 
-def _dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("cm,cm->m", a, b)
+def _law_terms(law: LawKind, cube, trace) -> tuple:
+    """(L1, L2, T1, T2, flux) of ``law`` from its cube and trace pieces.
+
+    ``cube`` and ``trace`` map a pattern "xyz" over the fields a and b to the
+    piece <(n.dx)(n.dy)(n.dz)> or <(n.dx)(dy.dz)>.  Each piece is evaluated
+    once; trace patterns are symmetric in y and z and are taken with y <= z.
+    Equal fields therefore give equal pieces bit for bit, and the law's exact
+    cancellations survive on both evaluation paths.
+    """
+    row = LAWS[law]
+    cubes = {p: cube(p) for p in row.l1 + row.l2}
+    yz_sorted = {p: p[0] + "".join(sorted(p[1:])) for p in row.l1 + row.l2 + row.flux}
+    traces = {p: trace(p) for p in set(yz_sorted.values())}
+    tr = {p: traces[key] for p, key in yz_sorted.items()}
+    l1, l2 = (reduce(add, [cubes[p] for p in pats]) for pats in (row.l1, row.l2))
+    t1, t2 = (reduce(add, [tr[p] - cubes[p] for p in pats]) for pats in (row.l1, row.l2))
+    return l1, l2, t1, t2, tr[row.flux[0]] - tr[row.flux[1]]
 
 
 def term_means(law: LawKind, da, db, nhat) -> tuple[float, float, float, float, float]:
     """Angular means (L1, L2, T1, T2, flux) of the law's kernel pieces.
 
     ``da`` is the increment of the primary (velocity-like) field, ``db`` of
-    the paired field, both flat (3, M).  The five numbers are volume means of
-      L1: n.da times the longitudinal scalar pair of the first kernel,
-      L2:          ... of the second kernel,
-      T1, T2: their transverse counterparts,
-      flux: the lagged triple product, via the BAC-CAB expansion.
+    the paired field, both flat (3, M); the pieces are volume means over the
+    M points.
     """
-    nd_a = nhat @ da
-    nd_b = nhat @ db
-    aa = _dot3(da, da)
-    ab = _dot3(da, db)
-    if law is LawKind.HELICITY:
-        l1 = nd_a * (nd_a * nd_b)
-        l2 = nd_b * (nd_a * nd_a)
-        t1 = nd_a * (ab - nd_a * nd_b)
-        t2 = nd_b * (aa - nd_a * nd_a)
-        fx = nd_b * aa - nd_a * ab
-    elif law in (LawKind.MHD_ENERGY, LawKind.HYDRO_ENERGY):
-        bb = _dot3(db, db)
-        l1 = nd_a * (nd_a * nd_a + nd_b * nd_b)
-        l2 = nd_b * (nd_a * nd_b)
-        t1 = nd_a * ((aa - nd_a * nd_a) + (bb - nd_b * nd_b))
-        t2 = nd_b * (ab - nd_a * nd_b)
-        fx = nd_a * bb - nd_b * ab
-    elif law is LawKind.CROSS_HELICITY:
-        bb = _dot3(db, db)
-        l1 = nd_a * (nd_b * nd_a)
-        l2 = nd_b * (nd_b * nd_b + nd_a * nd_a)
-        t1 = nd_a * (ab - nd_b * nd_a)
-        t2 = nd_b * ((bb - nd_b * nd_b) + (aa - nd_a * nd_a))
-        fx = nd_b * aa - nd_a * ab
-    else:  # pragma: no cover - enum is exhaustive
-        raise ValueError(f"unknown law {law}")
-    return (
-        float(np.mean(l1)),
-        float(np.mean(l2)),
-        float(np.mean(t1)),
-        float(np.mean(t2)),
-        float(np.mean(fx)),
-    )
+    delta = {"a": da, "b": db}
+    nd = {"a": nhat @ da, "b": nhat @ db}
+    size = da.shape[1]
+
+    def cube(p):
+        x, y, z = p
+        return float(nd[x] @ (nd[y] * nd[z])) / size
+
+    def trace(p):
+        x, y, z = p
+        return float(np.vdot(delta[y], delta[z] * nd[x])) / size
+
+    return _law_terms(law, cube, trace)
 
 
 def _cube(mom, n3, x, y, z) -> np.ndarray:
@@ -395,27 +434,14 @@ def _trace(mom, nt, x, y, z) -> np.ndarray:
 def _moment_terms(law: LawKind, mom, n3, nt, a, b) -> tuple:
     """Per-direction (L1, L2, T1, T2, flux) of ``term_means`` contracted from M.
 
-    ``a`` and ``b`` are the component indices of the two fields.  Each piece
-    comes from one ``_cube`` or ``_trace`` call, so equal fields give equal
-    pieces bit for bit and the law's exact cancellations survive.
+    ``a`` and ``b`` are the component indices of the two fields.
     """
-    cube = lambda x, y, z: _cube(mom, n3, x, y, z)
-    trace = lambda x, y, z: _trace(mom, nt, x, y, z)
-    if law is LawKind.HELICITY:
-        l1, l2 = cube(a, a, b), cube(b, a, a)
-        tr_ab, tr_ba = trace(a, a, b), trace(b, a, a)
-        return l1, l2, tr_ab - l1, tr_ba - l2, tr_ba - tr_ab
-    if law in (LawKind.MHD_ENERGY, LawKind.HYDRO_ENERGY):
-        aaa, abb, bab = cube(a, a, a), cube(a, b, b), cube(b, a, b)
-        tr_abb, tr_bab = trace(a, b, b), trace(b, a, b)
-        t1 = (trace(a, a, a) - aaa) + (tr_abb - abb)
-        return aaa + abb, bab, t1, tr_bab - bab, tr_abb - tr_bab
-    if law is LawKind.CROSS_HELICITY:
-        aba, bbb, baa = cube(a, b, a), cube(b, b, b), cube(b, a, a)
-        tr_ab, tr_ba = trace(a, a, b), trace(b, a, a)
-        t2 = (trace(b, b, b) - bbb) + (tr_ba - baa)
-        return aba, bbb + baa, tr_ab - aba, t2, tr_ba - tr_ab
-    raise ValueError(f"unknown law {law}")  # pragma: no cover - enum is exhaustive
+    comps = {"a": a, "b": b}
+    return _law_terms(
+        law,
+        lambda p: _cube(mom, n3, *(comps[c] for c in p)),
+        lambda p: _trace(mom, nt, *(comps[c] for c in p)),
+    )
 
 
 def _antipodal_half(dirs) -> tuple[np.ndarray, np.ndarray]:
@@ -457,30 +483,15 @@ def angular_term_sums(engine: StatsEngine, requests, r: float, dirs):
         deltas = engine.increments(r * nhat)
         for label, (law, name_a, name_b) in requests.items():
             tm = term_means(law, deltas[name_a], deltas[name_b], nhat)
-            acc = sums[label]
-            sums[label] = (
-                acc[0] + w * tm[0],
-                acc[1] + w * tm[1],
-                acc[2] + w * tm[2],
-                acc[3] + w * tm[3],
-                acc[4] + w * tm[4],
-            )
+            sums[label] = tuple(acc + w * t for acc, t in zip(sums[label], tm))
     return sums
 
 
 def raw_from_terms(law: LawKind, terms, r: float) -> tuple[float, float, float]:
     """Assemble (raw_L, raw_T, raw_flux) from direction-summed term means."""
     l1, l2, t1, t2, fx = terms
-    if law is LawKind.HELICITY:
-        raw_l = (l1 - 0.5 * l2) / r
-        raw_t = (t1 - 0.5 * t2) / r
-    elif law in (LawKind.MHD_ENERGY, LawKind.HYDRO_ENERGY):
-        raw_l = (l1 - 2.0 * l2) / r
-        raw_t = (t1 - 2.0 * t2) / r
-    else:
-        raw_l = (2.0 * l1 - l2) / r
-        raw_t = (2.0 * t1 - t2) / r
-    return raw_l, raw_t, fx / r
+    p, q = LAWS[law].raw
+    return (p * l1 + q * l2) / r, (p * t1 + q * t2) / r, fx / r
 
 
 def ball_node(law: LawKind, part: str, terms, phi: float, dphi: float, r: float) -> float:
@@ -488,30 +499,20 @@ def ball_node(law: LawKind, part: str, terms, phi: float, dphi: float, r: float)
 
     Multiplied by 4*pi*r^2 and the radial weight this yields the ball
     quadrature of the dissipation functional.  The groupings mirror the
-    functional definitions term by term, so equal-field cancellations are
-    exact in floating point.
+    functional definitions term by term, with weights a*p and a*q that are
+    exact in binary, so equal-field cancellations are exact in floating point.
     """
     l1, l2, t1, t2, fx = terms
+    row = LAWS[law]
+    a, _, b_f = row.shell[part]
+    p, q = row.raw
     g = 2.0 * phi / r
-    if law is LawKind.HELICITY:
-        if part == "L":
-            return 0.75 * (dphi * l1 + g * (t1 + fx)) - 0.375 * (dphi * l2 + g * t2)
-        return 0.375 * (dphi * t1 - g * (t1 + fx)) - 0.1875 * (dphi * t2 - g * t2)
-    if law in (LawKind.MHD_ENERGY, LawKind.HYDRO_ENERGY):
-        if part == "L":
-            return (
-                0.75 * (dphi * l1 + g * t1)
-                - 1.5 * (dphi * l2 + g * t2)
-                - 3.0 * (phi / r) * fx
-            )
-        return (
-            0.375 * (dphi * t1 - g * t1)
-            - 0.75 * (dphi * t2 - g * t2)
-            + 1.5 * (phi / r) * fx
-        )
+    t1g = t1 + fx if row.flux_with_t1 else t1
     if part == "L":
-        return 1.5 * (dphi * l1 + g * (t1 + fx)) - 0.75 * (dphi * l2 + g * t2)
-    return 0.75 * (dphi * t1 - g * (t1 + fx)) - 0.375 * (dphi * t2 - g * t2)
+        node = a * p * (dphi * l1 + g * t1g) + a * q * (dphi * l2 + g * t2)
+    else:
+        node = a * p * (dphi * t1 - g * t1g) + a * q * (dphi * t2 - g * t2)
+    return node if row.flux_with_t1 else node + b_f * (phi / r) * fx
 
 
 def shell_node(
@@ -525,7 +526,7 @@ def shell_node(
     r: float,
 ) -> float:
     """Radial shell integrand (without the 4*pi and the radial weight)."""
-    a, b_t, b_f = SHELL_WEIGHTS[law][part]
+    a, b_t, b_f = LAWS[law].shell[part]
     main = raw_l if part == "L" else raw_t
     return a * r**3 * dphi * main + r * r * phi * (b_t * raw_t + b_f * raw_flux)
 

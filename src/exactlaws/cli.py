@@ -19,7 +19,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -127,21 +127,6 @@ class VerifyConfig:
         for e in self.eps_ladder:
             if not 0 < e <= self.length / 4.0:
                 raise ValueError("epsilon ladder must lie in (0, length/4]")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "n": self.n,
-            "length": self.length,
-            "seed": self.seed,
-            "dirs": self.dirs,
-            "radial_nodes": self.radial_nodes,
-            "eps_ladder": list(self.eps_ladder),
-            "identity_tol": self.identity_tol,
-            "quad_match_tol": self.quad_match_tol,
-            "degeneracy_tol": self.degeneracy_tol,
-            "slope_min": self.slope_min,
-        }
 
 
 _SUITES = ("identity", "oracle", "ballshell", "degeneracy", "smooth", "combine")
@@ -378,7 +363,12 @@ def parse_ladder(text: str) -> list[float]:
     return [float(x) for x in np.geomspace(lo, hi, count)]
 
 
-def _apply_config_file(args: argparse.Namespace) -> None:
+def _apply_config_file(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Override flags of ``parser`` (the verb's parser) from the --config file.
+
+    Each value is read as if it had been given on the command line: a JSON
+    string or number passes through its flag's own type and choices.
+    """
     path = getattr(args, "config", None)
     if not path:
         return
@@ -386,11 +376,21 @@ def _apply_config_file(args: argparse.Namespace) -> None:
         overrides = json.load(fh)
     if not isinstance(overrides, dict):
         raise ValueError("config file must contain a JSON object")
+    flags = {a.dest: a for a in parser._actions if a.option_strings and a.dest != "help"}
     for key, value in overrides.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        action = flags.get(key.replace("-", "_"))
+        if action is None:
             raise ValueError(f"config key {key!r} does not match any flag")
-        setattr(args, attr, value)
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise ValueError(f"config key {key!r} must be a string or a number")
+        text = str(value)
+        try:
+            value = text if action.type is None else action.type(text)
+        except ValueError:
+            raise ValueError(f"config key {key!r}: invalid value {text!r}") from None
+        if action.choices is not None and value not in action.choices:
+            raise ValueError(f"config key {key!r}: {text!r} is not one of {list(action.choices)}")
+        setattr(args, action.dest, value)
 
 
 def _load_vector(path) -> VectorField3:
@@ -534,7 +534,7 @@ def cmd_verify(args) -> int:
     verdict.print_lines()
     payload = {
         "verdict": verdict.to_json_dict(),
-        "config": cfg.to_json_dict(),
+        "config": asdict(cfg),
         "provenance": {**rep.provenance(), "elapsed_seconds": elapsed},
     }
     digest = rep.write_report(args.out, payload)
@@ -570,6 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
+        p.set_defaults(parser=p)
         p.add_argument("--config", help="JSON file whose keys override flags")
         p.add_argument("--seed", type=int, default=0, help="seed for all randomness")
 
@@ -641,7 +642,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config_file(args)
+        _apply_config_file(args.parser, args)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

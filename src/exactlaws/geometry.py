@@ -199,29 +199,15 @@ def identity227(ell, A, B, C) -> tuple[float, float]:
 
     The left side contracts the derivative tensor of n_i n_j (minus its
     symmetrized counterpart weighted by n_k) against A_k B_i C_j, built from
-    dndl.  The right side is the closed form
+    the Jacobian ``dndl``.  The right side is the closed form
     (1/|l|) n . [C (A.B) + B (A.C) - 2 A (B.C)],
-    which vanishes when A = B = C.
+    which vanishes when A = B = C.  This is ``identity227_batch`` on one row.
     """
     ell = np.asarray(ell, dtype=np.float64)
-    A = np.asarray(A, dtype=np.float64)
-    B = np.asarray(B, dtype=np.float64)
-    C = np.asarray(C, dtype=np.float64)
-    norm = np.linalg.norm(ell)
-    if norm == 0.0:
-        raise ValueError("identity is singular at ell = 0")
-    n = ell / norm
-    M = dndl(ell)
-    # d(n_i n_j)/d l_k = M_ik n_j + M_jk n_i ; subtract (M_ij + M_ji) n_k.
-    lhs = float(
-        np.einsum("ik,j,k,i,j->", M, n, A, B, C)
-        + np.einsum("jk,i,k,i,j->", M, n, A, B, C)
-        - 2.0 * np.einsum("ij,k,k,i,j->", M, n, A, B, C)
-    )
-    rhs = float(
-        (n @ C) * (A @ B) + (n @ B) * (A @ C) - 2.0 * (n @ A) * (B @ C)
-    ) / norm
-    return lhs, rhs
+    if ell.shape != (3,):
+        raise ValueError("ell must be a 3-vector")
+    lhs, rhs = identity227_batch(ell[None], *(np.reshape(x, (1, 3)) for x in (A, B, C)))
+    return float(lhs[0]), float(rhs[0])
 
 
 def identity227_batch(ells, As, Bs, Cs):

@@ -175,15 +175,22 @@ def project_solenoidal(v: VectorField3) -> VectorField3:
     half-spectrum and would break the reality of the output.
     """
     grid = v.grid
-    kx, ky, kz = _derivative_wavenumbers(grid)
+    vh = _rfftn(v.values)
+    _leray(vh, *_derivative_wavenumbers(grid))
+    return VectorField3(grid, _irfftn(vh, grid.n))
+
+
+def _leray(vh: np.ndarray, kx, ky, kz) -> None:
+    """Remove the part of a (3, ...) spectrum parallel to k, in place.
+
+    kx, ky, kz broadcast against vh[0]; where k = 0 the spectrum is kept.
+    """
     k2 = kx * kx + ky * ky + kz * kz
     k2safe = np.where(k2 == 0.0, 1.0, k2)
-    vh = _rfftn(v.values)
     kdotv = (kx * vh[0] + ky * vh[1] + kz * vh[2]) / k2safe
     vh[0] -= kx * kdotv
     vh[1] -= ky * kdotv
     vh[2] -= kz * kdotv
-    return VectorField3(grid, _irfftn(vh, grid.n))
 
 
 def _shift_phase(grid: Grid3, ell, m: int | None = None) -> np.ndarray:

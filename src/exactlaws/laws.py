@@ -61,11 +61,13 @@ class RawCombos:
 def _resolve_pair(law: LawKind, v: VectorField3, w) -> tuple[VectorField3, object]:
     """Apply the law's convention for the second field."""
     if law is LawKind.HELICITY:
-        return v, (curl(v) if w is None else w)
-    if law is LawKind.HYDRO_ENERGY:
-        return v, None
-    if w is None:
+        w = curl(v) if w is None else w
+    elif law is LawKind.HYDRO_ENERGY:
+        w = None
+    elif w is None:
         raise ValueError(f"magnetic field required for the {law.value} law")
+    if w is not None and w.grid != v.grid:
+        raise ValueError("fields live on different grids")
     return v, w
 
 
@@ -98,8 +100,6 @@ def raw_combos(
     r = _check_scale(v.grid, r)
     dirs = dirs if dirs is not None else default_directions()
     v, w = _resolve_pair(law, v, w)
-    if w is not None and w.grid != v.grid:
-        raise ValueError("fields live on different grids")
     engine = StatsEngine(v.grid, {"a": v, "b": w})
     sums = _kernels.angular_term_sums(engine, {"x": (law, "a", "b")}, r, dirs)["x"]
     raw_l, raw_t, raw_flux = _kernels.raw_from_terms(law, sums, r)
@@ -204,8 +204,6 @@ def sweep_structure(
         metadata["omega_curl_mismatch"] = mismatch
         if rms > 0 and mismatch > _OMEGA_MISMATCH_RTOL * rms:
             metadata["warning"] = "supplied vorticity differs from curl of velocity"
-    if w is not None and w.grid != v.grid:
-        raise ValueError("fields live on different grids")
 
     engine = StatsEngine(v.grid, {"a": v, "b": w})
     combos = []
@@ -236,8 +234,6 @@ def yaglom_helicity(
     r = _check_scale(v.grid, r)
     dirs = dirs if dirs is not None else default_directions()
     v, w = _resolve_pair(LawKind.HELICITY, v, w)
-    if w.grid != v.grid:
-        raise ValueError("fields live on different grids")
     engine = StatsEngine(v.grid, {"a": v, "b": w})
     req = {"x": (LawKind.HELICITY, "a", "b")}
     l1, l2, t1, t2, _ = _kernels.angular_term_sums(engine, req, r, dirs)["x"]

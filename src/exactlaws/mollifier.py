@@ -150,19 +150,10 @@ def d_ball(
     law = LawKind(law)
     part = check_part(part)
     eps = _check_eps(v.grid, eps)
-    dirs = dirs if dirs is not None else default_directions()
     v, w = _resolve_pair(law, v, w)
-    if w is not None and w.grid != v.grid:
-        raise ValueError("fields live on different grids")
     engine = StatsEngine(v.grid, {"a": v, "b": w})
-    radii, weights = radial_quadrature(eps, radial_nodes)
-    total = 0.0
-    for r, wq in zip(radii, weights):
-        sums = _kernels.angular_term_sums(engine, {"x": (law, "a", "b")}, r, dirs)["x"]
-        phi = float(m.phi_scaled(r, eps))
-        dphi = float(m.dphi_scaled(r, eps))
-        total += wq * r * r * _kernels.ball_node(law, part, sums, phi, dphi, r)
-    return 4.0 * np.pi * total
+    matrix = _engine_matrix(engine, {"x": (law, "a", "b")}, m, [eps], radial_nodes, dirs)
+    return matrix["x"]["ball"][part][0]
 
 
 def _profile_values(profiles, r: float) -> tuple[float, float, float]:
@@ -435,8 +426,6 @@ def sweep_dissipation(
         raise ValueError("epsilons must be strictly ascending")
     dirs = dirs if dirs is not None else default_directions()
     v, w = _resolve_pair(law, v, w)
-    if w is not None and w.grid != v.grid:
-        raise ValueError("fields live on different grids")
     engine = StatsEngine(v.grid, {"a": v, "b": w})
     matrix = _engine_matrix(engine, {"x": (law, "a", "b")}, m, epsilons, radial_nodes, dirs)["x"]
     ball = tuple(matrix["ball"][part])

@@ -13,6 +13,8 @@ import hashlib
 import json
 import platform
 
+import numpy as np
+
 __all__ = [
     "canonical_json",
     "canonical_hash",
@@ -35,8 +37,6 @@ def _encode(obj, pieces: list) -> None:
         pieces.append("null" if obj is None else ("true" if obj else "false"))
     elif isinstance(obj, str):
         pieces.append(json.dumps(obj, ensure_ascii=False))
-    elif isinstance(obj, bool):  # pragma: no cover - caught above
-        pieces.append("true" if obj else "false")
     elif isinstance(obj, (int,)):
         pieces.append(str(obj))
     elif isinstance(obj, float):
@@ -59,24 +59,15 @@ def _encode(obj, pieces: list) -> None:
                 pieces.append(",")
             _encode(item, pieces)
         pieces.append("]")
+    elif isinstance(obj, np.bool_):
+        pieces.append("true" if obj else "false")
+    elif isinstance(obj, np.integer):
+        pieces.append(str(int(obj)))
+    elif isinstance(obj, np.floating):
+        pieces.append(_format_float(float(obj)))
+    elif isinstance(obj, np.ndarray):
+        _encode(obj.tolist(), pieces)
     else:
-        try:
-            import numpy as np
-
-            if isinstance(obj, np.bool_):
-                pieces.append("true" if obj else "false")
-                return
-            if isinstance(obj, np.integer):
-                pieces.append(str(int(obj)))
-                return
-            if isinstance(obj, np.floating):
-                pieces.append(_format_float(float(obj)))
-                return
-            if isinstance(obj, np.ndarray):
-                _encode(obj.tolist(), pieces)
-                return
-        except ImportError:  # pragma: no cover
-            pass
         raise TypeError(f"cannot canonicalize object of type {type(obj)!r}")
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft as _fft
 
-from .grid import Grid3, VectorField3
+from .grid import Grid3, VectorField3, _leray
 
 __all__ = [
     "SpectrumSpec",
@@ -96,12 +96,7 @@ def _synthesize(grid: Grid3, spec: SpectrumSpec, rng: np.random.Generator) -> Ve
     band = (shell >= spec.kmin) & (shell <= spec.kmax)
     vh *= band
 
-    k2 = mx * mx + my * my + mzz * mzz
-    k2safe = np.where(k2 == 0, 1.0, k2)
-    kdotv = (mx * vh[0] + my * vh[1] + mzz * vh[2]) / k2safe
-    vh[0] -= mx * kdotv
-    vh[1] -= my * kdotv
-    vh[2] -= mzz * kdotv
+    _leray(vh, mx, my, mzz)
 
     # Shell energies from the half-spectrum: conjugate modes count twice except
     # on the kz = 0 and kz = n/2 planes.

@@ -238,6 +238,28 @@ class TestVerify:
                   "--out", tmp_path / "r.json"])
         assert rc == 2
 
+    def test_config_values_pass_through_flag_types(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"radial-nodes": "8"}))
+        common = ["verify", "--suite", "ballshell", "--n", "16"]
+        assert run(common + ["--config", cfg, "--out", tmp_path / "a.json"]) == 0
+        assert run(common + ["--radial-nodes", "8", "--out", tmp_path / "b.json"]) == 0
+        a, b = (json.loads((tmp_path / f).read_text()) for f in ("a.json", "b.json"))
+        assert a["config"]["radial_nodes"] == 8
+        assert (a["config"], a["verdict"]) == (b["config"], b["verdict"])
+
+    @pytest.mark.parametrize(
+        "overrides", [{"eps": 0.4}, {"radial-nodes": 8.5}, {"seed": [1]}, {"suite": "nope"}]
+    )
+    def test_config_value_of_wrong_type_exits_2(self, tmp_path, capsys, overrides):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(overrides))
+        rc = run(["verify", "--suite", "ballshell", "--n", "16", "--config", cfg,
+                  "--out", tmp_path / "r.json"])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     @pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"])
     def test_unusable_tolerance_rejected(self, tmp_path, capsys, tol):
         rc = run(["verify", "--suite", "identity", "--quad-match-tol", tol,

@@ -156,6 +156,28 @@ class TestFallback:
         )
 
 
+    def test_white_noise_exact_degeneracies(self):
+        g = make_grid(8)
+        rng = np.random.default_rng(9)
+        v = VectorField3(g, rng.standard_normal((3, 8, 8, 8)))
+        engine = StatsEngine(g, {"v": v, "copy": VectorField3(g, v.values.copy()), "zero": None})
+        assert engine.evaluation == "per-shift-fft"
+        req = {
+            "mhd-equal": (LawKind.MHD_ENERGY, "v", "copy"),
+            "cross-equal": (LawKind.CROSS_HELICITY, "v", "copy"),
+            "cross-zero": (LawKind.CROSS_HELICITY, "v", "zero"),
+            "mhd-zero": (LawKind.MHD_ENERGY, "v", "zero"),
+            "hydro": (LawKind.HYDRO_ENERGY, "v", "zero"),
+        }
+        sums = _kernels.angular_term_sums(engine, req, 0.4, DIRS)
+        for label in ("mhd-equal", "cross-equal"):
+            law = req[label][0]
+            assert _kernels.raw_from_terms(law, sums[label], 0.4) == (0.0, 0.0, 0.0)
+        assert sums["cross-zero"] == (0.0, 0.0, 0.0, 0.0, 0.0)
+        assert sums["hydro"] == sums["mhd-zero"]
+        assert sums["hydro"][0] != 0.0
+
+
 class TestExactness:
     def test_moments_symmetric_bitwise(self):
         g, fields = band_fields(n=12, kmax=3)

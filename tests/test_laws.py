@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from exactlaws._kernels import StatsEngine
 from exactlaws.geometry import direction_set_icosa
 from exactlaws.grid import VectorField3, curl, make_grid
 from exactlaws.laws import (
@@ -154,9 +155,11 @@ class TestRawCombos:
 
 
 class TestNaiveOracle:
-    def test_all_laws_match_naive_reference(self):
-        g, v, h = random_pair(n=8, kmax=2, seeds=(3, 4))
+    @staticmethod
+    def check_all_laws(n, kmax, evaluation):
+        g, v, h = random_pair(n=n, kmax=kmax, seeds=(3, 4))
         omega = curl(v)
+        assert StatsEngine(g, {"v": v, "h": h}).evaluation == evaluation
         for r in (0.3, 0.7):
             for law in ALL_LAWS:
                 if law is LawKind.HELICITY:
@@ -170,6 +173,14 @@ class TestNaiveOracle:
                 got = np.array([rc.raw_L, rc.raw_T, rc.raw_flux])
                 exp = np.array(ref)
                 assert np.all(np.abs(got - exp) <= 1e-10 * np.abs(exp) + 1e-13)
+
+    def test_all_laws_match_naive_reference(self):
+        self.check_all_laws(8, 2, "sine-series")
+
+    def test_per_shift_path_matches_naive_reference(self):
+        # m = 12 = 3*kmax is not alias-free, and kmax < 6 leaves the Nyquist
+        # planes empty, so the aliased grid average is the one the oracle takes.
+        self.check_all_laws(12, 4, "per-shift-fft")
 
 
 class TestSweepStructure:
