@@ -15,11 +15,15 @@ Two evaluation paths share that reduced grid:
   M_pqr(l) is a sine series in k.l whose real coefficients are computed
   once per engine, so all directions at one radius cost one matrix product
   and no transform; the law's term means are contractions of M.
-* per-shift FFT, otherwise.  Each separation costs one batched inverse
-  transform of the shifted spectra and a pointwise kernel pass.  This is
-  the case for full-spectrum input (e.g. white noise, m = n), where the
-  report value is the grid average of the aliased cubic products; the sine
-  series gives the continuous average instead, which differs there.
+* per-shift FFT, otherwise.  Each separation costs an inverse transform of
+  the shifted spectra, one axis at a time, and a pointwise kernel pass.
+  The phase factors are separable, so separations with equal x, or equal
+  (x, y), components share the first passes; the directions are visited in
+  that order.  This is the case for full-spectrum input (e.g. white noise,
+  m = n), where the report value is the grid average of the aliased cubic
+  products; the sine series gives the continuous average instead, which
+  differs there.  Zero fields cost nothing on this path: they have no
+  increment array, and the pieces that touch them are exactly 0.0.
 
 The law table ``LAWS`` is the one place a law is defined: one row of
 coefficients per law over two kinds of cubic increment pieces, the cube
@@ -42,7 +46,7 @@ from operator import add
 import numpy as np
 from scipy import fft as _fft
 
-from .grid import Grid3, VectorField3, _shift_phase
+from .grid import Grid3, VectorField3, _axis_phases
 
 __all__ = [
     "LawKind",
@@ -216,12 +220,14 @@ class StatsEngine:
     None entry, an all-zero field and a field without modes besides its mean
     all stand for the zero field.  Names holding the same values share one
     set of component rows.  All fields are restricted to the union of their
-    spectral supports once.  ``increments`` then costs one small batched
-    inverse transform per separation vector; on an alias-free grid
-    (``alias_free``: m > 3*kmax) ``moments`` gives the third moments of the
-    increments at many separations in one matrix product.  ``evaluation``
-    names the path ``angular_term_sums`` takes: "sine-series" or
-    "per-shift-fft".
+    spectral supports once.  ``increments`` then costs at most one inverse
+    pass per axis and separation vector, fewer when consecutive separations
+    share components; on an alias-free grid (``alias_free``: m > 3*kmax)
+    ``moments`` gives the third moments of the increments at many
+    separations in one matrix product.  ``evaluation`` names the path
+    ``angular_term_sums`` takes: "sine-series" or "per-shift-fft".
+    ``separations`` counts the separations evaluated and ``inverse_passes``
+    the inverse passes per axis.
     """
 
     def __init__(self, grid: Grid3, fields: dict):
@@ -273,34 +279,66 @@ class StatsEngine:
             name: np.full(3, zero) if sl is None else np.arange(sl.start, sl.stop)
             for name, sl in self._slices.items()
         }
-        self._zero = np.zeros((3, self.npoints))
-        self._zero.setflags(write=False)
         self._base = None  # field values on the reduced grid, on first use
+        self._passes = None  # buffers of the last x pass and xy pass
+        self._keys = (None, None)  # the l_x and (l_x, l_y) the buffers hold
         self._series = None  # sine-series tables, on first use
+        self.separations = 0
+        self.inverse_passes = {"x": 0, "xy": 0, "z": 0}
 
     def describe(self) -> dict:
-        """The grid the engine used and the evaluation path it takes."""
+        """The grid the engine used, the evaluation path it takes and the work
+        it did so far."""
         return {
             "n": self.grid.n,
             "m": self.m,
             "kmax": self.kmax,
             "alias_free": self.alias_free,
             "evaluation": self.evaluation,
+            "separations": self.separations,
+            "inverse_passes": dict(self.inverse_passes),
         }
 
-    def increments(self, ell) -> dict[str, np.ndarray]:
-        """Flat (3, m**3) increment arrays u(x + ell) - u(x) per field name."""
-        m = self.m
+    def increments(self, ell) -> dict[str, np.ndarray | None]:
+        """Flat (3, m**3) increment arrays u(x + ell) - u(x) per field name.
+
+        The zero field gets None: it has no increment array.
+        """
         if self._base is None:
-            base = _fft.irfftn(self._spectra, s=(m, m, m), axes=(1, 2, 3))
-            self._base = np.ascontiguousarray(base.reshape(base.shape[0], -1))
-        phase = _shift_phase(self.grid, ell, m)
-        shifted = _fft.irfftn(self._spectra * phase, s=(m, m, m), axes=(1, 2, 3))
-        delta = shifted.reshape(shifted.shape[0], -1) - self._base
-        out = {}
-        for name, sl in self._slices.items():
-            out[name] = self._zero if sl is None else delta[sl]
-        return out
+            self._base = self._shifted(np.zeros(3), count=False)
+        delta = self._shifted(ell)
+        delta -= self._base
+        self.separations += 1
+        return {name: None if sl is None else delta[sl] for name, sl in self._slices.items()}
+
+    def _shifted(self, ell, count: bool = True) -> np.ndarray:
+        """The fields at x + ell on the reduced grid, flat (C, m**3).
+
+        The inverse transform runs one axis at a time, each pass after the
+        phase factor of its axis.  The x pass depends on l_x only and the xy
+        pass on (l_x, l_y), so each is kept, in a buffer reused between calls,
+        and reused while those components repeat (exact float equality).
+        ``count`` adds the passes made to ``inverse_passes``.
+        """
+        m = self.m
+        px, py, pz = _axis_phases(self.grid, ell, m)
+        if self._passes is None:
+            self._passes = (np.empty_like(self._spectra), np.empty_like(self._spectra))
+        x, xy = self._passes
+        keys = (float(ell[0]), (float(ell[0]), float(ell[1])))
+        made = {"x": keys[0] != self._keys[0], "xy": keys[1] != self._keys[1], "z": True}
+        if made["x"]:
+            x = _fft.ifft(np.multiply(self._spectra, px[:, None, None], out=x), axis=1,
+                          overwrite_x=True)
+        if made["xy"]:
+            xy = _fft.ifft(np.multiply(x, py[:, None], out=xy), axis=2, overwrite_x=True)
+        shifted = _fft.irfft(xy * pz, n=m, axis=3, overwrite_x=True)
+        self._passes = (x, xy)
+        self._keys = keys
+        if count:
+            for axis, done in made.items():
+                self.inverse_passes[axis] += done
+        return shifted.reshape(shifted.shape[0], -1)
 
     def _sine_series(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(wavevectors (K, 3), coefficients G (rows, K), index (C+1,)*3) of
@@ -370,6 +408,7 @@ class StatsEngine:
             self._series = self._sine_series()
         kvec, coeffs, index = self._series
         ells = np.asarray(ells, dtype=float).reshape(-1, 3)
+        self.separations += ells.shape[0]
         phase = (
             kvec[:, 0:1] * ells[:, 0]
             + kvec[:, 1:2] * ells[:, 1]
@@ -403,20 +442,24 @@ def term_means(law: LawKind, da, db, nhat) -> tuple[float, float, float, float, 
     """Angular means (L1, L2, T1, T2, flux) of the law's kernel pieces.
 
     ``da`` is the increment of the primary (velocity-like) field, ``db`` of
-    the paired field, both flat (3, M); the pieces are volume means over the
-    M points.
+    the paired field, both flat (3, M) or None for the zero field; the pieces
+    are volume means over the M points.  A piece that touches the zero field
+    is exactly 0.0 and is not evaluated.
     """
     delta = {"a": da, "b": db}
-    nd = {"a": nhat @ da, "b": nhat @ db}
-    size = da.shape[1]
+    nd = {c: None if d is None else nhat @ d for c, d in delta.items()}
 
     def cube(p):
-        x, y, z = p
-        return float(nd[x] @ (nd[y] * nd[z])) / size
+        if any(delta[c] is None for c in p):
+            return 0.0
+        x, y, z = (nd[c] for c in p)
+        return float(x @ (y * z)) / x.size
 
     def trace(p):
+        if any(delta[c] is None for c in p):
+            return 0.0
         x, y, z = p
-        return float(np.vdot(delta[y], delta[z] * nd[x])) / size
+        return float(np.vdot(delta[y], delta[z] * nd[x])) / nd[x].size
 
     return _law_terms(law, cube, trace)
 
@@ -463,8 +506,10 @@ def angular_term_sums(engine: StatsEngine, requests, r: float, dirs):
     ``requests`` maps labels to (law, first_name, second_name) triples.  On
     an alias-free grid the moments at every direction come from one sine
     series evaluation and are contracted per law; otherwise the increments
-    are computed once per direction and shared by ``term_means``.
-    Accumulation order is fixed for bit-reproducibility.
+    are computed once per direction and shared by ``term_means``, visiting
+    the directions sorted by (l_x, l_y) so that consecutive separations share
+    inverse passes.  Accumulation runs in the direction set's order, which
+    keeps the sums bit-reproducible.
     """
     if engine.evaluation == "sine-series":
         nhat, weights = _antipodal_half(dirs)
@@ -478,11 +523,17 @@ def angular_term_sums(engine: StatsEngine, requests, r: float, dirs):
             weighted = np.stack(terms) * weights
             sums[label] = tuple(float(x) for x in weighted.sum(axis=1))
         return sums
+    ells = r * dirs.directions
+    means = [None] * len(ells)
+    for i in np.lexsort((ells[:, 1], ells[:, 0])):
+        deltas = engine.increments(ells[i])
+        means[i] = {
+            label: term_means(law, deltas[name_a], deltas[name_b], dirs.directions[i])
+            for label, (law, name_a, name_b) in requests.items()
+        }
     sums = {label: (0.0, 0.0, 0.0, 0.0, 0.0) for label in requests}
-    for nhat, w in zip(dirs.directions, dirs.weights):
-        deltas = engine.increments(r * nhat)
-        for label, (law, name_a, name_b) in requests.items():
-            tm = term_means(law, deltas[name_a], deltas[name_b], nhat)
+    for w, tms in zip(dirs.weights, means):
+        for label, tm in tms.items():
             sums[label] = tuple(acc + w * t for acc, t in zip(sums[label], tm))
     return sums
 

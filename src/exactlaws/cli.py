@@ -57,7 +57,7 @@ __all__ = ["main", "VerifyConfig", "Verdict", "CheckResult", "combine_consistenc
 @dataclass(frozen=True)
 class CheckResult:
     name: str
-    measured: float
+    measured: float | None  # None: nothing could be measured (a FAIL)
     threshold: float
     passed: bool
 
@@ -75,8 +75,15 @@ class Verdict:
     checks: list[CheckResult] = field(default_factory=list)
 
     def add(self, name: str, measured: float, threshold: float, larger_ok: bool = False):
-        """Record a check; by default measured <= threshold passes."""
+        """Record a check; by default measured <= threshold passes.
+
+        A measurement that is not a finite number fails and is recorded as
+        None, so the report can still be written.
+        """
         measured = float(measured)
+        if not np.isfinite(measured):
+            self.checks.append(CheckResult(name, None, float(threshold), False))
+            return
         ok = measured >= threshold if larger_ok else measured <= threshold
         self.checks.append(CheckResult(name, measured, float(threshold), bool(ok)))
 
@@ -87,10 +94,12 @@ class Verdict:
     def to_json_dict(self) -> dict:
         return {"pass": self.passed, "checks": [c.to_json_dict() for c in self.checks]}
 
-    def print_lines(self, out=sys.stdout) -> None:
+    def print_lines(self, out=None) -> None:
+        out = sys.stdout if out is None else out
         for c in self.checks:
             tag = "PASS" if c.passed else "FAIL"
-            print(f"[{tag}] {c.name}: measured={c.measured:.6e} threshold={c.threshold:.6e}", file=out)
+            measured = "null" if c.measured is None else f"{c.measured:.6e}"
+            print(f"[{tag}] {c.name}: measured={measured} threshold={c.threshold:.6e}", file=out)
         print(f"overall: {'PASS' if self.passed else 'FAIL'}", file=out)
 
 
@@ -239,12 +248,15 @@ def _smooth_checks(cfg: VerifyConfig, verdict: Verdict) -> None:
 
     r_hi = 0.35 / kmax * unit
     scales = list(np.geomspace(r_hi / 8.0, r_hi, 8))
-    rep_h = sweep_structure(LawKind.HELICITY, (u, omega), scales, dirs)
-    rep_e = sweep_structure(LawKind.MHD_ENERGY, (u, u2), scales, dirs)
-    fit_h = power_law_fit(rep_h, (scales[0], scales[-1]))
-    fit_e = power_law_fit(rep_e, (scales[0], scales[-1]))
-    verdict.add("smooth/helicity-slope", fit_h.slope, cfg.slope_min, larger_ok=True)
-    verdict.add("smooth/mhd-energy-slope", fit_e.slope, cfg.slope_min, larger_ok=True)
+    for label, law, second in (
+        ("helicity", LawKind.HELICITY, omega), ("mhd-energy", LawKind.MHD_ENERGY, u2)
+    ):
+        rep = sweep_structure(law, (u, second), scales, dirs)
+        try:
+            slope = power_law_fit(rep, (scales[0], scales[-1])).slope
+        except ValueError:  # a degenerate fit (too few nonzero values) fails the check
+            slope = float("nan")
+        verdict.add(f"smooth/{label}-slope", slope, cfg.slope_min, larger_ok=True)
 
     eps_hi = 0.5 / kmax * unit
     ladder = list(np.geomspace(eps_hi / 4.0, eps_hi, 4))

@@ -71,6 +71,18 @@ class DirectionSet:
 _ICOSA_COUNTS = (12, 42, 162, 642, 2562, 10242)
 
 
+# The 20 faces of the icosahedron over the vertices of _base_icosahedron, in
+# the order and orientation of their convex hull (scipy.spatial.ConvexHull);
+# the subdivision numbers its new vertices in this order, so the table fixes
+# the order of every icosa:L direction set.  A test checks it against the hull.
+_ICOSA_FACES = (
+    (0, 1, 2), (6, 4, 2), (6, 0, 5), (6, 0, 2), (7, 3, 1),
+    (7, 0, 5), (7, 0, 1), (8, 4, 2), (8, 1, 2), (8, 3, 1),
+    (8, 9, 3), (8, 9, 4), (10, 9, 4), (10, 6, 4), (10, 6, 5),
+    (11, 7, 5), (11, 9, 3), (11, 7, 3), (11, 10, 9), (11, 10, 5),
+)
+
+
 def _base_icosahedron():
     phi = (1.0 + np.sqrt(5.0)) / 2.0
     verts = []
@@ -80,11 +92,7 @@ def _base_icosahedron():
             verts.append((a, b, 0.0))
             verts.append((b, 0.0, a))
     verts = np.array(verts) / np.sqrt(1.0 + phi * phi)
-    # Faces from the convex hull of the 12 vertices.
-    from scipy.spatial import ConvexHull
-
-    faces = ConvexHull(verts).simplices
-    return verts, faces
+    return verts, _ICOSA_FACES
 
 
 def direction_set_icosa(level: int) -> DirectionSet:

@@ -9,6 +9,7 @@ x-fastest, matching that indexing convention.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -193,13 +194,15 @@ def _leray(vh: np.ndarray, kx, ky, kz) -> None:
     vh[2] -= kz * kdotv
 
 
-def _shift_phase(grid: Grid3, ell, m: int | None = None) -> np.ndarray:
-    """Phase factors exp(i k.l) with the Nyquist planes taken as cosine modes.
+def _axis_phases(grid: Grid3, ell, m: int | None = None):
+    """Per-axis phase factors (px, py, pz) of exp(i k.l) = px(kx) py(ky) pz(kz).
 
-    The cosine convention keeps shifted fields exactly real; lattice shifts
-    still reduce to index rolls because cos(pi*m) = (-1)^m.  ``m`` evaluates
-    the factors on an m-point grid over the same cube, for spectra restricted
-    to a coarser grid; by default the grid's own n points are used.
+    The Nyquist modes are taken as cosine modes, which keeps shifted fields
+    exactly real; lattice shifts still reduce to index rolls because
+    cos(pi*m) = (-1)^m.  ``m`` evaluates the factors on an m-point grid over
+    the same cube, for spectra restricted to a coarser grid; by default the
+    grid's own n points are used.  pz covers the half axis of the real
+    transform.
     """
     ell = np.asarray(ell, dtype=np.float64)
     if ell.shape != (3,):
@@ -214,7 +217,7 @@ def _shift_phase(grid: Grid3, ell, m: int | None = None) -> np.ndarray:
     py[half] = np.cos(k[half] * ell[1])
     pz = np.exp(1j * kz * ell[2])
     pz[-1] = np.cos(kz[-1] * ell[2])
-    return px[:, None, None] * (py[:, None] * pz[None, :])[None]
+    return px, py, pz
 
 
 def shift(u, ell):
@@ -223,7 +226,8 @@ def shift(u, ell):
     Implemented as spectral phase modulation, exact for band-limited fields;
     shifting by a lattice vector reproduces an index roll.
     """
-    phase = _shift_phase(u.grid, ell)
+    px, py, pz = _axis_phases(u.grid, ell)
+    phase = px[:, None, None] * (py[:, None] * pz[None, :])[None]
     out = _irfftn(_rfftn(u.values) * phase, u.grid.n)
     if isinstance(u, VectorField3):
         return VectorField3(u.grid, out)
@@ -268,33 +272,38 @@ def write_field(fld, path) -> None:
 
 
 def read_field(path):
-    """Read an EXL1 file; returns a VectorField3 (ncomp=3) or ScalarField (ncomp=1)."""
+    """Read an EXL1 file; returns a VectorField3 (ncomp=3) or ScalarField (ncomp=1).
+
+    The payload is read into one preallocated array and copied once into
+    the [component, ix, iy, iz] C-order layout.
+    """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 4 or raw[:4] != _MAGIC:
-        raise FieldFileError("not an EXL1 file (bad magic)")
-    if len(raw) < 4 + _HEADER.size:
-        raise FieldFileError("short read: truncated EXL1 header")
-    version, n, length, ncomp = _HEADER.unpack_from(raw, 4)
-    if version != 1:
-        raise FieldFileError(f"unsupported EXL1 version {version}")
-    if ncomp not in (1, 3):
-        raise FieldFileError(f"dimension mismatch: ncomp must be 1 or 3, got {ncomp}")
-    try:
-        grid = Grid3(int(n), float(length))
-    except ValueError as exc:
-        raise FieldFileError(f"dimension mismatch: {exc}") from exc
-    count = ncomp * n**3
-    payload = raw[4 + _HEADER.size :]
-    if len(payload) < 8 * count:
-        raise FieldFileError("short read: truncated EXL1 payload")
-    if len(payload) > 8 * count:
-        raise FieldFileError("trailing data after EXL1 payload")
-    flat = np.frombuffer(payload, dtype="<f8", count=count)
-    comps = [
-        flat[i * n**3 : (i + 1) * n**3].reshape((n, n, n), order="F")
-        for i in range(ncomp)
-    ]
+        head = fh.read(4 + _HEADER.size)
+        if len(head) < 4 or head[:4] != _MAGIC:
+            raise FieldFileError("not an EXL1 file (bad magic)")
+        if len(head) < 4 + _HEADER.size:
+            raise FieldFileError("short read: truncated EXL1 header")
+        version, n, length, ncomp = _HEADER.unpack_from(head, 4)
+        if version != 1:
+            raise FieldFileError(f"unsupported EXL1 version {version}")
+        if ncomp not in (1, 3):
+            raise FieldFileError(f"dimension mismatch: ncomp must be 1 or 3, got {ncomp}")
+        try:
+            grid = Grid3(int(n), float(length))
+        except ValueError as exc:
+            raise FieldFileError(f"dimension mismatch: {exc}") from exc
+        count = ncomp * n**3
+        size = os.fstat(fh.fileno()).st_size - len(head)
+        if size < 8 * count:
+            raise FieldFileError("short read: truncated EXL1 payload")
+        if size > 8 * count:
+            raise FieldFileError("trailing data after EXL1 payload")
+        flat = np.empty(count, dtype="<f8")
+        if fh.readinto(flat) != 8 * count:
+            raise FieldFileError("short read: truncated EXL1 payload")
+    # Each component is stored x-fastest: flat[c, iz, iy, ix] in C order.
+    values = np.ascontiguousarray(flat.reshape(ncomp, n, n, n).transpose(0, 3, 2, 1))
+    del flat  # released before the field checks its values
     if ncomp == 1:
-        return ScalarField(grid, comps[0])
-    return VectorField3(grid, np.stack(comps))
+        return ScalarField(grid, values[0])
+    return VectorField3(grid, values)

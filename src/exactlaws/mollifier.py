@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from . import _kernels
 from ._kernels import LawKind, StatsEngine, check_part
@@ -79,12 +78,14 @@ class Mollifier:
         return self.dphi(np.asarray(r, dtype=float) / eps) / eps**4
 
 
+# integral_0^1 r^2 exp(-1/(1 - r^2)) dr, as adaptive quadrature gives it
+# (scipy.integrate.quad, epsabs=1e-15, epsrel=1e-14); a test recomputes it.
+_BUMP_MASS = 0.0351007383764877
+
+
 def bump_mollifier() -> Mollifier:
-    """Construct the bump profile; the normalization is computed once by
-    adaptive quadrature."""
-    raw = lambda r: np.exp(-1.0 / (1.0 - r * r))
-    mass, _ = integrate.quad(lambda r: r * r * raw(r), 0.0, 1.0, epsabs=1e-15, epsrel=1e-14)
-    return Mollifier(amplitude=1.0 / (4.0 * np.pi * mass))
+    """Construct the bump profile, normalized by its tabulated mass."""
+    return Mollifier(amplitude=1.0 / (4.0 * np.pi * _BUMP_MASS))
 
 
 def phi_T(m: Mollifier, r: float) -> float:
@@ -97,6 +98,8 @@ def phi_T(m: Mollifier, r: float) -> float:
         raise ValueError("phi_T is singular at zero separation")
     if r >= 1.0:
         return 0.0
+    from scipy import integrate
+
     val, _ = integrate.quad(lambda s: m.phi(s) / s, r, 1.0, epsabs=1e-13, epsrel=1e-12)
     return 2.0 * val
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from exactlaws import _kernels
+from exactlaws import _kernels, cli
 from exactlaws.cli import combine_consistency_checks, main, parse_ladder
 from exactlaws.grid import VectorField3, make_grid, read_field, write_field
 from exactlaws.laws import LawKind
@@ -107,8 +107,10 @@ class TestAnalyze:
                   "--dirs", "icosa:0", "--out", tmp_path / "rep"])
         assert rc == 0
         payload = json.loads((tmp_path / "rep.json").read_text())
+        # 2 scales x 6 antipodal pairs of icosa:0, no inverse transforms.
         assert payload["provenance"]["engine"] == {
             "n": 16, "m": 16, "kmax": 4, "alias_free": True, "evaluation": "sine-series",
+            "separations": 12, "inverse_passes": {"x": 0, "xy": 0, "z": 0},
         }
         provenance = {k: x for k, x in payload["provenance"].items() if k != "engine"}
         assert canonical_hash({**payload, "provenance": provenance}) == canonical_hash(payload)
@@ -148,8 +150,11 @@ class TestDissipation:
                   "--out", tmp_path / "diss"])
         assert rc == 0
         payload = json.loads((tmp_path / "diss.json").read_text())
+        # 4 radial nodes x 12 directions; icosa:0 has 5 distinct x and 8
+        # distinct (x, y) components per radius.
         assert payload["provenance"]["engine"] == {
             "n": 8, "m": 8, "kmax": 4, "alias_free": False, "evaluation": "per-shift-fft",
+            "separations": 48, "inverse_passes": {"x": 20, "xy": 32, "z": 48},
         }
 
     def test_zero_field_passes(self, tmp_path):
@@ -202,6 +207,37 @@ class TestVerify:
         assert payload["verdict"]["pass"] is True
         names = [c["name"] for c in payload["verdict"]["checks"]]
         assert "identity/random-samples" in names
+
+    def test_degenerate_fit_fails_and_writes_report(self, tmp_path, monkeypatch):
+        def degenerate(report, window):
+            raise ValueError("fewer than 3 usable points for a power-law fit")
+
+        monkeypatch.setattr(cli, "power_law_fit", degenerate)
+        rc = run(["verify", "--suite", "smooth", "--n", 16, "--dirs", "icosa:0",
+                  "--out", tmp_path / "r.json"])
+        assert rc == 1
+        checks = {c["name"]: c for c in json.loads((tmp_path / "r.json").read_text())["verdict"]["checks"]}
+        for name in ("smooth/helicity-slope", "smooth/mhd-energy-slope"):
+            assert checks[name]["measured"] is None and checks[name]["pass"] is False
+        assert checks["smooth/helicity-order"]["measured"] is not None
+
+    def test_nan_measurement_fails_and_writes_report(self, tmp_path, monkeypatch, capsys):
+        real = cli.identity227_batch
+
+        def with_nan(*args):
+            lhs, rhs = real(*args)
+            lhs[0] = np.nan
+            return lhs, rhs
+
+        monkeypatch.setattr(cli, "identity227_batch", with_nan)
+        rc = run(["verify", "--suite", "identity", "--out", tmp_path / "r.json"])
+        assert rc == 1
+        assert "[FAIL] identity/random-samples: measured=null" in capsys.readouterr().out
+        verdict = json.loads((tmp_path / "r.json").read_text())["verdict"]
+        assert verdict["pass"] is False
+        assert verdict["checks"][0] == {
+            "name": "identity/random-samples", "measured": None, "threshold": 1e-10, "pass": False,
+        }
 
     def test_combine_suite(self, tmp_path):
         rc = run(["verify", "--suite", "combine", "--out", tmp_path / "r.json"])

@@ -26,6 +26,16 @@ class TestDirectionSets:
             assert len(ds) == count
             assert np.allclose(ds.weights, 1.0 / count)
 
+    def test_face_table_matches_convex_hull(self):
+        from scipy.spatial import ConvexHull
+
+        from exactlaws.geometry import _base_icosahedron
+
+        verts, faces = _base_icosahedron()
+        hull = ConvexHull(verts).simplices
+        assert len(faces) == 20
+        assert {tuple(sorted(f)) for f in faces} == {tuple(sorted(int(i) for i in f)) for f in hull}
+
     def test_level_out_of_range(self):
         with pytest.raises(ValueError):
             direction_set_icosa(6)

@@ -254,6 +254,24 @@ class TestFieldFiles:
         # First 8 payload entries walk the x axis of component 0.
         assert np.array_equal(raw[:8], v.values[0, :, 0, 0])
 
+    def test_read_peak_memory(self, tmp_path):
+        import tracemalloc
+
+        g = make_grid(32)
+        v = VectorField3(g, np.random.default_rng(4).standard_normal((3, 32, 32, 32)))
+        path = tmp_path / "v.fld"
+        write_field(v, path)
+        payload = v.values.nbytes
+        tracemalloc.start()
+        try:
+            back = read_field(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.values, v.values)
+        assert back.values.flags.c_contiguous
+        assert peak <= 2.2 * payload
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.fld"
         path.write_bytes(b"NOPE" + b"\x00" * 64)

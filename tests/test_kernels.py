@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from exactlaws import _kernels
 from exactlaws._kernels import LawKind, StatsEngine, term_means
-from exactlaws.geometry import DirectionSet, direction_set_icosa
+from exactlaws.geometry import DirectionSet, direction_set_icosa, direction_set_random
 from exactlaws.grid import VectorField3, curl, make_grid
+from exactlaws.laws import sweep_structure
+from exactlaws.report import canonical_hash
 from exactlaws.synth import SpectrumSpec, random_solenoidal
 
 ALL_LAWS = (LawKind.HYDRO_ENERGY, LawKind.HELICITY, LawKind.MHD_ENERGY, LawKind.CROSS_HELICITY)
@@ -154,6 +156,52 @@ class TestFallback:
         assert _kernels.angular_term_sums(engine, req, 0.4, DIRS) == per_shift_sums(
             engine, req, 0.4, DIRS
         )
+        # icosa:2 repeats components, the random set does not; visiting the
+        # directions sorted changes which inverse passes are reused, not a bit.
+        for dirs in (direction_set_icosa(2), direction_set_random(24)):
+            assert _kernels.angular_term_sums(engine, req, 0.4, dirs) == per_shift_sums(
+                engine, req, 0.4, dirs
+            )
+
+    def test_zero_separation_increments_exactly_zero(self):
+        g = make_grid(8)
+        rng = np.random.default_rng(6)
+        v = VectorField3(g, rng.standard_normal((3, 8, 8, 8)))
+        engine = StatsEngine(g, {"v": v, "zero": None})
+        engine.increments(np.array([0.3, 0.0, -0.2]))  # leave other passes cached
+        deltas = engine.increments(np.zeros(3))
+        assert not np.any(deltas["v"])
+        assert deltas["zero"] is None
+
+    def test_zero_field_pieces_exactly_zero(self):
+        g = make_grid(8)
+        rng = np.random.default_rng(8)
+        engine = StatsEngine(g, {"v": VectorField3(g, rng.standard_normal((3, 8, 8, 8)))})
+        da = engine.increments(np.array([0.2, -0.5, 0.1]))["v"]
+        nhat = np.array([0.6, 0.0, -0.8])
+        zeros = np.zeros_like(da)
+        for law in ALL_LAWS:
+            skipped = term_means(law, da, None, nhat)
+            evaluated = term_means(law, da, zeros, nhat)
+            assert skipped == evaluated
+            assert term_means(law, None, None, nhat) == (0.0,) * 5
+            assert term_means(law, None, da, nhat) == term_means(law, zeros, da, nhat)
+        assert term_means(LawKind.CROSS_HELICITY, da, None, nhat) == (0.0,) * 5
+        l1, l2, t1, t2, flux = term_means(LawKind.MHD_ENERGY, da, None, nhat)
+        assert l1 != 0.0 and t1 != 0.0 and (l2, t2, flux) == (0.0, 0.0, 0.0)
+
+    def test_work_counts(self):
+        # icosa:1 has 13 distinct l_x and 25 distinct (l_x, l_y) among its 42
+        # directions, so 2 radii cost 26 x passes, 50 xy passes and 84 z passes.
+        g = make_grid(12)
+        v = VectorField3(g, np.random.default_rng(10).standard_normal((3, 12, 12, 12)))
+        report = sweep_structure(LawKind.HYDRO_ENERGY, v, [0.3, 0.6], DIRS)
+        assert report.engine["evaluation"] == "per-shift-fft"
+        assert report.engine["separations"] == 84
+        assert report.engine["inverse_passes"] == {"x": 26, "xy": 50, "z": 84}
+        payload = report.to_json_dict()
+        traced = {**payload, "provenance": {"engine": report.engine}}
+        assert canonical_hash(traced) == canonical_hash(payload)
 
 
     def test_white_noise_exact_degeneracies(self):

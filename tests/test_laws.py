@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from exactlaws._kernels import StatsEngine
-from exactlaws.geometry import direction_set_icosa
+from exactlaws.geometry import direction_set_icosa, direction_set_random
 from exactlaws.grid import VectorField3, curl, make_grid
 from exactlaws.laws import (
     COMBINE_COEFFS,
@@ -156,7 +156,7 @@ class TestRawCombos:
 
 class TestNaiveOracle:
     @staticmethod
-    def check_all_laws(n, kmax, evaluation):
+    def check_all_laws(n, kmax, evaluation, dirs=DIRS12):
         g, v, h = random_pair(n=n, kmax=kmax, seeds=(3, 4))
         omega = curl(v)
         assert StatsEngine(g, {"v": v, "h": h}).evaluation == evaluation
@@ -168,8 +168,8 @@ class TestNaiveOracle:
                     w = None
                 else:
                     w = h
-                rc = raw_combos(law, v, w, r, DIRS12)
-                ref = naive_raw_combos(law.value, v, w, r, DIRS12)
+                rc = raw_combos(law, v, w, r, dirs)
+                ref = naive_raw_combos(law.value, v, w, r, dirs)
                 got = np.array([rc.raw_L, rc.raw_T, rc.raw_flux])
                 exp = np.array(ref)
                 assert np.all(np.abs(got - exp) <= 1e-10 * np.abs(exp) + 1e-13)
@@ -181,6 +181,8 @@ class TestNaiveOracle:
         # m = 12 = 3*kmax is not alias-free, and kmax < 6 leaves the Nyquist
         # planes empty, so the aliased grid average is the one the oracle takes.
         self.check_all_laws(12, 4, "per-shift-fft")
+        # Random directions share no components, so no inverse pass is reused.
+        self.check_all_laws(12, 4, "per-shift-fft", direction_set_random(24, 5))
 
 
 class TestSweepStructure:

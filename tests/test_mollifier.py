@@ -26,6 +26,16 @@ DIRS12 = direction_set_icosa(0)
 
 
 class TestMollifierProfile:
+    def test_tabulated_mass_matches_quadrature(self):
+        from scipy import integrate
+
+        from exactlaws.mollifier import _BUMP_MASS
+
+        mass, _ = integrate.quad(
+            lambda r: r * r * np.exp(-1.0 / (1.0 - r * r)), 0.0, 1.0, epsabs=1e-15, epsrel=1e-14
+        )
+        assert abs(_BUMP_MASS - mass) <= 1e-15 * mass
+
     def test_unit_mass(self):
         m2, _ = mollifier_moments(MOL)
         assert abs(m2 - 1.0) <= 1e-10
