@@ -260,7 +260,6 @@ class StatsEngine:
         self.kmax = kmax
         m = _reduced_size(kmax, n)
         self.m = m
-        self.npoints = m**3
         self.alias_free = m > 3 * kmax
         self.evaluation = "sine-series" if self.alias_free else "per-shift-fft"
 

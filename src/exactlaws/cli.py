@@ -19,7 +19,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .geometry import (
     triple_product_check,
 )
 from .grid import VectorField3, curl, make_grid, read_field, write_field
-from .laws import power_law_fit, sweep_structure
+from .laws import _check_ladder, power_law_fit, sweep_structure
 from .mollifier import (
     bump_mollifier,
     d_ball,
@@ -114,17 +114,28 @@ def _check_tolerance(name: str, value: float) -> float:
     return value
 
 
+_SUITES = ("identity", "oracle", "ballshell", "degeneracy", "smooth", "combine")
+
+
 @dataclass(frozen=True)
 class VerifyConfig:
-    """Inputs and tolerances for the verification suite."""
+    """Inputs and tolerances for the verification suite.
 
-    suite: str = "all"
+    The fields are also the flags of ``verify``, in this order: --name with
+    dashes for underscores, of the field's type and default.  A field's
+    metadata names a different flag ("flag") or overrides the keywords of
+    ``add_argument``.  --seed is every verb's own flag.
+    """
+
+    suite: str = field(default="all", metadata={"choices": ("all",) + _SUITES})
     n: int = 32
     length: float = 2.0 * np.pi
     seed: int = 0
     dirs: str = "icosa:2"
     radial_nodes: int = 32
-    eps_ladder: tuple[float, ...] = (0.2, 0.4, 0.8)
+    eps_ladder: tuple[float, ...] = field(  # --eps lo:hi:count, see parse_ladder
+        default=(0.2, 0.4, 0.8), metadata={"flag": "eps", "type": str, "default": "0.2:0.8:3"}
+    )
     identity_tol: float = 1e-10
     quad_match_tol: float = 1e-10
     degeneracy_tol: float = 1e-12
@@ -133,12 +144,8 @@ class VerifyConfig:
     def __post_init__(self):
         for name in ("identity_tol", "quad_match_tol", "degeneracy_tol"):
             _check_tolerance(name.replace("_", "-"), getattr(self, name))
-        for e in self.eps_ladder:
-            if not 0 < e <= self.length / 4.0:
-                raise ValueError("epsilon ladder must lie in (0, length/4]")
+        _check_ladder(self.length, self.eps_ladder, "epsilons", ascending=False)
 
-
-_SUITES = ("identity", "oracle", "ballshell", "degeneracy", "smooth", "combine")
 
 _EXPECTED_ROWS = {
     LawKind.HELICITY: {"L": (-2.25, 1.5, 1.5), "T": (0.0, -1.875, -0.75)},
@@ -209,9 +216,17 @@ def _ballshell_checks(cfg: VerifyConfig, verdict: Verdict) -> None:
             verdict.add(f"ballshell/{label}/{part}", rel, cfg.quad_match_tol)
 
 
+def _band_limited(grid, seed: int) -> VectorField3:
+    """The smooth field of the degeneracy and smooth suites: slope -5/3 over
+    shells 2..min(5, n//3).  Single-wavenumber test flows such as ABC have no
+    wavevector triads, so all their third-order averages vanish and no
+    degeneracy or vanishing order could show on them."""
+    return random_solenoidal(grid, SpectrumSpec(-5.0 / 3.0, 2, min(5, grid.n // 3), 1.0, seed))
+
+
 def _degeneracy_checks(cfg: VerifyConfig, verdict: Verdict) -> None:
     grid = make_grid(cfg.n, cfg.length)
-    v = abc_flow(grid)
+    v = _band_limited(grid, cfg.seed)
     zero = VectorField3(grid, np.zeros((3, grid.n, grid.n, grid.n)))
     dirs = parse_direction_spec(cfg.dirs)
     mol = bump_mollifier()
@@ -234,14 +249,11 @@ def _degeneracy_checks(cfg: VerifyConfig, verdict: Verdict) -> None:
 
 
 def _smooth_checks(cfg: VerifyConfig, verdict: Verdict) -> None:
-    # The vanishing-order checks need a smooth field with generic third-order
-    # statistics; single-wavenumber test flows have none (no wavevector triads),
-    # so a band-limited random field is used here.
     grid = make_grid(cfg.n, cfg.length)
     kmax = min(5, grid.n // 3)
     unit = cfg.length / (2.0 * np.pi)
-    u = random_solenoidal(grid, SpectrumSpec(-5.0 / 3.0, 2, kmax, 1.0, cfg.seed))
-    u2 = random_solenoidal(grid, SpectrumSpec(-5.0 / 3.0, 2, kmax, 1.0, cfg.seed + 9001))
+    u = _band_limited(grid, cfg.seed)
+    u2 = _band_limited(grid, cfg.seed + 9001)
     omega = curl(u)
     dirs = parse_direction_spec(cfg.dirs)
     mol = bump_mollifier()
@@ -458,20 +470,17 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _second_field_for(args, law: LawKind, grid):
-    if law is LawKind.HELICITY:
-        return _load_vector(args.omega) if args.omega else None
-    if law is LawKind.HYDRO_ENERGY:
-        return None
-    if not args.h:
-        raise ValueError(f"magnetic field required for the {law.value} law (--h)")
-    return _load_vector(args.h)
+def _second_field_for(args, law: LawKind):
+    """The law's second field from --omega (helicity) or --h, None if not
+    given; the laws module decides what a missing or unused one means."""
+    path = args.omega if law is LawKind.HELICITY else args.h
+    return _load_vector(path) if path else None
 
 
 def cmd_analyze(args) -> int:
     law = LawKind(args.law)
     v = _load_vector(args.v)
-    w = _second_field_for(args, law, v.grid)
+    w = _second_field_for(args, law)
     scales = parse_ladder(args.scales)
     dirs = parse_direction_spec(args.dirs)
     provenance_info = {"v": str(args.v)}
@@ -493,7 +502,7 @@ def cmd_dissipation(args) -> int:
     law = LawKind(args.law)
     tol = _check_tolerance("quad-match-tol", args.quad_match_tol)
     v = _load_vector(args.v)
-    w = _second_field_for(args, law, v.grid)
+    w = _second_field_for(args, law)
     epsilons = parse_ladder(args.eps)
     dirs = parse_direction_spec(args.dirs)
     report = sweep_dissipation(
@@ -527,19 +536,8 @@ def cmd_dissipation(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = VerifyConfig(
-        suite=args.suite,
-        n=args.n,
-        length=args.length,
-        seed=args.seed,
-        dirs=args.dirs,
-        radial_nodes=args.radial_nodes,
-        eps_ladder=tuple(parse_ladder(args.eps)),
-        identity_tol=args.identity_tol,
-        quad_match_tol=args.quad_match_tol,
-        degeneracy_tol=args.degeneracy_tol,
-        slope_min=args.slope_min,
-    )
+    values = {f.name: getattr(args, f.metadata.get("flag", f.name)) for f in fields(VerifyConfig)}
+    cfg = VerifyConfig(**{**values, "eps_ladder": tuple(parse_ladder(values["eps_ladder"]))})
     start = time.perf_counter()
     verdict = run_verify(cfg)
     elapsed = time.perf_counter() - start
@@ -629,16 +627,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the exact-law verification suite")
     common(p)
-    p.add_argument("--suite", default="all", choices=("all",) + _SUITES)
-    p.add_argument("--n", type=int, default=32)
-    p.add_argument("--length", type=float, default=2.0 * np.pi)
-    p.add_argument("--dirs", default="icosa:2")
-    p.add_argument("--radial-nodes", type=int, default=32)
-    p.add_argument("--eps", default="0.2:0.8:3")
-    p.add_argument("--identity-tol", type=float, default=1e-10)
-    p.add_argument("--quad-match-tol", type=float, default=1e-10)
-    p.add_argument("--degeneracy-tol", type=float, default=1e-12)
-    p.add_argument("--slope-min", type=float, default=1.9)
+    for f in fields(VerifyConfig):
+        if f.name != "seed":
+            opts = {"type": type(f.default), "default": f.default, **f.metadata}
+            p.add_argument("--" + opts.pop("flag", f.name).replace("_", "-"), **opts)
     p.add_argument("--out", default="verify_report.json")
     p.set_defaults(func=cmd_verify)
 

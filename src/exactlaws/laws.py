@@ -17,7 +17,7 @@ import numpy as np
 from . import _kernels
 from ._kernels import COMBINE_COEFFS, LawKind, StatsEngine
 from .geometry import DirectionSet, direction_set_icosa
-from .grid import Grid3, VectorField3, curl
+from .grid import VectorField3, curl
 
 __all__ = [
     "LawKind",
@@ -71,16 +71,54 @@ def _resolve_pair(law: LawKind, v: VectorField3, w) -> tuple[VectorField3, objec
     return v, w
 
 
-def _check_scale(grid: Grid3, r: float) -> float:
-    r = float(r)
-    if not r > 0.0:
-        raise ValueError("separation must be positive")
-    if r > grid.length / 4.0:
-        raise ValueError(
-            f"separation {r} exceeds length/4 = {grid.length / 4.0}; "
-            "periodic wrap-around would contaminate increments"
-        )
-    return r
+# Error texts per ladder kind: (name of one value, remark on exceeding length/4).
+_LADDER_TEXT = {
+    "scales": ("separation", "; periodic wrap-around would contaminate increments"),
+    "epsilons": ("eps", ""),
+}
+
+
+def _check_ladder(length: float, values, kind: str = "scales", ascending: bool = True) -> list:
+    """``values`` as floats, each in (0, length/4] for the period ``length``
+    and, if ``ascending``, strictly ascending; ``kind`` ("scales" or
+    "epsilons") names them in the errors."""
+    name, remark = _LADDER_TEXT[kind]
+    values = [float(x) for x in values]
+    if ascending and any(b <= a for a, b in zip(values, values[1:])):
+        raise ValueError(f"{kind} must be strictly ascending")
+    for x in values:
+        if not x > 0.0:
+            raise ValueError(f"{name} must be positive")
+        if x > length / 4.0:
+            raise ValueError(f"{name} {x} exceeds length/4 = {length / 4.0}{remark}")
+    return values
+
+
+def _law_engine(law: LawKind, fields, ladder, dirs, kind: str = "scales"):
+    """The input path of every evaluator: (law, checked ladder, (v, w),
+    direction set, engine).
+
+    ``fields`` is the primary field or a (primary, second) pair; the second
+    field follows ``_resolve_pair``, and the engine holds the pair as the
+    fields "a" and "b".  ``dirs`` defaults to ``default_directions()``.
+    """
+    law = LawKind(law)
+    v, w = (fields, None) if isinstance(fields, VectorField3) else fields
+    ladder = _check_ladder(v.grid.length, ladder, kind)
+    v, w = _resolve_pair(law, v, w)
+    dirs = dirs if dirs is not None else default_directions()
+    return law, ladder, (v, w), dirs, StatsEngine(v.grid, {"a": v, "b": w})
+
+
+def _term_sums(engine: StatsEngine, requests, radii, dirs) -> list[dict]:
+    """Direction-summed term means of every request at each radius."""
+    return [_kernels.angular_term_sums(engine, requests, r, dirs) for r in radii]
+
+
+def _combos(law: LawKind, engine: StatsEngine, scales, dirs) -> list[RawCombos]:
+    sums = _term_sums(engine, {"x": (law, "a", "b")}, scales, dirs)
+    return [RawCombos(law, r, *_kernels.raw_from_terms(law, s["x"], r))
+            for r, s in zip(scales, sums)]
 
 
 def raw_combos(
@@ -96,14 +134,8 @@ def raw_combos(
     when None), the magnetic field for the coupled laws, and ignored for the
     hydrodynamic energy law.
     """
-    law = LawKind(law)
-    r = _check_scale(v.grid, r)
-    dirs = dirs if dirs is not None else default_directions()
-    v, w = _resolve_pair(law, v, w)
-    engine = StatsEngine(v.grid, {"a": v, "b": w})
-    sums = _kernels.angular_term_sums(engine, {"x": (law, "a", "b")}, r, dirs)["x"]
-    raw_l, raw_t, raw_flux = _kernels.raw_from_terms(law, sums, r)
-    return RawCombos(law, r, raw_l, raw_t, raw_flux)
+    law, scales, _, dirs, engine = _law_engine(law, (v, w), [r], dirs)
+    return _combos(law, engine, scales, dirs)[0]
 
 
 def combine(law: LawKind, rc: RawCombos) -> tuple[float, float]:
@@ -127,21 +159,9 @@ class StructureReport:
     engine: dict = field(default_factory=dict)  # StatsEngine.describe(); not in to_json_dict
 
     def to_json_dict(self) -> dict:
-        return {
-            "law": self.law.value,
-            "metadata": self.metadata,
-            "rows": [
-                {
-                    "r": rc.r,
-                    "raw_L": rc.raw_L,
-                    "raw_T": rc.raw_T,
-                    "raw_flux": rc.raw_flux,
-                    "S_L": sl,
-                    "S_T": st,
-                }
-                for rc, (sl, st) in zip(self.combos, self.combined)
-            ],
-        }
+        header, *rows = self.csv_rows()
+        rows = [dict(zip(header, row)) for row in rows]
+        return {"law": self.law.value, "metadata": self.metadata, "rows": rows}
 
     def csv_rows(self):
         yield ("r", "raw_L", "raw_T", "raw_flux", "S_L", "S_T")
@@ -169,17 +189,8 @@ def sweep_structure(
     against the spectral curl beyond 1e-6 relative is flagged in the report
     metadata rather than raised.
     """
-    law = LawKind(law)
-    if isinstance(fields, VectorField3):
-        v, w = fields, None
-    else:
-        v, w = fields
-    scales = [float(s) for s in scales]
-    if any(b <= a for a, b in zip(scales, scales[1:])):
-        raise ValueError("scales must be strictly ascending")
-    for s in scales:
-        _check_scale(v.grid, s)
-    dirs = dirs if dirs is not None else default_directions()
+    explicit_w = not isinstance(fields, VectorField3) and fields[1] is not None
+    law, scales, (v, w), dirs, engine = _law_engine(law, fields, scales, dirs)
 
     metadata = {
         "law": law.value,
@@ -194,8 +205,6 @@ def sweep_structure(
         metadata["alternate_flux_coefficients"] = [-c_l, -c_t]
     if provenance:
         metadata["fields"] = provenance
-    explicit_w = w is not None
-    v, w = _resolve_pair(law, v, w)
     if law is LawKind.HELICITY and explicit_w:
         ref = curl(v)
         rms = ref.rms()
@@ -205,17 +214,10 @@ def sweep_structure(
         if rms > 0 and mismatch > _OMEGA_MISMATCH_RTOL * rms:
             metadata["warning"] = "supplied vorticity differs from curl of velocity"
 
-    engine = StatsEngine(v.grid, {"a": v, "b": w})
-    combos = []
-    combined = []
-    for r in scales:
-        sums = _kernels.angular_term_sums(engine, {"x": (law, "a", "b")}, r, dirs)["x"]
-        raw_l, raw_t, raw_flux = _kernels.raw_from_terms(law, sums, r)
-        rc = RawCombos(law, r, raw_l, raw_t, raw_flux)
-        combos.append(rc)
-        combined.append(combine(law, rc))
+    combos = _combos(law, engine, scales, dirs)
+    combined = tuple(combine(law, rc) for rc in combos)
     return StructureReport(
-        law, tuple(scales), tuple(combos), tuple(combined), metadata, engine.describe()
+        law, tuple(scales), tuple(combos), combined, metadata, engine.describe()
     )
 
 
@@ -229,25 +231,20 @@ def yaglom_helicity(
 
     Kernel (n.dv)(dv.dw) - (1/2)(n.dw)|dv|^2 with dw the vorticity increment
     (computed from v when w is None), averaged over directions and volume
-    with the 1/r prefactor.
+    with the 1/r prefactor: raw_L + raw_T of the helicity law.
     """
-    r = _check_scale(v.grid, r)
-    dirs = dirs if dirs is not None else default_directions()
-    v, w = _resolve_pair(LawKind.HELICITY, v, w)
-    engine = StatsEngine(v.grid, {"a": v, "b": w})
-    req = {"x": (LawKind.HELICITY, "a", "b")}
-    l1, l2, t1, t2, _ = _kernels.angular_term_sums(engine, req, r, dirs)["x"]
-    return ((t1 + l1) - 0.5 * (t2 + l2)) / r
+    rc = raw_combos(LawKind.HELICITY, v, w, r, dirs)
+    return rc.raw_L + rc.raw_T
 
 
 def dr_fourthirds(v: VectorField3, r: float, dirs: DirectionSet | None = None) -> float:
-    """Four-thirds energy combination: (1/r) <(n.dv)|dv|^2> over directions and volume."""
-    r = _check_scale(v.grid, r)
-    dirs = dirs if dirs is not None else default_directions()
-    engine = StatsEngine(v.grid, {"a": v, "b": None})
-    req = {"x": (LawKind.HYDRO_ENERGY, "a", "b")}
-    l1, _, t1, _, _ = _kernels.angular_term_sums(engine, req, r, dirs)["x"]
-    return (l1 + t1) / r
+    """Four-thirds energy combination: (1/r) <(n.dv)|dv|^2> over directions and volume.
+
+    That is raw_L + raw_T of the hydrodynamic energy law, whose L2 and T2
+    vanish with the second field.
+    """
+    rc = raw_combos(LawKind.HYDRO_ENERGY, v, None, r, dirs)
+    return rc.raw_L + rc.raw_T
 
 
 def elsasser(v: VectorField3, h: VectorField3) -> tuple[VectorField3, VectorField3]:

@@ -20,7 +20,7 @@ from . import _kernels
 from ._kernels import LawKind, StatsEngine, check_part
 from .geometry import DirectionSet
 from .grid import VectorField3
-from .laws import RawCombos, _resolve_pair, default_directions
+from .laws import RawCombos, _check_ladder, _law_engine, _term_sums, default_directions
 
 __all__ = [
     "Mollifier",
@@ -113,8 +113,26 @@ def radial_quadrature(eps: float, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on (0, eps]; the open rule avoids r = 0."""
     if count < 2:
         raise ValueError("need at least 2 radial nodes")
+    if not 0.0 < eps < np.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps:g}")
     x, w = np.polynomial.legendre.leggauss(count)
     return (x + 1.0) * (eps / 2.0), w * (eps / 2.0)
+
+
+def _radial_nodes(m: Mollifier, eps: float, count: int) -> list[tuple]:
+    """(r, weight, phi_eps(r), phi_eps'(r)) at each radial node in (0, eps]."""
+    radii, weights = radial_quadrature(eps, count)
+    return [(r, wq, float(m.phi_scaled(r, eps)), float(m.dphi_scaled(r, eps)))
+            for r, wq in zip(radii, weights)]
+
+
+def _shell(law: LawKind, part: str, nodes, raws) -> float:
+    """Shell form of the dissipation functional over ``nodes``, from the raw
+    combos (raw_L, raw_T, raw_flux) at each node."""
+    total = 0.0
+    for (r, wq, phi, dphi), raw in zip(nodes, raws):
+        total += wq * _kernels.shell_node(law, part, *raw, phi, dphi, r)
+    return 4.0 * np.pi * total
 
 
 def mollifier_moments(m: Mollifier, eps: float = 1.0, count: int = 64) -> tuple[float, float]:
@@ -123,15 +141,6 @@ def mollifier_moments(m: Mollifier, eps: float = 1.0, count: int = 64) -> tuple[
     m2 = 4.0 * np.pi * float(np.sum(w * r * r * m.phi_scaled(r, eps)))
     m3 = 4.0 * np.pi * float(np.sum(w * r**3 * m.dphi_scaled(r, eps)))
     return m2, m3
-
-
-def _check_eps(grid, eps: float) -> float:
-    eps = float(eps)
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    if eps > grid.length / 4.0:
-        raise ValueError(f"eps {eps} exceeds length/4 = {grid.length / 4.0}")
-    return eps
 
 
 def d_ball(
@@ -150,21 +159,10 @@ def d_ball(
     terms carry phi_eps'(r) n-components, the 2/|l| terms carry phi_eps, and
     the triple-product term enters with the law's own weight.
     """
-    law = LawKind(law)
     part = check_part(part)
-    eps = _check_eps(v.grid, eps)
-    v, w = _resolve_pair(law, v, w)
-    engine = StatsEngine(v.grid, {"a": v, "b": w})
-    matrix = _engine_matrix(engine, {"x": (law, "a", "b")}, m, [eps], radial_nodes, dirs)
+    law, epsilons, _, dirs, engine = _law_engine(law, (v, w), [eps], dirs, "epsilons")
+    matrix = _engine_matrix(engine, {"x": (law, "a", "b")}, m, epsilons, radial_nodes, dirs)
     return matrix["x"]["ball"][part][0]
-
-
-def _profile_values(profiles, r: float) -> tuple[float, float, float]:
-    p = profiles(r)
-    if isinstance(p, RawCombos):
-        return p.raw_L, p.raw_T, p.raw_flux
-    raw_l, raw_t, raw_flux = p
-    return float(raw_l), float(raw_t), float(raw_flux)
 
 
 def d_shell(
@@ -183,14 +181,10 @@ def d_shell(
     """
     law = LawKind(law)
     part = check_part(part)
-    radii, weights = radial_quadrature(eps, radial_nodes)
-    total = 0.0
-    for r, wq in zip(radii, weights):
-        raw_l, raw_t, raw_flux = _profile_values(profiles, r)
-        phi = float(m.phi_scaled(r, eps))
-        dphi = float(m.dphi_scaled(r, eps))
-        total += wq * _kernels.shell_node(law, part, raw_l, raw_t, raw_flux, phi, dphi, r)
-    return 4.0 * np.pi * total
+    nodes = _radial_nodes(m, eps, radial_nodes)
+    raws = [(p.raw_L, p.raw_T, p.raw_flux) if isinstance(p, RawCombos) else tuple(map(float, p))
+            for p in (profiles(node[0]) for node in nodes)]
+    return _shell(law, part, nodes, raws)
 
 
 def coefficient_oracle(
@@ -257,17 +251,13 @@ def dr_dissipation(
     """
     if kernel not in ("long", "full"):
         raise ValueError("kernel must be 'long' or 'full'")
-    eps = _check_eps(v.grid, eps)
-    dirs = dirs if dirs is not None else default_directions()
-    engine = StatsEngine(v.grid, {"a": v, "b": None})
-    req = {"x": (LawKind.HYDRO_ENERGY, "a", "b")}
-    radii, weights = radial_quadrature(eps, radial_nodes)
+    law, (eps,), _, dirs, engine = _law_engine(LawKind.HYDRO_ENERGY, v, [eps], dirs, "epsilons")
+    nodes = _radial_nodes(m, eps, radial_nodes)
+    sums = _term_sums(engine, {"x": (law, "a", "b")}, [node[0] for node in nodes], dirs)
     total = 0.0
-    for r, wq in zip(radii, weights):
-        dphi = float(m.dphi_scaled(r, eps))
-        l1, _, t1, _, _ = _kernels.angular_term_sums(engine, req, r, dirs)["x"]
-        acc = l1 if kernel == "long" else l1 + t1
-        total += wq * r * r * dphi * acc
+    for (r, wq, _, dphi), s in zip(nodes, sums):
+        l1, _, t1, _, _ = s["x"]
+        total += wq * r * r * dphi * (l1 if kernel == "long" else l1 + t1)
     return np.pi * total  # (1/4) * 4*pi
 
 
@@ -283,10 +273,9 @@ def dr_dissipation_profile(
     prefactor; a constant profile J = 1 yields -3/4 by the third-moment
     identity of the mollifier.
     """
-    radii, weights = radial_quadrature(eps, radial_nodes)
     total = 0.0
-    for r, wq in zip(radii, weights):
-        total += wq * r**3 * float(m.dphi_scaled(r, eps)) * float(profile(r))
+    for r, wq, _, dphi in _radial_nodes(m, eps, radial_nodes):
+        total += wq * r**3 * dphi * float(profile(r))
     return np.pi * total
 
 
@@ -367,40 +356,30 @@ def dissipation_matrix(
     ``requests`` maps labels to (law, first_name, second_name) into
     ``fields``; returns {label: {"ball": {part: [per-eps]}, "shell": ...}}.
     """
+    epsilons = _check_ladder(grid.length, epsilons, "epsilons", ascending=False)
+    dirs = dirs if dirs is not None else default_directions()
     return _engine_matrix(StatsEngine(grid, fields), requests, m, epsilons, radial_nodes, dirs)
 
 
 def _engine_matrix(engine, requests, m, epsilons, radial_nodes, dirs) -> dict:
-    """``dissipation_matrix`` on an engine that is already built."""
-    dirs = dirs if dirs is not None else default_directions()
-    epsilons = [float(e) for e in epsilons]
-    for e in epsilons:
-        _check_eps(engine.grid, e)
+    """``dissipation_matrix`` on an engine that is already built, with checked
+    epsilons and a direction set."""
     out = {
         label: {"ball": {"L": [], "T": []}, "shell": {"L": [], "T": []}}
         for label in requests
     }
     for eps in epsilons:
-        radii, weights = radial_quadrature(eps, radial_nodes)
-        acc = {label: {"ball": {"L": 0.0, "T": 0.0}, "shell": {"L": 0.0, "T": 0.0}} for label in requests}
-        for r, wq in zip(radii, weights):
-            sums = _kernels.angular_term_sums(engine, requests, r, dirs)
-            phi = float(m.phi_scaled(r, eps))
-            dphi = float(m.dphi_scaled(r, eps))
-            for label, (law, _, _) in requests.items():
-                terms = sums[label]
-                raw_l, raw_t, raw_flux = _kernels.raw_from_terms(law, terms, r)
-                for part in ("L", "T"):
-                    acc[label]["ball"][part] += (
-                        wq * r * r * _kernels.ball_node(law, part, terms, phi, dphi, r)
-                    )
-                    acc[label]["shell"][part] += wq * _kernels.shell_node(
-                        law, part, raw_l, raw_t, raw_flux, phi, dphi, r
-                    )
-        for label in requests:
+        nodes = _radial_nodes(m, eps, radial_nodes)
+        sums = _term_sums(engine, requests, [node[0] for node in nodes], dirs)
+        for label, (law, _, _) in requests.items():
+            terms = [s[label] for s in sums]
+            raws = [_kernels.raw_from_terms(law, t, node[0]) for t, node in zip(terms, nodes)]
             for part in ("L", "T"):
-                out[label]["ball"][part].append(4.0 * np.pi * acc[label]["ball"][part])
-                out[label]["shell"][part].append(4.0 * np.pi * acc[label]["shell"][part])
+                ball = 0.0
+                for t, (r, wq, phi, dphi) in zip(terms, nodes):
+                    ball += wq * r * r * _kernels.ball_node(law, part, t, phi, dphi, r)
+                out[label]["ball"][part].append(4.0 * np.pi * ball)
+                out[label]["shell"][part].append(_shell(law, part, nodes, raws))
     return out
 
 
@@ -418,27 +397,16 @@ def sweep_dissipation(
     The shell profiles are the raw combos evaluated at the shared radial
     nodes, so matched quadratures make ball and shell agree to round-off.
     """
-    law = LawKind(law)
     part = check_part(part)
-    if isinstance(fields, VectorField3):
-        v, w = fields, None
-    else:
-        v, w = fields
-    epsilons = [float(e) for e in epsilons]
-    if any(b <= a for a, b in zip(epsilons, epsilons[1:])):
-        raise ValueError("epsilons must be strictly ascending")
-    dirs = dirs if dirs is not None else default_directions()
-    v, w = _resolve_pair(law, v, w)
-    engine = StatsEngine(v.grid, {"a": v, "b": w})
+    law, epsilons, _, dirs, engine = _law_engine(law, fields, epsilons, dirs, "epsilons")
     matrix = _engine_matrix(engine, {"x": (law, "a", "b")}, m, epsilons, radial_nodes, dirs)["x"]
     ball = tuple(matrix["ball"][part])
-    shell = tuple(matrix["shell"][part])
     return DissipationReport(
         law=law,
         part=part,
         epsilons=tuple(epsilons),
         d_ball=ball,
-        d_shell=shell,
+        d_shell=tuple(matrix["shell"][part]),
         mollifier=m.name,
         radial_nodes=radial_nodes,
         directions=dirs.descriptor or f"custom:{len(dirs)}",

@@ -27,9 +27,7 @@ __all__ = [
 def _format_float(x: float) -> str:
     if x != x or x in (float("inf"), float("-inf")):
         raise ValueError("non-finite float in canonical report")
-    text = format(float(x), ".17g")
-    # Normalize bare exponents like 1e+05 and keep integers valid JSON numbers.
-    return text
+    return format(float(x), ".17g")
 
 
 def _encode(obj, pieces: list) -> None:

@@ -1,5 +1,6 @@
 """End-to-end command-line tests (in-process)."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -238,6 +239,21 @@ class TestVerify:
         assert verdict["checks"][0] == {
             "name": "identity/random-samples", "measured": None, "threshold": 1e-10, "pass": False,
         }
+
+    def test_degeneracy_suite_catches_a_wrong_helicity_row(self, tmp_path, monkeypatch):
+        # With the raw weight q of the helicity law off by 0.1, the helicity
+        # functional on equal fields is no longer half the energy one.  The
+        # suite's field has generic third-order statistics, so it shows.
+        row = _kernels.LAWS[LawKind.HELICITY]
+        monkeypatch.setitem(
+            _kernels.LAWS, LawKind.HELICITY, dataclasses.replace(row, raw=(1.0, -0.4))
+        )
+        rc = run(["verify", "--suite", "degeneracy", "--n", 16, "--dirs", "icosa:1",
+                  "--out", tmp_path / "r.json"])
+        assert rc == 1
+        checks = {c["name"]: c for c in json.loads((tmp_path / "r.json").read_text())["verdict"]["checks"]}
+        assert checks["degeneracy/beltrami-halving"]["pass"] is False
+        assert checks["degeneracy/beltrami-halving"]["measured"] > 0.1
 
     def test_combine_suite(self, tmp_path):
         rc = run(["verify", "--suite", "combine", "--out", tmp_path / "r.json"])

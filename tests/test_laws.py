@@ -20,6 +20,7 @@ from exactlaws.laws import (
     sweep_structure,
     yaglom_helicity,
 )
+from exactlaws.mollifier import bump_mollifier, d_ball, dr_dissipation, sweep_dissipation
 from exactlaws.synth import SpectrumSpec, abc_flow, random_solenoidal, taylor_green
 
 from oracles import naive_fourthirds, naive_raw_combos, naive_yaglom
@@ -152,6 +153,45 @@ class TestRawCombos:
         _, _, h = random_pair(n=16, kmax=4)
         with pytest.raises(ValueError, match="different grids"):
             raw_combos(LawKind.MHD_ENERGY, v, h, 0.3, DIRS12)
+
+
+MOL = bump_mollifier()
+HYDRO = LawKind.HYDRO_ENERGY
+
+# Every evaluator at one separation or radius x, and the two ladder evaluators
+# at a ladder; all take their input through one validator.
+AT_ONE_SCALE = {
+    "raw_combos": lambda v, x: raw_combos(HYDRO, v, None, x, DIRS12),
+    "sweep_structure": lambda v, x: sweep_structure(HYDRO, v, [x], DIRS12),
+    "yaglom_helicity": lambda v, x: yaglom_helicity(v, None, x, DIRS12),
+    "dr_fourthirds": lambda v, x: dr_fourthirds(v, x, DIRS12),
+    "d_ball": lambda v, x: d_ball(HYDRO, "L", v, None, MOL, x, 4, DIRS12),
+    "sweep_dissipation": lambda v, x: sweep_dissipation(HYDRO, "L", v, MOL, [x], 4, DIRS12),
+    "dr_dissipation": lambda v, x: dr_dissipation(v, MOL, x, "long", 4, DIRS12),
+}
+LADDERS = {
+    "sweep_structure": lambda v, xs: sweep_structure(HYDRO, v, xs, DIRS12),
+    "sweep_dissipation": lambda v, xs: sweep_dissipation(HYDRO, "L", v, MOL, xs, 4, DIRS12),
+}
+
+
+@pytest.mark.parametrize("evaluator", list(AT_ONE_SCALE))
+@pytest.mark.parametrize(
+    "x, match",
+    [(0.0, "must be positive"), (-0.3, "must be positive"), (np.nan, "must be positive"),
+     (2.0, "length/4"), (np.inf, "length/4")],
+)
+def test_evaluators_reject_unusable_scale(evaluator, x, match):
+    _, v, _ = random_pair()  # length 2*pi: length/4 = 1.57
+    with pytest.raises(ValueError, match=match):
+        AT_ONE_SCALE[evaluator](v, x)
+
+
+@pytest.mark.parametrize("evaluator", list(LADDERS))
+def test_ladder_evaluators_reject_descending_ladder(evaluator):
+    _, v, _ = random_pair()
+    with pytest.raises(ValueError, match="strictly ascending"):
+        LADDERS[evaluator](v, [0.4, 0.2])
 
 
 class TestNaiveOracle:

@@ -211,6 +211,22 @@ class TestThirdOrderEnergyFunctional:
             dr_dissipation(v, MOL, 0.4, "other", 8, DIRS12)
 
 
+SHELL_FORMS = {
+    "d_shell": lambda eps: d_shell(LawKind.HELICITY, "L", lambda r: (1.0, 0.0, 0.0), MOL, eps, 8),
+    "dr_dissipation_profile": lambda eps: dr_dissipation_profile(lambda r: 1.0, MOL, eps, 8),
+    "mollifier_moments": lambda eps: mollifier_moments(MOL, eps, 8),
+}
+
+
+@pytest.mark.parametrize("form", list(SHELL_FORMS))
+@pytest.mark.parametrize("eps", [-0.5, 0.0, np.nan, np.inf])
+def test_shell_forms_reject_unusable_eps(form, eps):
+    # The radial rule on (0, eps] is what these forms integrate over; a
+    # negative eps used to return plausible-looking wrong values.
+    with pytest.raises(ValueError, match="eps must be positive and finite"):
+        SHELL_FORMS[form](eps)
+
+
 class TestSweepDissipation:
     def test_report_fields(self):
         g, v = small_random()
