@@ -486,19 +486,6 @@ def _moment_terms(law: LawKind, mom, n3, nt, a, b) -> tuple:
     )
 
 
-def _antipodal_half(dirs) -> tuple[np.ndarray, np.ndarray]:
-    """One direction of each antipodal pair and the pair's summed weight.
-
-    M is odd in the separation, so every term mean is even in nhat, and the
-    directions +-n together contribute their summed weight times one value.
-    """
-    groups: dict = {}
-    for d, w in zip(dirs.directions, dirs.weights):
-        key = max(tuple(d), tuple(-d))
-        groups[key] = groups.get(key, 0.0) + w
-    return np.array(list(groups)), np.array(list(groups.values()))
-
-
 def angular_term_sums(engine: StatsEngine, requests, r: float, dirs):
     """Direction-weighted term means at separation r for several laws at once.
 
@@ -511,7 +498,9 @@ def angular_term_sums(engine: StatsEngine, requests, r: float, dirs):
     keeps the sums bit-reproducible.
     """
     if engine.evaluation == "sine-series":
-        nhat, weights = _antipodal_half(dirs)
+        # M is odd in the separation, so every term mean is even in nhat and
+        # each antipodal pair contributes its summed weight times one value.
+        nhat, weights = dirs._half
         nt = np.ascontiguousarray(nhat.T)
         n3 = nt[:, None, None] * nt[None, :, None] * nt[None, None, :]
         mom = engine.moments(r * nhat)

@@ -33,16 +33,14 @@ from .geometry import (
     triple_product_check,
 )
 from .grid import VectorField3, curl, make_grid, read_field, write_field
-from .laws import _check_ladder, power_law_fit, sweep_structure
+from .laws import _check_ladder, power_law_fit, raw_combos, sweep_structure
 from .mollifier import (
     bump_mollifier,
-    d_ball,
+    coefficient_oracle,
     dissipation_matrix,
     extrapolate_to_zero,
     mollifier_moments,
     phi_L,
-    phi_T,
-    radial_quadrature,
     sweep_dissipation,
 )
 from .synth import SpectrumSpec, abc_flow, mhd_test_pair, random_solenoidal, taylor_green
@@ -114,39 +112,6 @@ def _check_tolerance(name: str, value: float) -> float:
     return value
 
 
-_SUITES = ("identity", "oracle", "ballshell", "degeneracy", "smooth", "combine")
-
-
-@dataclass(frozen=True)
-class VerifyConfig:
-    """Inputs and tolerances for the verification suite.
-
-    The fields are also the flags of ``verify``, in this order: --name with
-    dashes for underscores, of the field's type and default.  A field's
-    metadata names a different flag ("flag") or overrides the keywords of
-    ``add_argument``.  --seed is every verb's own flag.
-    """
-
-    suite: str = field(default="all", metadata={"choices": ("all",) + _SUITES})
-    n: int = 32
-    length: float = 2.0 * np.pi
-    seed: int = 0
-    dirs: str = "icosa:2"
-    radial_nodes: int = 32
-    eps_ladder: tuple[float, ...] = field(  # --eps lo:hi:count, see parse_ladder
-        default=(0.2, 0.4, 0.8), metadata={"flag": "eps", "type": str, "default": "0.2:0.8:3"}
-    )
-    identity_tol: float = 1e-10
-    quad_match_tol: float = 1e-10
-    degeneracy_tol: float = 1e-12
-    slope_min: float = 1.9
-
-    def __post_init__(self):
-        for name in ("identity_tol", "quad_match_tol", "degeneracy_tol"):
-            _check_tolerance(name.replace("_", "-"), getattr(self, name))
-        _check_ladder(self.length, self.eps_ladder, "epsilons", ascending=False)
-
-
 _EXPECTED_ROWS = {
     LawKind.HELICITY: {"L": (-2.25, 1.5, 1.5), "T": (0.0, -1.875, -0.75)},
     LawKind.MHD_ENERGY: {"L": (-2.25, 1.5, -3.0), "T": (0.0, -1.875, 1.5)},
@@ -171,8 +136,6 @@ def _identity_checks(cfg: VerifyConfig, verdict: Verdict, samples: int = 100_000
 
 
 def _oracle_checks(cfg: VerifyConfig, verdict: Verdict) -> None:
-    from .mollifier import coefficient_oracle
-
     for law, expected in _EXPECTED_ROWS.items():
         oracle = coefficient_oracle(law)
         worst = 0.0
@@ -187,16 +150,10 @@ def _oracle_checks(cfg: VerifyConfig, verdict: Verdict) -> None:
         verdict.add(f"oracle/{law.value}", worst, 1e-8)
 
 
-def _verify_fields(cfg: VerifyConfig):
+def _ballshell_checks(cfg: VerifyConfig, verdict: Verdict) -> None:
     grid = make_grid(cfg.n, cfg.length)
     v = abc_flow(grid)
-    omega = curl(v)
     _, h = mhd_test_pair(grid, cfg.seed)
-    return grid, v, omega, h
-
-
-def _ballshell_checks(cfg: VerifyConfig, verdict: Verdict) -> None:
-    grid, v, omega, h = _verify_fields(cfg)
     dirs = parse_direction_spec(cfg.dirs)
     mol = bump_mollifier()
     requests = {
@@ -205,7 +162,7 @@ def _ballshell_checks(cfg: VerifyConfig, verdict: Verdict) -> None:
         "cross-helicity": (LawKind.CROSS_HELICITY, "v", "h"),
     }
     matrix = dissipation_matrix(
-        grid, {"v": v, "omega": omega, "h": h}, requests, mol,
+        grid, {"v": v, "omega": curl(v), "h": h}, requests, mol,
         list(cfg.eps_ladder), cfg.radial_nodes, dirs,
     )
     for label in requests:
@@ -227,23 +184,26 @@ def _band_limited(grid, seed: int) -> VectorField3:
 def _degeneracy_checks(cfg: VerifyConfig, verdict: Verdict) -> None:
     grid = make_grid(cfg.n, cfg.length)
     v = _band_limited(grid, cfg.seed)
-    zero = VectorField3(grid, np.zeros((3, grid.n, grid.n, grid.n)))
     dirs = parse_direction_spec(cfg.dirs)
-    mol = bump_mollifier()
     eps = min(0.4, grid.length / 8.0)
     rms3 = v.rms() ** 3
-    d_el_vv = d_ball(LawKind.MHD_ENERGY, "L", v, v, mol, eps, 16, dirs)
-    d_chl_vv = d_ball(LawKind.CROSS_HELICITY, "L", v, v, mol, eps, 16, dirs)
-    verdict.add("degeneracy/alignment-energy", abs(d_el_vv), cfg.degeneracy_tol * rms3)
-    verdict.add("degeneracy/alignment-cross", abs(d_chl_vv), cfg.degeneracy_tol * rms3)
-    d_hl_vv = d_ball(LawKind.HELICITY, "L", v, v, mol, eps, 16, dirs)
-    d_el_v0 = d_ball(LawKind.MHD_ENERGY, "L", v, zero, mol, eps, 16, dirs)
-    rel = abs(d_hl_vv - 0.5 * d_el_v0) / max(abs(0.5 * d_el_v0), 1e-300)
+    requests = {
+        "energy-vv": (LawKind.MHD_ENERGY, "v", "v"),
+        "cross-vv": (LawKind.CROSS_HELICITY, "v", "v"),
+        "helicity-vv": (LawKind.HELICITY, "v", "v"),
+        "energy-v0": (LawKind.MHD_ENERGY, "v", "zero"),
+        "cross-v0": (LawKind.CROSS_HELICITY, "v", "zero"),
+    }
+    matrix = dissipation_matrix(
+        grid, {"v": v, "zero": None}, requests, bump_mollifier(), [eps], 16, dirs
+    )
+    d = {label: matrix[label]["ball"]["L"][0] for label in requests}
+    verdict.add("degeneracy/alignment-energy", abs(d["energy-vv"]), cfg.degeneracy_tol * rms3)
+    verdict.add("degeneracy/alignment-cross", abs(d["cross-vv"]), cfg.degeneracy_tol * rms3)
+    half = 0.5 * d["energy-v0"]
+    rel = abs(d["helicity-vv"] - half) / max(abs(half), 1e-300)
     verdict.add("degeneracy/beltrami-halving", rel, 1e-12)
-    d_chl_v0 = d_ball(LawKind.CROSS_HELICITY, "L", v, zero, mol, eps, 16, dirs)
-    verdict.add("degeneracy/cross-zero-field", abs(d_chl_v0), 0.0)
-    from .laws import raw_combos
-
+    verdict.add("degeneracy/cross-zero-field", abs(d["cross-v0"]), 0.0)
     rc = raw_combos(LawKind.HELICITY, v, v, min(0.3, grid.length / 8.0), dirs)
     verdict.add("degeneracy/helicity-flux", abs(rc.raw_flux), 1e-13)
 
@@ -295,8 +255,6 @@ def _smooth_checks(cfg: VerifyConfig, verdict: Verdict) -> None:
 def combine_consistency_checks(combine_coeffs=None) -> Verdict:
     """Cross-check the combined-value flux coefficients against the solved
     coefficient systems; an alternate sign convention fails here."""
-    from .mollifier import coefficient_oracle
-
     coeffs = combine_coeffs if combine_coeffs is not None else COMBINE_COEFFS
     verdict = Verdict()
     for law in (LawKind.HELICITY, LawKind.MHD_ENERGY, LawKind.CROSS_HELICITY):
@@ -308,23 +266,54 @@ def combine_consistency_checks(combine_coeffs=None) -> Verdict:
     return verdict
 
 
+# Suite name -> checks; "all" runs every suite in this order.
+_SUITES = {
+    "identity": _identity_checks,
+    "oracle": _oracle_checks,
+    "ballshell": _ballshell_checks,
+    "degeneracy": _degeneracy_checks,
+    "smooth": _smooth_checks,
+    "combine": lambda cfg, verdict: verdict.checks.extend(combine_consistency_checks().checks),
+}
+
+
+@dataclass(frozen=True)
+class VerifyConfig:
+    """Inputs and tolerances for the verification suite.
+
+    The fields are also the flags of ``verify``, in this order: --name with
+    dashes for underscores, of the field's type and default.  A field's
+    metadata names a different flag ("flag") or overrides the keywords of
+    ``add_argument``.  --seed is every verb's own flag.
+    """
+
+    suite: str = field(default="all", metadata={"choices": ("all", *_SUITES)})
+    n: int = 32
+    length: float = 2.0 * np.pi
+    seed: int = 0
+    dirs: str = "icosa:2"
+    radial_nodes: int = 32
+    eps_ladder: tuple[float, ...] = field(  # --eps lo:hi:count, see parse_ladder
+        default=(0.2, 0.4, 0.8), metadata={"flag": "eps", "type": str, "default": "0.2:0.8:3"}
+    )
+    identity_tol: float = 1e-10
+    quad_match_tol: float = 1e-10
+    degeneracy_tol: float = 1e-12
+    slope_min: float = 1.9
+
+    def __post_init__(self):
+        for name in ("identity_tol", "quad_match_tol", "degeneracy_tol"):
+            _check_tolerance(name.replace("_", "-"), getattr(self, name))
+        _check_ladder(self.length, self.eps_ladder, "epsilons", ascending=False)
+
+
 def run_verify(cfg: VerifyConfig) -> Verdict:
     if cfg.suite != "all" and cfg.suite not in _SUITES:
-        raise ValueError(f"unknown suite {cfg.suite!r}; choose from {('all',) + _SUITES}")
-    active = _SUITES if cfg.suite == "all" else (cfg.suite,)
+        raise ValueError(f"unknown suite {cfg.suite!r}; choose from {('all', *_SUITES)}")
     verdict = Verdict()
-    if "identity" in active:
-        _identity_checks(cfg, verdict)
-    if "oracle" in active:
-        _oracle_checks(cfg, verdict)
-    if "ballshell" in active:
-        _ballshell_checks(cfg, verdict)
-    if "degeneracy" in active:
-        _degeneracy_checks(cfg, verdict)
-    if "smooth" in active:
-        _smooth_checks(cfg, verdict)
-    if "combine" in active:
-        verdict.checks.extend(combine_consistency_checks().checks)
+    for name, checks in _SUITES.items():
+        if cfg.suite in ("all", name):
+            checks(cfg, verdict)
     return verdict
 
 
@@ -535,32 +524,32 @@ def cmd_dissipation(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    values = {f.name: getattr(args, f.metadata.get("flag", f.name)) for f in fields(VerifyConfig)}
-    cfg = VerifyConfig(**{**values, "eps_ladder": tuple(parse_ladder(values["eps_ladder"]))})
+def _timed_verdict(run, **extra) -> tuple[Verdict, dict, float]:
+    """Run ``run()``, print its verdict lines and return (verdict, report
+    payload with ``extra`` keys, elapsed seconds)."""
     start = time.perf_counter()
-    verdict = run_verify(cfg)
+    verdict = run()
     elapsed = time.perf_counter() - start
     verdict.print_lines()
     payload = {
         "verdict": verdict.to_json_dict(),
-        "config": asdict(cfg),
+        **extra,
         "provenance": {**rep.provenance(), "elapsed_seconds": elapsed},
     }
+    return verdict, payload, elapsed
+
+
+def cmd_verify(args) -> int:
+    values = {f.name: getattr(args, f.metadata.get("flag", f.name)) for f in fields(VerifyConfig)}
+    cfg = VerifyConfig(**{**values, "eps_ladder": tuple(parse_ladder(values["eps_ladder"]))})
+    verdict, payload, elapsed = _timed_verdict(lambda: run_verify(cfg), config=asdict(cfg))
     digest = rep.write_report(args.out, payload)
     print(f"wrote {args.out} (canonical hash {digest}, {elapsed:.1f}s)")
     return 0 if verdict.passed else 1
 
 
 def cmd_selftest(args) -> int:
-    start = time.perf_counter()
-    verdict = run_selftest()
-    elapsed = time.perf_counter() - start
-    verdict.print_lines()
-    payload = {
-        "verdict": verdict.to_json_dict(),
-        "provenance": {**rep.provenance(), "elapsed_seconds": elapsed},
-    }
+    verdict, payload, elapsed = _timed_verdict(run_selftest)
     if args.out:
         rep.write_report(args.out, payload)
     print(f"selftest finished in {elapsed:.1f}s")

@@ -45,14 +45,24 @@ class DirectionSet:
             raise ValueError("directions must be unit vectors")
         if abs(w.sum() - 1.0) > 1e-14 or np.any(w <= 0):
             raise ValueError("weights must be positive and sum to 1")
-        keys = {(row[0], row[1], row[2]) for row in d}
-        for row in d:
-            if (-row[0], -row[1], -row[2]) not in keys:
+        # One direction of each antipodal pair, the larger of +-d, with the
+        # pair's summed weight: pairs in order of first appearance, weights
+        # summed in set order.  Odd statistics such as the increment third
+        # moments need only these (``_kernels.angular_term_sums``).
+        rows = [tuple(row) for row in d.tolist()]
+        keys = set(rows)
+        half: dict = {}
+        for row, weight in zip(rows, w.tolist()):
+            neg = tuple(-x for x in row)
+            if neg not in keys:
                 raise ValueError("direction set is not antipodally closed")
+            key = max(row, neg)
+            half[key] = half.get(key, 0.0) + weight
         d.setflags(write=False)
         w.setflags(write=False)
         object.__setattr__(self, "directions", d)
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "_half", (np.array(list(half)), np.array(list(half.values()))))
 
     def __len__(self) -> int:
         return self.directions.shape[0]

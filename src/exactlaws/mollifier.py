@@ -315,10 +315,13 @@ def extrapolate_to_zero(epsilons, values) -> dict:
 
     The extrapolation uses the three smallest epsilons (smooth fields vanish
     quadratically); the order is the slope of log|D| against log eps over
-    the whole ladder, None when values vanish exactly.
+    the whole ladder, None when values vanish exactly.  With fewer than three
+    epsilons nothing can be fitted, and every entry is None.
     """
     eps = np.asarray(epsilons, dtype=float)
     vals = np.asarray(values, dtype=float)
+    if eps.size < 3:
+        return {"value": None, "curvature": None, "r_squared": None, "order": None}
     order = np.argsort(eps)
     eps, vals = eps[order], vals[order]
     e3, v3 = eps[:3], vals[:3]

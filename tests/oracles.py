@@ -103,3 +103,14 @@ def naive_fourthirds(v, r, dirs):
         v2 = np.einsum("cxyz,cxyz->xyz", dv, dv)
         total += weight * float(np.sum(nd_v * v2)) / vv[0].size
     return total / r
+
+
+def antipodal_half(dirs):
+    """One direction of each antipodal pair and the pair's summed weight, by a
+    plain loop over the set: pairs in order of first appearance, the larger
+    of +-d as the representative, weights summed in set order."""
+    groups = {}
+    for d, w in zip(dirs.directions, dirs.weights):
+        key = max(tuple(d), tuple(-d))
+        groups[key] = groups.get(key, 0.0) + w
+    return np.array(list(groups)), np.array(list(groups.values()))

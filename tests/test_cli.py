@@ -255,6 +255,37 @@ class TestVerify:
         assert checks["degeneracy/beltrami-halving"]["pass"] is False
         assert checks["degeneracy/beltrami-halving"]["measured"] > 0.1
 
+    def test_degeneracy_suite_builds_two_engines(self, tmp_path, monkeypatch):
+        # One engine for the five ball functionals, one for the helicity flux.
+        built = []
+        init = _kernels.StatsEngine.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(_kernels.StatsEngine, "__init__", counting)
+        rc = run(["verify", "--suite", "degeneracy", "--n", 16, "--dirs", "icosa:0",
+                  "--out", tmp_path / "r.json"])
+        assert rc == 0
+        assert len(built) == 2
+
+    def test_suite_choices_are_the_suite_table(self):
+        parser = cli.build_parser()
+        suite = next(f for f in dataclasses.fields(cli.VerifyConfig) if f.name == "suite")
+        assert suite.metadata["choices"] == ("all", *cli._SUITES)
+        for name in suite.metadata["choices"]:
+            assert parser.parse_args(["verify", "--suite", name]).suite == name
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["verify", "--suite", "nope"])
+        assert exc.value.code == 2
+        with pytest.raises(ValueError, match="unknown suite"):
+            cli.run_verify(cli.VerifyConfig(suite="nope"))
+
+    def test_empty_eps_ladder_rejected(self):
+        with pytest.raises(ValueError, match="epsilons must not be empty"):
+            cli.VerifyConfig(suite="ballshell", eps_ladder=())
+
     def test_combine_suite(self, tmp_path):
         rc = run(["verify", "--suite", "combine", "--out", tmp_path / "r.json"])
         assert rc == 0

@@ -18,6 +18,8 @@ from exactlaws.geometry import identity227_batch
 from exactlaws.grid import VectorField3, make_grid
 from exactlaws.synth import abc_flow
 
+from oracles import antipodal_half
+
 
 class TestDirectionSets:
     def test_icosa_counts(self):
@@ -64,6 +66,16 @@ class TestDirectionSets:
         d = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         with pytest.raises(ValueError, match="antipodal"):
             DirectionSet(d, np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("spec", ["icosa:0", "icosa:1", "icosa:2", "icosa:3", "random:40:3"])
+    def test_antipodal_half_matches_loop(self, spec):
+        # The pairing is computed once per set; it must keep the loop's order,
+        # representatives and weight sums bit for bit.
+        dirs = parse_direction_spec(spec)
+        nhat, weights = dirs._half
+        ref_nhat, ref_weights = antipodal_half(dirs)
+        assert nhat.shape == (len(dirs) // 2, 3)
+        assert np.array_equal(nhat, ref_nhat) and np.array_equal(weights, ref_weights)
 
     def test_parse_specs(self):
         assert len(parse_direction_spec("icosa:1")) == 42

@@ -1,5 +1,7 @@
 """The increment-statistics engine: sine-series path against the per-shift loop."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -265,3 +267,71 @@ class TestExactness:
         sums = _kernels.angular_term_sums(engine, {"x": (LawKind.HELICITY, "a", "b")}, 0.3, DIRS)
         assert sums["x"] == (0.0, 0.0, 0.0, 0.0, 0.0)
 
+
+ALL_LAW_REQUESTS = {law.value: request_for(law) for law in ALL_LAWS}
+
+
+def law_raws(g, fields, r, dirs):
+    """(4 laws, 3) raw combos (raw_L, raw_T, raw_flux) from one engine."""
+    engine = StatsEngine(g, fields)
+    sums = _kernels.angular_term_sums(engine, ALL_LAW_REQUESTS, r, dirs)
+    return engine, [_kernels.raw_from_terms(law, sums[label], r)
+                    for label, (law, _, _) in ALL_LAW_REQUESTS.items()]
+
+
+class TestMetamorphic:
+    @pytest.mark.parametrize("kind", ["band-limited", "white-noise"])
+    def test_constant_mean_leaves_combos_unchanged(self, kind):
+        # Increments do not see a constant vector, whatever path evaluates them.
+        if kind == "band-limited":
+            g, fields = band_fields(n=32, kmax=8, seed=21)
+            evaluation = "sine-series"
+        else:
+            g = make_grid(16)
+            rng = np.random.default_rng(12)
+            v, h = (VectorField3(g, rng.standard_normal((3, 16, 16, 16))) for _ in range(2))
+            fields = {"v": v, "w": curl(v), "h": h, "zero": None}
+            evaluation = "per-shift-fft"
+        offset = np.array([0.7, -1.3, 0.4])[:, None, None, None]
+        shifted = {name: None if f is None else VectorField3(g, f.values + offset)
+                   for name, f in fields.items()}
+        for r in (0.2, 0.7):
+            engine, ref = law_raws(g, fields, r, DIRS)
+            assert engine.evaluation == evaluation
+            _, got = law_raws(g, shifted, r, DIRS)
+            assert_columns_agree(got, ref, 1e-12)
+
+    def test_cube_symmetries(self):
+        # u'(x) = R u(R^T x) with R one of the 48 signed permutations maps the
+        # grid onto itself.  With the directions rotated too, the energy and
+        # cross-helicity combos are unchanged and the helicity ones, whose
+        # second field is the curl (a pseudovector), pick up det R.
+        g, fields = band_fields(n=16, kmax=4, seed=5)
+        assert StatsEngine(g, fields).evaluation == "sine-series"
+        n, r = g.n, 0.45
+        _, ref = law_raws(g, fields, r, DIRS)
+        ref = np.array(ref)
+        index = np.indices((n, n, n))
+        seen = set()
+        for perm in itertools.permutations(range(3)):
+            for signs in itertools.product((1.0, -1.0), repeat=3):
+                R = np.zeros((3, 3))
+                R[range(3), perm] = signs
+                seen.add(R.tobytes())
+                # (R^T x) along axis perm[i] is signs[i] * x_i.
+                src = [None] * 3
+                for i in range(3):
+                    src[perm[i]] = (int(signs[i]) * index[i]) % n
+
+                def transform(f):
+                    u = f.values[:, src[0], src[1], src[2]]
+                    return VectorField3(g, np.stack([signs[c] * u[perm[c]] for c in range(3)]))
+
+                v, h = transform(fields["v"]), transform(fields["h"])
+                moved = {"v": v, "w": curl(v), "h": h, "zero": None}
+                dirs = DirectionSet(DIRS.directions @ R.T, DIRS.weights)
+                _, got = law_raws(g, moved, r, dirs)
+                expected = ref.copy()
+                expected[ALL_LAWS.index(LawKind.HELICITY)] *= np.linalg.det(R)
+                assert_columns_agree(got, expected, 1e-12)
+        assert len(seen) == 48

@@ -194,6 +194,14 @@ def test_ladder_evaluators_reject_descending_ladder(evaluator):
         LADDERS[evaluator](v, [0.4, 0.2])
 
 
+@pytest.mark.parametrize("evaluator", list(LADDERS))
+def test_ladder_evaluators_reject_empty_ladder(evaluator):
+    _, v, _ = random_pair()
+    kind = "scales" if evaluator == "sweep_structure" else "epsilons"
+    with pytest.raises(ValueError, match=f"{kind} must not be empty"):
+        LADDERS[evaluator](v, [])
+
+
 class TestNaiveOracle:
     @staticmethod
     def check_all_laws(n, kmax, evaluation, dirs=DIRS12):

@@ -268,6 +268,12 @@ class TestExtrapolation:
         assert abs(ext["value"] - 5.0) <= 1e-12
         assert abs(ext["curvature"] - 2.0) <= 1e-10
 
+    @pytest.mark.parametrize("eps", [[0.2], [0.2, 0.4]])
+    def test_short_ladder_gives_no_fit(self, eps):
+        # One point or an exact two-point line is no extrapolation.
+        ext = extrapolate_to_zero(eps, [1.0 - 0.05 * e for e in eps])
+        assert ext == {"value": None, "curvature": None, "r_squared": None, "order": None}
+
     def test_order_fit(self):
         eps = np.geomspace(0.05, 0.4, 5)
         ext = extrapolate_to_zero(eps, -3.0 * eps**2)
