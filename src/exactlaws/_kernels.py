@@ -12,9 +12,14 @@ such grid (m points per axis).
 Two evaluation paths share that reduced grid:
 
 * sine series, when the grid is alias-free (m > 3*kmax).  For real fields
-  M_pqr(l) is a sine series in k.l whose real coefficients are computed
-  once per engine, so all directions at one radius cost one matrix product
-  and no transform; the law's term means are contractions of M.
+  M_pqr(l) is a sine series in k.l with one row of real coefficients per
+  sorted component triple, so all directions at one radius cost one matrix
+  product and no transform; the law's term means are contractions of M.
+  A row, and the pair-product transforms it needs, is built the first time
+  a request reads it and kept for the rest of the engine's life, so a
+  radius or epsilon ladder builds each row once and a law never pays for
+  the rows of the others (helicity reads 18 of the 56 rows of its two
+  fields).
 * per-shift FFT, otherwise.  Each separation costs an inverse transform of
   the shifted spectra, one axis at a time, and a pointwise kernel pass.
   The phase factors are separable, so separations with equal x, or equal
@@ -24,6 +29,11 @@ Two evaluation paths share that reduced grid:
   products; the sine series gives the continuous average instead, which
   differs there.  Zero fields cost nothing on this path: they have no
   increment array, and the pieces that touch them are exactly 0.0.
+
+A field may be given as ``CurlOf`` another: the engine then takes the curl
+from the spectrum it holds (i k x u^, the spectrum ``grid.curl`` transforms
+back), with no round trip through the grid.  The helicity law's default
+vorticity is taken this way.
 
 The law table ``LAWS`` is the one place a law is defined: one row of
 coefficients per law over two kinds of cubic increment pieces, the cube
@@ -38,6 +48,7 @@ last bit on both paths.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
@@ -46,10 +57,11 @@ from operator import add
 import numpy as np
 from scipy import fft as _fft
 
-from .grid import Grid3, VectorField3, _axis_phases
+from .grid import Grid3, VectorField3, _axis_phases, _curl_spectrum
 
 __all__ = [
     "LawKind",
+    "CurlOf",
     "StatsEngine",
     "term_means",
     "raw_from_terms",
@@ -213,21 +225,36 @@ def _sin_minus_x(x: np.ndarray) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True)
+class CurlOf:
+    """A ``StatsEngine`` field that is the spectral curl of the field ``name``.
+
+    The engine takes i k x u^ from the spectrum of that field, which it holds
+    already: the spectrum ``grid.curl`` transforms back, without the round
+    trip through the grid.  ``name`` must come before it in the fields.
+    """
+
+    name: str
+
+
 class StatsEngine:
     """Increment statistics for a named set of fields on one grid.
 
-    ``fields`` maps names to VectorField3 (or raw (3, n, n, n) arrays); a
-    None entry, an all-zero field and a field without modes besides its mean
-    all stand for the zero field.  Names holding the same values share one
-    set of component rows.  All fields are restricted to the union of their
-    spectral supports once.  ``increments`` then costs at most one inverse
-    pass per axis and separation vector, fewer when consecutive separations
-    share components; on an alias-free grid (``alias_free``: m > 3*kmax)
-    ``moments`` gives the third moments of the increments at many
-    separations in one matrix product.  ``evaluation`` names the path
+    ``fields`` maps names to VectorField3 (or raw (3, n, n, n) arrays) or to
+    ``CurlOf`` an earlier name; a None entry, an all-zero field and a field
+    without modes besides its mean all stand for the zero field.  Names
+    holding the same values share one set of component rows.  All fields are
+    restricted to the union of their spectral supports once.  ``increments``
+    then costs at most one inverse pass per axis and separation vector, fewer
+    when consecutive separations share components; on an alias-free grid
+    (``alias_free``: m > 3*kmax) ``moments`` gives the third moments of the
+    increments at many separations in one matrix product.  The sine-series
+    rows behind it are built on first use, only for the component triples
+    asked for, and kept for later calls.  ``evaluation`` names the path
     ``angular_term_sums`` takes: "sine-series" or "per-shift-fft".
-    ``separations`` counts the separations evaluated and ``inverse_passes``
-    the inverse passes per axis.
+    ``separations`` counts the separations evaluated, ``inverse_passes`` the
+    inverse passes per axis, ``describe`` also the series rows and pair
+    products built.
     """
 
     def __init__(self, grid: Grid3, fields: dict):
@@ -235,28 +262,41 @@ class StatsEngine:
         self.names = list(fields)
         n = grid.n
         kmax = 0
-        distinct = []  # (values, spectrum) of each distinct field with modes
+        distinct = []  # (values or None, spectrum) of each distinct field with modes
         owner = {}  # name -> index into distinct, or None for the zero field
+        curl_owner = {}  # index into distinct -> owner of its derived curl
         for name, fld in fields.items():
             owner[name] = None
             if fld is None:
                 continue
-            values = fld.values if isinstance(fld, VectorField3) else np.asarray(fld)
-            if values.shape != (3, n, n, n):
-                raise ValueError(f"field {name!r} does not match the grid")
-            owner[name] = next(
-                (j for j, (seen, _) in enumerate(distinct)
-                 if seen is values or np.array_equal(seen, values)),
-                None,
-            )
-            if owner[name] is not None:
-                continue
-            spec = _fft.rfftn(values, axes=(1, 2, 3))
+            if isinstance(fld, CurlOf):
+                if fld.name not in owner:
+                    raise ValueError(f"field {name!r} is the curl of {fld.name!r}, "
+                                     "which must come before it")
+                source = owner[fld.name]
+                if source is None or source in curl_owner:
+                    owner[name] = curl_owner.get(source)
+                    continue
+                values, spec = None, _curl_spectrum(grid, distinct[source][1])
+            else:
+                values = fld.values if isinstance(fld, VectorField3) else np.asarray(fld)
+                if values.shape != (3, n, n, n):
+                    raise ValueError(f"field {name!r} does not match the grid")
+                owner[name] = next(
+                    (j for j, (seen, _) in enumerate(distinct)
+                     if seen is values or (seen is not None and np.array_equal(seen, values))),
+                    None,
+                )
+                if owner[name] is not None:
+                    continue
+                spec = _fft.rfftn(values, axes=(1, 2, 3))
             active = _active_modes(spec)
             if active.any():
                 owner[name] = len(distinct)
                 distinct.append((values, spec))
                 kmax = max(kmax, _support_radius(active, n))
+            if isinstance(fld, CurlOf):
+                curl_owner[source] = owner[name]
         self.kmax = kmax
         m = _reduced_size(kmax, n)
         self.m = m
@@ -281,7 +321,13 @@ class StatsEngine:
         self._base = None  # field values on the reduced grid, on first use
         self._passes = None  # buffers of the last x pass and xy pass
         self._keys = (None, None)  # the l_x and (l_x, l_y) the buffers hold
-        self._series = None  # sine-series tables, on first use
+        self._modes = None  # sine-series mode tables, on first use
+        self._products = {}  # (t, u) -> pair-product coefficients, as built
+        self._coeffs = None  # the G rows built so far, (rows, K)
+        # Row of G that each (p, q, r) reads in ``moments``: -1 for a row not
+        # built yet (it reads NaN), -2 for a triple touching the zero field.
+        self._row_index = np.full((zero + 1,) * 3, -2)
+        self._row_index[:zero, :zero, :zero] = -1
         self.separations = 0
         self.inverse_passes = {"x": 0, "xy": 0, "z": 0}
 
@@ -296,6 +342,8 @@ class StatsEngine:
             "evaluation": self.evaluation,
             "separations": self.separations,
             "inverse_passes": dict(self.inverse_passes),
+            "series_rows": 0 if self._coeffs is None else self._coeffs.shape[0],
+            "pair_products": len(self._products),
         }
 
     def increments(self, ell) -> dict[str, np.ndarray | None]:
@@ -339,23 +387,10 @@ class StatsEngine:
                 self.inverse_passes[axis] += done
         return shifted.reshape(shifted.shape[0], -1)
 
-    def _sine_series(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(wavevectors (K, 3), coefficients G (rows, K), index (C+1,)*3) of
-        M_pqr(l) = G[index[p, q, r]] . (sin(k.l) - k.l) over the K active modes.
-
-        For real fields whose cubic products are alias-free on the grid,
-          M_pqr(l) = sum over the splits (s | tu) of C(l) - C(-l),
-          C(l) = <s(x + l) t(x) u(x)> = sum_k s^(k) conj((tu)^(k)) exp(i k.l),
-        and each +-k pair of the half spectrum contributes
-        -4 Im(s^ conj((tu)^)) sin(k.l), or -2 per mode on the kz = 0 plane
-        where both members appear.  The fields are cut to the active modes
-        first, so the identity holds exactly; then M = O(l^3), the linear part
-        sum_k G_k k.l vanishes, and dropping it keeps full relative precision
-        at small separations, where the sine terms would cancel.  Only the
-        distinct sorted rows p <= q <= r are stored; ``index`` maps every
-        (p, q, r), in any order, onto its row, so permuted moments are
-        bitwise equal.
-        """
+    def _series_modes(self) -> tuple:
+        """(active mask, wavevectors (K, 3), pair weights (K,), spectral
+        coefficients (C, K), band-limited fields (C, m, m, m)) of the K active
+        modes of all fields."""
         m = self.m
         comps = self._spectra.shape[0]
         active = np.zeros((m, m, m // 2 + 1), dtype=bool)
@@ -365,47 +400,70 @@ class StatsEngine:
         band = _fft.irfftn(
             np.where(active, self._spectra, 0.0), s=(m, m, m), axes=(1, 2, 3)
         )
-        prods = {}
-        for t in range(comps):
-            for u in range(t, comps):
-                prods[t, u] = np.conj(_fft.rfftn(band[t] * band[u])[active] / m**3)
         k1 = 2.0 * np.pi * np.fft.fftfreq(m, d=self.grid.length / m)
         k3 = 2.0 * np.pi * np.fft.rfftfreq(m, d=self.grid.length / m)
         kx, ky, kz = np.meshgrid(k1, k1, k3, indexing="ij")
         kvec = np.stack([kx[active], ky[active], kz[active]], axis=1)
         pair = np.where(kz[active] == 0.0, -2.0, -4.0)
+        return active, kvec, pair, coeff, band
 
+    def _product(self, t: int, u: int) -> np.ndarray:
+        """conj((tu)^) / m**3 at the active modes, for components t <= u."""
+        if (t, u) not in self._products:
+            active, _, _, _, band = self._modes
+            spec = _fft.rfftn(band[t] * band[u])[active] / self.m**3
+            self._products[t, u] = np.conj(spec)
+        return self._products[t, u]
+
+    def _build_rows(self, triples) -> None:
+        """Build the G rows of the sorted component triples (p <= q <= r) not
+        built yet; triples that touch the zero field read its zero row.
+
+        For real fields whose cubic products are alias-free on the grid,
+          M_pqr(l) = sum over the splits (s | tu) of C(l) - C(-l),
+          C(l) = <s(x + l) t(x) u(x)> = sum_k s^(k) conj((tu)^(k)) exp(i k.l),
+        and each +-k pair of the half spectrum contributes
+        -4 Im(s^ conj((tu)^)) sin(k.l), or -2 per mode on the kz = 0 plane
+        where both members appear.  So M_pqr(l) = G_pqr . (sin(k.l) - k.l):
+        the fields are cut to the active modes first, so the identity holds
+        exactly; then M = O(l^3), the linear part sum_k G_k k.l vanishes, and
+        dropping it keeps full relative precision at small separations, where
+        the sine terms would cancel.  Every permutation of (p, q, r) reads the
+        same row, so permuted moments are bitwise equal.
+        """
+        if self._modes is None:
+            self._modes = self._series_modes()
+            self._coeffs = np.empty((0, self._modes[1].shape[0]))
+        _, _, pair, coeff, _ = self._modes
+        index = self._row_index
+        new = sorted(t for t in {tuple(sorted(map(int, t))) for t in triples} if index[t] == -1)
         rows = []
-        row_of = np.zeros((comps,) * 3, dtype=int)
-        for p in range(comps):
-            for q in range(p, comps):
-                for r in range(q, comps):
-                    split = (
-                        np.imag(coeff[p] * prods[q, r])
-                        + np.imag(coeff[q] * prods[p, r])
-                        + np.imag(coeff[r] * prods[p, q])
-                    )
-                    row_of[p, q, r] = len(rows)
-                    rows.append(pair * split)
-        coeffs = np.array(rows).reshape(len(rows), kvec.shape[0])
-        # Every index triple reads the row of its sorted triple; triples that
-        # touch the zero field (index comps) read the appended zero row.
-        index = np.full((comps + 1,) * 3, len(rows))
-        srt = np.sort(np.indices((comps,) * 3).reshape(3, -1), axis=0)
-        index[:comps, :comps, :comps] = row_of[srt[0], srt[1], srt[2]].reshape((comps,) * 3)
-        return kvec, coeffs, index
+        for p, q, r in new:
+            split = (
+                np.imag(coeff[p] * self._product(q, r))
+                + np.imag(coeff[q] * self._product(p, r))
+                + np.imag(coeff[r] * self._product(p, q))
+            )
+            for perm in itertools.permutations((p, q, r)):
+                index[perm] = self._coeffs.shape[0] + len(rows)
+            rows.append(pair * split)
+        if rows:
+            self._coeffs = np.concatenate([self._coeffs, rows])
 
-    def moments(self, ells) -> np.ndarray:
+    def moments(self, ells, triples=None) -> np.ndarray:
         """Increment third moments M[p, q, r, s] = <dp dq dr> at separations ells[s].
 
         Valid on alias-free grids only.  ``components`` gives each field's
         indices p, q, r; the last index of each axis is the zero field.
+        ``triples`` lists the sorted (p, q, r) to build rows for, all of them
+        by default; entries whose row was never built read NaN, never 0.0.
         """
         if not self.alias_free:
             raise ValueError("the sine series needs an alias-free grid (m > 3*kmax)")
-        if self._series is None:
-            self._series = self._sine_series()
-        kvec, coeffs, index = self._series
+        if triples is None:
+            triples = itertools.combinations_with_replacement(range(self._spectra.shape[0]), 3)
+        self._build_rows(triples)
+        kvec = self._modes[1]
         ells = np.asarray(ells, dtype=float).reshape(-1, 3)
         self.separations += ells.shape[0]
         phase = (
@@ -413,9 +471,9 @@ class StatsEngine:
             + kvec[:, 1:2] * ells[:, 1]
             + kvec[:, 2:3] * ells[:, 2]
         )
-        rows = coeffs @ _sin_minus_x(phase)
-        rows = np.concatenate([rows, np.zeros((1, ells.shape[0]))])
-        return rows[index]
+        rows = self._coeffs @ _sin_minus_x(phase)
+        unbuilt = np.full(ells.shape[0], np.nan)
+        return np.vstack([rows, np.zeros(ells.shape[0]), unbuilt])[self._row_index]
 
 
 def _law_terms(law: LawKind, cube, trace) -> tuple:
@@ -463,14 +521,24 @@ def term_means(law: LawKind, da, db, nhat) -> tuple[float, float, float, float, 
     return _law_terms(law, cube, trace)
 
 
+def _cube_index(x, y, z) -> tuple:
+    """The entries M[x_i, y_j, z_k] that the cube piece contracts, (3, 3, 3)."""
+    return np.ix_(x, y, z)
+
+
+def _trace_index(x, y, z) -> tuple:
+    """The entries M[x_k, y_i, z_i] that the trace piece contracts, (3, 3)."""
+    return x[:, None], y[None, :], z[None, :]
+
+
 def _cube(mom, n3, x, y, z) -> np.ndarray:
     """Per direction, sum_ijk n_i n_j n_k M[x_i, y_j, z_k]."""
-    return (n3 * mom[np.ix_(x, y, z)]).reshape(27, -1).sum(axis=0)
+    return (n3 * mom[_cube_index(x, y, z)]).reshape(27, -1).sum(axis=0)
 
 
 def _trace(mom, nt, x, y, z) -> np.ndarray:
     """Per direction, sum_k n_k sum_i M[x_k, y_i, z_i]."""
-    return (nt * mom[x[:, None], y[None, :], z[None, :]].sum(axis=1)).sum(axis=0)
+    return (nt * mom[_trace_index(x, y, z)].sum(axis=1)).sum(axis=0)
 
 
 def _moment_terms(law: LawKind, mom, n3, nt, a, b) -> tuple:
@@ -486,15 +554,30 @@ def _moment_terms(law: LawKind, mom, n3, nt, a, b) -> tuple:
     )
 
 
+def _law_triples(law: LawKind, a, b) -> set:
+    """The sorted component triples (p <= q <= r) of M that ``_moment_terms``
+    reads for ``law`` on the fields with component indices ``a`` and ``b``."""
+    comps = {"a": a, "b": b}
+    read = set()
+
+    def record(index_of, pattern):
+        index = np.broadcast_arrays(*index_of(*(comps[c] for c in pattern)))
+        read.update(zip(*(i.ravel().tolist() for i in index)))
+        return 0.0
+
+    _law_terms(law, lambda p: record(_cube_index, p), lambda p: record(_trace_index, p))
+    return {tuple(sorted(t)) for t in read}
+
+
 def angular_term_sums(engine: StatsEngine, requests, r: float, dirs):
     """Direction-weighted term means at separation r for several laws at once.
 
     ``requests`` maps labels to (law, first_name, second_name) triples.  On
     an alias-free grid the moments at every direction come from one sine
-    series evaluation and are contracted per law; otherwise the increments
-    are computed once per direction and shared by ``term_means``, visiting
-    the directions sorted by (l_x, l_y) so that consecutive separations share
-    inverse passes.  Accumulation runs in the direction set's order, which
+    series evaluation, over the rows the requested laws read, and are
+    contracted per law; otherwise the increments are computed once per
+    direction and shared by ``term_means``, visiting the directions sorted
+    by (l_x, l_y) so that consecutive separations share inverse passes.  Accumulation runs in the direction set's order, which
     keeps the sums bit-reproducible.
     """
     if engine.evaluation == "sine-series":
@@ -503,8 +586,10 @@ def angular_term_sums(engine: StatsEngine, requests, r: float, dirs):
         nhat, weights = dirs._half
         nt = np.ascontiguousarray(nhat.T)
         n3 = nt[:, None, None] * nt[None, :, None] * nt[None, None, :]
-        mom = engine.moments(r * nhat)
         comps = engine.components
+        triples = set().union(*(_law_triples(law, comps[name_a], comps[name_b])
+                                for law, name_a, name_b in requests.values()))
+        mom = engine.moments(r * nhat, triples)
         sums = {}
         for label, (law, name_a, name_b) in requests.items():
             terms = _moment_terms(law, mom, n3, nt, comps[name_a], comps[name_b])

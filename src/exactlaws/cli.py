@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import report as rep
-from ._kernels import COMBINE_COEFFS, LawKind
+from ._kernels import COMBINE_COEFFS, CurlOf, LawKind
 from .geometry import (
     direction_set_icosa,
     identity227_batch,
@@ -32,7 +32,7 @@ from .geometry import (
     split_long_trans,
     triple_product_check,
 )
-from .grid import VectorField3, curl, make_grid, read_field, write_field
+from .grid import VectorField3, make_grid, read_field, write_field
 from .laws import _check_ladder, power_law_fit, raw_combos, sweep_structure
 from .mollifier import (
     bump_mollifier,
@@ -162,7 +162,7 @@ def _ballshell_checks(cfg: VerifyConfig, verdict: Verdict) -> None:
         "cross-helicity": (LawKind.CROSS_HELICITY, "v", "h"),
     }
     matrix = dissipation_matrix(
-        grid, {"v": v, "omega": curl(v), "h": h}, requests, mol,
+        grid, {"v": v, "omega": CurlOf("v"), "h": h}, requests, mol,
         list(cfg.eps_ladder), cfg.radial_nodes, dirs,
     )
     for label in requests:
@@ -214,14 +214,13 @@ def _smooth_checks(cfg: VerifyConfig, verdict: Verdict) -> None:
     unit = cfg.length / (2.0 * np.pi)
     u = _band_limited(grid, cfg.seed)
     u2 = _band_limited(grid, cfg.seed + 9001)
-    omega = curl(u)
     dirs = parse_direction_spec(cfg.dirs)
     mol = bump_mollifier()
 
     r_hi = 0.35 / kmax * unit
     scales = list(np.geomspace(r_hi / 8.0, r_hi, 8))
     for label, law, second in (
-        ("helicity", LawKind.HELICITY, omega), ("mhd-energy", LawKind.MHD_ENERGY, u2)
+        ("helicity", LawKind.HELICITY, None), ("mhd-energy", LawKind.MHD_ENERGY, u2)
     ):
         rep = sweep_structure(law, (u, second), scales, dirs)
         try:
@@ -233,7 +232,7 @@ def _smooth_checks(cfg: VerifyConfig, verdict: Verdict) -> None:
     eps_hi = 0.5 / kmax * unit
     ladder = list(np.geomspace(eps_hi / 4.0, eps_hi, 4))
     matrix = dissipation_matrix(
-        grid, {"v": u, "omega": omega, "h": u2},
+        grid, {"v": u, "omega": CurlOf("v"), "h": u2},
         {
             "helicity": (LawKind.HELICITY, "v", "omega"),
             "mhd-energy": (LawKind.MHD_ENERGY, "v", "h"),

@@ -64,6 +64,21 @@ class DirectionSet:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "_half", (np.array(list(half)), np.array(list(half.values()))))
 
+    def __eq__(self, other) -> bool:
+        """Equal when the directions, weights and descriptor are."""
+        if not isinstance(other, DirectionSet):
+            return NotImplemented
+        return (
+            self.descriptor == other.descriptor
+            and np.array_equal(self.directions, other.directions)
+            and np.array_equal(self.weights, other.weights)
+        )
+
+    def __hash__(self) -> int:
+        # + 0.0 maps -0.0 to 0.0, which compare equal, onto the same bytes.
+        return hash((self.descriptor, (self.directions + 0.0).tobytes(),
+                     (self.weights + 0.0).tobytes()))
+
     def __len__(self) -> int:
         return self.directions.shape[0]
 

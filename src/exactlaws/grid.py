@@ -147,15 +147,20 @@ def _irfftn(spec: np.ndarray, n: int) -> np.ndarray:
     return _fft.irfftn(spec, s=(n, n, n), axes=(-3, -2, -1))
 
 
-def curl(v: VectorField3) -> VectorField3:
-    """Spectral curl; the output divergence vanishes to round-off."""
-    kx, ky, kz = _derivative_wavenumbers(v.grid)
-    vh = _rfftn(v.values)
+def _curl_spectrum(grid: Grid3, vh: np.ndarray) -> np.ndarray:
+    """i k x vh for a (3, n, n, n//2 + 1) rfftn spectrum on ``grid``, with the
+    Nyquist wavenumbers zeroed: the spectrum ``curl`` transforms back."""
+    kx, ky, kz = _derivative_wavenumbers(grid)
     wh = np.empty_like(vh)
     wh[0] = 1j * (ky * vh[2] - kz * vh[1])
     wh[1] = 1j * (kz * vh[0] - kx * vh[2])
     wh[2] = 1j * (kx * vh[1] - ky * vh[0])
-    return VectorField3(v.grid, _irfftn(wh, v.grid.n))
+    return wh
+
+
+def curl(v: VectorField3) -> VectorField3:
+    """Spectral curl; the output divergence vanishes to round-off."""
+    return VectorField3(v.grid, _irfftn(_curl_spectrum(v.grid, _rfftn(v.values)), v.grid.n))
 
 
 def divergence(v: VectorField3) -> ScalarField:

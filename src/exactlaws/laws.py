@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from ._kernels import COMBINE_COEFFS, LawKind, StatsEngine
+from ._kernels import COMBINE_COEFFS, CurlOf, LawKind, StatsEngine
 from .geometry import DirectionSet, direction_set_icosa
 from .grid import VectorField3, curl
 
@@ -59,14 +59,16 @@ class RawCombos:
 
 
 def _resolve_pair(law: LawKind, v: VectorField3, w) -> tuple[VectorField3, object]:
-    """Apply the law's convention for the second field."""
+    """Apply the law's convention for the second field.  The helicity law's
+    default vorticity is ``CurlOf("a")``: the engine takes it from the
+    spectrum of v, the engine's field "a"."""
     if law is LawKind.HELICITY:
-        w = curl(v) if w is None else w
+        w = CurlOf("a") if w is None else w
     elif law is LawKind.HYDRO_ENERGY:
         w = None
     elif w is None:
         raise ValueError(f"magnetic field required for the {law.value} law")
-    if w is not None and w.grid != v.grid:
+    if isinstance(w, VectorField3) and w.grid != v.grid:
         raise ValueError("fields live on different grids")
     return v, w
 

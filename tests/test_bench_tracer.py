@@ -33,6 +33,9 @@ def test_tracer_installs_runs_and_uninstalls():
         exactlaws.sweep_structure(
             exactlaws.LawKind.HELICITY, v, [0.2, 0.4], exactlaws.direction_set_icosa(0)
         )
+        # The sweep takes the vorticity from the engine's spectrum of v, so
+        # the grid.curl wrapper is exercised by a call of its own.
+        exactlaws.curl(v)
     finally:
         tracer.uninstall()
     assert (exactlaws.sweep_structure, _kernels.StatsEngine.__init__) == originals

@@ -108,10 +108,13 @@ class TestAnalyze:
                   "--dirs", "icosa:0", "--out", tmp_path / "rep"])
         assert rc == 0
         payload = json.loads((tmp_path / "rep.json").read_text())
-        # 2 scales x 6 antipodal pairs of icosa:0, no inverse transforms.
+        # 2 scales x 6 antipodal pairs of icosa:0, no inverse transforms.  The
+        # helicity law reads the 18 sorted triples (a, a', b) of the 56 rows
+        # over 6 components, built from the 9 products ab and the 6 aa'.
         assert payload["provenance"]["engine"] == {
             "n": 16, "m": 16, "kmax": 4, "alias_free": True, "evaluation": "sine-series",
             "separations": 12, "inverse_passes": {"x": 0, "xy": 0, "z": 0},
+            "series_rows": 18, "pair_products": 15,
         }
         provenance = {k: x for k, x in payload["provenance"].items() if k != "engine"}
         assert canonical_hash({**payload, "provenance": provenance}) == canonical_hash(payload)
@@ -156,6 +159,7 @@ class TestDissipation:
         assert payload["provenance"]["engine"] == {
             "n": 8, "m": 8, "kmax": 4, "alias_free": False, "evaluation": "per-shift-fft",
             "separations": 48, "inverse_passes": {"x": 20, "xy": 32, "z": 48},
+            "series_rows": 0, "pair_products": 0,
         }
 
     def test_zero_field_passes(self, tmp_path):

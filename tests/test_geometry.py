@@ -97,6 +97,36 @@ class TestDirectionSets:
         assert corrupted.second_moment_error() > 1e-3
 
 
+class TestDirectionSetEquality:
+    def test_equal_sets(self):
+        a, b = direction_set_icosa(1), direction_set_icosa(1)
+        assert a == b and not (a != b)
+        assert hash(a) == hash(b) and len({a, b}) == 1
+        assert parse_direction_spec("random:24") == parse_direction_spec("random:24")
+
+    def test_unequal_sets(self):
+        a = direction_set_icosa(1)
+        assert a != direction_set_icosa(2)
+        assert a != DirectionSet(a.directions, a.weights, "custom")
+        weights = a.weights.copy()
+        weights[0] += 0.005
+        weights[1] -= 0.005
+        assert a != DirectionSet(a.directions, weights, a.descriptor)
+        assert a != DirectionSet(a.directions[::-1], a.weights, a.descriptor)
+
+    def test_other_types(self):
+        a = direction_set_icosa(0)
+        assert (a == "icosa:0") is False
+        assert (a == 12) is False
+        assert a != None  # noqa: E711
+
+    def test_signed_zeros_hash_alike(self):
+        axis = np.array([[0.0, 1.0, 0.0], [0.0, -1.0, 0.0]])
+        a = DirectionSet(axis, np.array([0.5, 0.5]))
+        b = DirectionSet(axis * np.array([-1.0, 1.0, -1.0]), np.array([0.5, 0.5]))
+        assert a == b and hash(a) == hash(b)
+
+
 class TestIncrement:
     def test_zero_separation(self):
         v = abc_flow(make_grid(8))

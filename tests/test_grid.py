@@ -1,8 +1,13 @@
 """Grid, field, spectral-operator, and file-format tests."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exactlaws.grid import (
     FieldFileError,
@@ -327,3 +332,30 @@ class TestFieldValidation:
         g = make_grid(8)
         with pytest.raises(ValueError, match="shape"):
             VectorField3(g, np.zeros((3, 8, 8, 4)))
+
+
+SPECIAL_VALUES = (0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.sampled_from([8, 10, 12, 16]),
+    length=st.floats(1e-6, 1e6),
+    vector=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    exponent=st.integers(-300, 300),
+    specials=st.lists(st.sampled_from(SPECIAL_VALUES), max_size=5),
+)
+def test_field_file_round_trip_bitwise(n, length, vector, seed, exponent, specials):
+    g = make_grid(n, length)
+    values = np.random.default_rng(seed).standard_normal((3, n, n, n) if vector else (n, n, n))
+    values *= 10.0**exponent
+    values.reshape(-1)[: len(specials)] = specials
+    fld = VectorField3(g, values) if vector else ScalarField(g, values)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f.fld")
+        write_field(fld, path)
+        back = read_field(path)
+    assert type(back) is type(fld)
+    assert back.grid == g
+    assert back.values.tobytes() == fld.values.tobytes()

@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exactlaws import _kernels
-from exactlaws._kernels import LawKind, StatsEngine, term_means
+from exactlaws._kernels import CurlOf, LawKind, StatsEngine, term_means
 from exactlaws.geometry import DirectionSet, direction_set_icosa, direction_set_random
 from exactlaws.grid import VectorField3, curl, make_grid
 from exactlaws.laws import sweep_structure
+from exactlaws.mollifier import bump_mollifier, dissipation_matrix
 from exactlaws.report import canonical_hash
 from exactlaws.synth import SpectrumSpec, random_solenoidal
 
@@ -335,3 +336,115 @@ class TestMetamorphic:
                 expected[ALL_LAWS.index(LawKind.HELICITY)] *= np.linalg.det(R)
                 assert_columns_agree(got, expected, 1e-12)
         assert len(seen) == 48
+
+
+def white_noise(n=12, seed=13):
+    g = make_grid(n)
+    return g, VectorField3(g, np.random.default_rng(seed).standard_normal((3, n, n, n)))
+
+
+class TestDerivedCurl:
+    @pytest.mark.parametrize("kind", ["band-limited", "white-noise"])
+    def test_default_omega_matches_explicit_curl(self, kind):
+        # The default vorticity is taken from the engine's spectrum of v; an
+        # explicit curl(v) makes the round trip through the grid.
+        if kind == "band-limited":
+            g, fields = band_fields(n=24, kmax=6, seed=17)
+            v, evaluation = fields["v"], "sine-series"
+        else:
+            (g, v), evaluation = white_noise(), "per-shift-fft"
+        scales = [0.05, 0.2, g.length / 4.0]
+        derived = sweep_structure(LawKind.HELICITY, v, scales, DIRS)
+        explicit = sweep_structure(LawKind.HELICITY, (v, curl(v)), scales, DIRS)
+        assert derived.engine["evaluation"] == evaluation
+        assert "omega_supplied" not in derived.metadata
+        columns = lambda rep: [row[1:] for row in list(rep.csv_rows())[1:]]
+        assert_columns_agree(columns(derived), columns(explicit), 1e-12)
+
+    def test_curl_fields_share_rows_and_follow_their_source(self):
+        g, fields = band_fields()
+        v = fields["v"]
+        engine = StatsEngine(g, {"v": v, "w": CurlOf("v"), "w2": CurlOf("v"), "o": None,
+                                 "curl0": CurlOf("o")})
+        assert engine.components["w"].tolist() == engine.components["w2"].tolist() == [3, 4, 5]
+        assert engine.components["curl0"].tolist() == engine.components["o"].tolist()
+        flat = VectorField3(g, np.full((3, 16, 16, 16), 0.5))
+        assert StatsEngine(g, {"c": flat, "w": CurlOf("c")}).components["w"].tolist() == [0] * 3
+        with pytest.raises(ValueError, match="must come before it"):
+            StatsEngine(g, {"w": CurlOf("v"), "v": v})
+
+
+# Requests over the fields v, w = curl v (derived), h and the zero field.
+REQUESTS = (
+    (LawKind.HELICITY, "v", "w"),
+    (LawKind.HELICITY, "h", "v"),
+    (LawKind.MHD_ENERGY, "v", "h"),
+    (LawKind.MHD_ENERGY, "v", "v"),
+    (LawKind.CROSS_HELICITY, "v", "h"),
+    (LawKind.CROSS_HELICITY, "h", "zero"),
+    (LawKind.HYDRO_ENERGY, "w", "zero"),
+)
+
+
+def derived_fields(seed=3):
+    g, fields = band_fields(n=12, kmax=3, seed=seed)
+    return g, {**fields, "w": CurlOf("v")}
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    chosen=st.lists(st.sampled_from(REQUESTS), min_size=1, max_size=4, unique=True),
+    seed=st.integers(0, 2**16),
+)
+def test_restricted_rows_match_full_rows(chosen, seed):
+    g, fields = derived_fields(seed)
+    requests = {str(i): req for i, req in enumerate(chosen)}
+    restricted, full = StatsEngine(g, fields), StatsEngine(g, fields)
+    full.moments(np.zeros((1, 3)))  # every row, before any request
+    read = set().union(*(
+        _kernels._law_triples(law, restricted.components[a], restricted.components[b])
+        for law, a, b in chosen
+    ))
+    zero = restricted.components["zero"][0]
+    wanted = {t for t in read if zero not in t}
+    for r in (0.3, 0.7):  # a radius ladder builds each row once
+        got = _kernels.angular_term_sums(restricted, requests, r, DIRS)
+        ref = _kernels.angular_term_sums(full, requests, r, DIRS)
+        assert restricted.describe()["series_rows"] == len(wanted)
+        for label in requests:
+            # An unbuilt row reads NaN, so finite sums never read one.
+            assert np.all(np.isfinite(got[label]))
+            assert_columns_agree([got[label]], [ref[label]], 1e-12, common=True)
+    assert full.describe()["series_rows"] == 165
+    mom = restricted.moments(0.3 * DIRS.directions, [])
+    for t in itertools.combinations_with_replacement(range(zero), 3):
+        assert np.all(np.isfinite(mom[t]) if t in wanted else np.isnan(mom[t]))
+
+
+class TestRestrictedExactGates:
+    def ball(self, g, fields, request, eps=0.4):
+        matrix = dissipation_matrix(g, fields, {"x": request}, bump_mollifier(), [eps], 8, DIRS)
+        return matrix["x"]["ball"]["L"][0]
+
+    def test_zero_field_builds_nothing_and_reads_zero(self):
+        g, fields = band_fields()
+        engine = StatsEngine(g, {"v": fields["v"], "zero": None})
+        sums = _kernels.angular_term_sums(
+            engine, {"x": (LawKind.CROSS_HELICITY, "v", "zero")}, 0.3, DIRS
+        )
+        assert sums["x"] == (0.0,) * 5
+        assert engine.describe()["series_rows"] == 0
+        assert self.ball(g, {"v": fields["v"], "zero": None},
+                         (LawKind.CROSS_HELICITY, "v", "zero")) == 0.0
+
+    def test_halving_and_alignment_on_separate_engines(self):
+        # Each law on an engine of its own builds only the rows it reads.
+        g, fields = band_fields(n=24, kmax=6, seed=19)
+        v = {"v": fields["v"], "zero": None}
+        hel = self.ball(g, v, (LawKind.HELICITY, "v", "v"))
+        energy = self.ball(g, v, (LawKind.MHD_ENERGY, "v", "zero"))
+        assert energy != 0.0
+        assert abs(hel - 0.5 * energy) <= 1e-12 * abs(0.5 * energy)
+        rms3 = fields["v"].rms() ** 3
+        for law in (LawKind.MHD_ENERGY, LawKind.CROSS_HELICITY):
+            assert abs(self.ball(g, v, (law, "v", "v"))) <= 1e-12 * rms3

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exactlaws._kernels import StatsEngine
 from exactlaws.geometry import direction_set_icosa, direction_set_random
@@ -231,6 +233,30 @@ class TestNaiveOracle:
         self.check_all_laws(12, 4, "per-shift-fft")
         # Random directions share no components, so no inverse pass is reused.
         self.check_all_laws(12, 4, "per-shift-fft", direction_set_random(24, 5))
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    law=st.sampled_from(ALL_LAWS),
+    kmax=st.sampled_from([1, 2]),
+    length=st.sampled_from([2.0 * np.pi, 1.0, 5.0]),
+    seeds=st.tuples(st.integers(0, 2**16), st.integers(0, 2**16)),
+    dirs=st.tuples(st.sampled_from([2, 4, 6]), st.integers(0, 2**16)),
+    frac=st.floats(0.05, 1.0),
+)
+def test_sine_path_matches_naive_oracle(law, kmax, length, seeds, dirs, frac):
+    # Random small configurations: kmax 1 reduces n = 8 to m = 4, kmax 2
+    # keeps m = 8; the helicity law takes its default (engine-derived) curl.
+    g = make_grid(8, length)
+    v, h = (random_solenoidal(g, SpectrumSpec(-5.0 / 3.0, 1, kmax, 1.0, s)) for s in seeds)
+    dirs = direction_set_random(*dirs)
+    r = frac * length / 4.0
+    second = {LawKind.HELICITY: None, LawKind.HYDRO_ENERGY: None}.get(law, h)
+    assert StatsEngine(g, {"v": v, "h": h}).evaluation == "sine-series"
+    rc = raw_combos(law, v, second, r, dirs)
+    got = np.array([rc.raw_L, rc.raw_T, rc.raw_flux])
+    ref = naive_raw_combos(law.value, v, curl(v) if law is LawKind.HELICITY else second, r, dirs)
+    assert np.all(np.abs(got - np.array(ref)) <= 1e-10 * np.max(np.abs(ref)) + 1e-13)
 
 
 class TestSweepStructure:
