@@ -6,8 +6,9 @@ increment third moments, M_pqr(l) = <dp dq dr>, over the stacked components
 of the input fields.  Because the kernels are cubic, their volume mean is
 alias-free on any grid with more than 3*kmax points per axis, where kmax is
 the largest active wavenumber of the input fields.  The engine therefore
-restricts each field to its spectral support and works on the smallest
-such grid (m points per axis).
+works on the smallest such grid (m points per axis): the given fields fix
+m, each is cut to the m-grid once, with its active mask, and what the
+engine derives from them (curls, the sine-series modes) is taken there.
 
 Two evaluation paths share that reduced grid:
 
@@ -30,10 +31,10 @@ Two evaluation paths share that reduced grid:
   differs there.  Zero fields cost nothing on this path: they have no
   increment array, and the pieces that touch them are exactly 0.0.
 
-A field may be given as ``CurlOf`` another: the engine then takes the curl
-from the spectrum it holds (i k x u^, the spectrum ``grid.curl`` transforms
-back), with no round trip through the grid.  The helicity law's default
-vorticity is taken this way.
+A field may be given as ``CurlOf`` another: the engine then takes i k x u^
+from the source's spectrum on the reduced grid (the spectrum ``grid.curl``
+transforms back, cut to that grid), with no round trip through the grid.
+The helicity law's default vorticity is taken this way.
 
 The law table ``LAWS`` is the one place a law is defined: one row of
 coefficients per law over two kinds of cubic increment pieces, the cube
@@ -57,7 +58,7 @@ from operator import add
 import numpy as np
 from scipy import fft as _fft
 
-from .grid import Grid3, VectorField3, _axis_phases, _curl_spectrum
+from .grid import Grid3, VectorField3, _axis_phases, _curl_spectrum, _wavenumbers
 
 __all__ = [
     "LawKind",
@@ -162,18 +163,9 @@ def _active_modes(spec: np.ndarray) -> np.ndarray:
 
 def _support_radius(active: np.ndarray, n: int) -> int:
     """Largest |wavenumber index| along any axis over the active modes of an n-grid."""
-    signed = np.rint(np.fft.fftfreq(n, 1.0 / n)).astype(int)
-    k = 0
-    ax0 = active.any(axis=(1, 2))
-    if ax0.any():
-        k = max(k, int(np.abs(signed[ax0]).max()))
-    ax1 = active.any(axis=(0, 2))
-    if ax1.any():
-        k = max(k, int(np.abs(signed[ax1]).max()))
-    ax2 = active.any(axis=(0, 1))
-    if ax2.any():
-        k = max(k, int(np.nonzero(ax2)[0].max()))
-    return k
+    k, kz = (np.rint(np.abs(t)).astype(int) for t in _wavenumbers(2.0 * np.pi, n))
+    return max(int(t[active.any(axis=other)].max(initial=0))
+               for t, other in ((k, (1, 2)), (k, (0, 2)), (kz, (0, 1))))
 
 
 def _reduced_size(kmax: int, n: int) -> int:
@@ -192,9 +184,10 @@ def _reduced_size(kmax: int, n: int) -> int:
 
 
 def _extract_spectrum(spec: np.ndarray, n: int, m: int) -> np.ndarray:
-    """Restrict an rfftn spectrum from an n-grid to an m-grid (m even, m < n)."""
+    """Cut an rfftn spectrum, or a mask over one, from an n-grid to an m-grid
+    (m even, m < n), values unscaled; the m-grid's Nyquist planes stay empty."""
     half = m // 2
-    out = np.zeros(spec.shape[:-3] + (m, m, half + 1), dtype=complex)
+    out = np.zeros(spec.shape[:-3] + (m, m, half + 1), dtype=spec.dtype)
     pos = slice(0, half)
     neg_t = slice(half + 1, m)
     neg_s = slice(n - half + 1, n)
@@ -203,7 +196,6 @@ def _extract_spectrum(spec: np.ndarray, n: int, m: int) -> np.ndarray:
     out[..., pos, neg_t, cols] = spec[..., pos, neg_s, cols]
     out[..., neg_t, pos, cols] = spec[..., neg_s, pos, cols]
     out[..., neg_t, neg_t, cols] = spec[..., neg_s, neg_s, cols]
-    out *= (m / n) ** 3
     return out
 
 
@@ -229,9 +221,10 @@ def _sin_minus_x(x: np.ndarray) -> np.ndarray:
 class CurlOf:
     """A ``StatsEngine`` field that is the spectral curl of the field ``name``.
 
-    The engine takes i k x u^ from the spectrum of that field, which it holds
-    already: the spectrum ``grid.curl`` transforms back, without the round
-    trip through the grid.  ``name`` must come before it in the fields.
+    The engine takes i k x u^ from that field's spectrum on the reduced grid,
+    within its active mask: the spectrum ``grid.curl`` transforms back, cut
+    to that grid, without the round trip through the grid.  ``name`` must
+    come before it in the fields.
     """
 
     name: str
@@ -243,8 +236,9 @@ class StatsEngine:
     ``fields`` maps names to VectorField3 (or raw (3, n, n, n) arrays) or to
     ``CurlOf`` an earlier name; a None entry, an all-zero field and a field
     without modes besides its mean all stand for the zero field.  Names
-    holding the same values share one set of component rows.  All fields are
-    restricted to the union of their spectral supports once.  ``increments``
+    holding the same values share one set of component rows; raw arrays must
+    be finite.  The given fields fix the reduced grid; each is cut to it once,
+    with its active mask, and a curl is taken there.  ``increments``
     then costs at most one inverse pass per axis and separation vector, fewer
     when consecutive separations share components; on an alias-free grid
     (``alias_free``: m > 3*kmax) ``moments`` gives the third moments of the
@@ -259,64 +253,71 @@ class StatsEngine:
 
     def __init__(self, grid: Grid3, fields: dict):
         self.grid = grid
-        self.names = list(fields)
         n = grid.n
-        kmax = 0
-        distinct = []  # (values or None, spectrum) of each distinct field with modes
-        owner = {}  # name -> index into distinct, or None for the zero field
-        curl_owner = {}  # index into distinct -> owner of its derived curl
+        # First pass: each distinct given field is transformed once, and the
+        # supports of their active masks fix kmax, hence m.
+        given = []  # (values, spectrum, active mask) of each distinct given field with modes
+        source = {}  # name -> index into given, None for the zero field, or a CurlOf
         for name, fld in fields.items():
-            owner[name] = None
-            if fld is None:
+            if isinstance(fld, CurlOf) and fld.name not in source:
+                raise ValueError(f"field {name!r} is the curl of {fld.name!r}, "
+                                 "which must come before it")
+            source[name] = fld if isinstance(fld, CurlOf) else None
+            if fld is None or isinstance(fld, CurlOf):
                 continue
-            if isinstance(fld, CurlOf):
-                if fld.name not in owner:
-                    raise ValueError(f"field {name!r} is the curl of {fld.name!r}, "
-                                     "which must come before it")
-                source = owner[fld.name]
-                if source is None or source in curl_owner:
-                    owner[name] = curl_owner.get(source)
-                    continue
-                values, spec = None, _curl_spectrum(grid, distinct[source][1])
-            else:
-                values = fld.values if isinstance(fld, VectorField3) else np.asarray(fld)
-                if values.shape != (3, n, n, n):
-                    raise ValueError(f"field {name!r} does not match the grid")
-                owner[name] = next(
-                    (j for j, (seen, _) in enumerate(distinct)
-                     if seen is values or (seen is not None and np.array_equal(seen, values))),
-                    None,
-                )
-                if owner[name] is not None:
-                    continue
+            values = fld.values if isinstance(fld, VectorField3) else np.asarray(fld)
+            if values.shape != (3, n, n, n):
+                raise ValueError(f"field {name!r} does not match the grid")
+            if not (isinstance(fld, VectorField3) or np.isfinite(values).all()):
+                raise ValueError(f"field {name!r} has non-finite values")
+            source[name] = next((j for j, (seen, _, _) in enumerate(given)
+                                 if seen is values or np.array_equal(seen, values)), None)
+            if source[name] is None:
                 spec = _fft.rfftn(values, axes=(1, 2, 3))
-            active = _active_modes(spec)
-            if active.any():
-                owner[name] = len(distinct)
-                distinct.append((values, spec))
-                kmax = max(kmax, _support_radius(active, n))
-            if isinstance(fld, CurlOf):
-                curl_owner[source] = owner[name]
-        self.kmax = kmax
-        m = _reduced_size(kmax, n)
+                active = _active_modes(spec)
+                if active.any():
+                    source[name] = len(given)
+                    given.append((values, spec, active))
+        self.kmax = max((_support_radius(active, n) for _, _, active in given), default=0)
+        m = _reduced_size(self.kmax, n)
         self.m = m
-        self.alias_free = m > 3 * kmax
+        self.alias_free = m > 3 * self.kmax
         self.evaluation = "sine-series" if self.alias_free else "per-shift-fft"
 
-        stacked = [spec if m == n else _extract_spectrum(spec, n, m) for _, spec in distinct]
-        if stacked:
-            self._spectra = np.concatenate(stacked, axis=0)
-        else:
-            self._spectra = np.zeros((0, m, m, m // 2 + 1), dtype=complex)
-        self._slices = {
-            name: None if j is None else slice(3 * j, 3 * j + 3) for name, j in owner.items()
-        }
+        # Second pass, in the given order: each distinct field is cut to the
+        # m-grid once, with its mask, and a curl is taken there from the cut
+        # spectrum of its source, within the source's mask.
+        blocks = []  # (spectrum, active mask) on the m-grid of each distinct field with modes
+        block = {None: None}  # index into given, or ("curl", block) -> index into blocks
+        owner = {}  # name -> index into blocks, or None for the zero field
+        for name, src in source.items():
+            if isinstance(src, CurlOf):
+                src = None if owner[src.name] is None else ("curl", owner[src.name])
+            if src not in block:
+                if isinstance(src, tuple):
+                    spec = _curl_spectrum(grid.length, blocks[src[1]][0])
+                    active = _active_modes(spec) & blocks[src[1]][1]
+                elif m < n:
+                    spec = _extract_spectrum(given[src][1], n, m) * (m / n) ** 3
+                    active = _extract_spectrum(given[src][2], n, m)
+                else:
+                    _, spec, active = given[src]
+                block[src] = len(blocks) if active.any() else None
+                if active.any():
+                    blocks.append((spec, active))
+            owner[name] = block[src]
+        del given  # the full-grid spectra, not needed past the cut, before the copy below
+        self._active = np.zeros((m, m, m // 2 + 1), dtype=bool)  # union of the masks
+        for _, active in blocks:
+            self._active |= active
+        empty = np.zeros((0, m, m, m // 2 + 1), dtype=complex)
+        self._spectra = np.concatenate([spec for spec, _ in blocks] or [empty])
         # The three component indices of each field in ``moments``; the extra
         # index len(self._spectra) stands for the zero field.
         zero = self._spectra.shape[0]
         self.components = {
-            name: np.full(3, zero) if sl is None else np.arange(sl.start, sl.stop)
-            for name, sl in self._slices.items()
+            name: np.full(3, zero) if j is None else np.arange(3 * j, 3 * j + 3)
+            for name, j in owner.items()
         }
         self._base = None  # field values on the reduced grid, on first use
         self._passes = None  # buffers of the last x pass and xy pass
@@ -356,7 +357,9 @@ class StatsEngine:
         delta = self._shifted(ell)
         delta -= self._base
         self.separations += 1
-        return {name: None if sl is None else delta[sl] for name, sl in self._slices.items()}
+        zero = self._spectra.shape[0]
+        return {name: None if p == zero else delta[p : p + 3]
+                for name, (p, _, _) in self.components.items()}
 
     def _shifted(self, ell, count: bool = True) -> np.ndarray:
         """The fields at x + ell on the reduced grid, flat (C, m**3).
@@ -392,17 +395,13 @@ class StatsEngine:
         coefficients (C, K), band-limited fields (C, m, m, m)) of the K active
         modes of all fields."""
         m = self.m
-        comps = self._spectra.shape[0]
-        active = np.zeros((m, m, m // 2 + 1), dtype=bool)
-        for j in range(0, comps, 3):
-            active |= _active_modes(self._spectra[j : j + 3])
+        active = self._active
         coeff = self._spectra[:, active] / m**3
         band = _fft.irfftn(
             np.where(active, self._spectra, 0.0), s=(m, m, m), axes=(1, 2, 3)
         )
-        k1 = 2.0 * np.pi * np.fft.fftfreq(m, d=self.grid.length / m)
-        k3 = 2.0 * np.pi * np.fft.rfftfreq(m, d=self.grid.length / m)
-        kx, ky, kz = np.meshgrid(k1, k1, k3, indexing="ij")
+        k, kz = _wavenumbers(self.grid.length, m)
+        kx, ky, kz = np.meshgrid(k, k, kz, indexing="ij")
         kvec = np.stack([kx[active], ky[active], kz[active]], axis=1)
         pair = np.where(kz[active] == 0.0, -2.0, -4.0)
         return active, kvec, pair, coeff, band

@@ -67,9 +67,17 @@ class Grid3:
 
     def wavenumbers(self):
         """Signed wavenumbers (kx, ky) and the half-axis kz of the real transform."""
-        k = 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.spacing)
-        kz = 2.0 * np.pi * np.fft.rfftfreq(self.n, d=self.spacing)
+        k, kz = _wavenumbers(self.length, self.n)
         return k, k.copy(), kz
+
+
+def _wavenumbers(length: float, m: int):
+    """Signed wavenumbers k of an m-point axis over the period ``length`` (the
+    Nyquist mode at index m // 2) and the half axis kz of the real transform
+    (Nyquist last); with length 2*pi both hold the integer indices."""
+    k = 2.0 * np.pi * np.fft.fftfreq(m, d=length / m)
+    kz = 2.0 * np.pi * np.fft.rfftfreq(m, d=length / m)
+    return k, kz
 
 
 def make_grid(n: int, length: float = 2.0 * np.pi) -> Grid3:
@@ -123,20 +131,13 @@ def _require_same_grid(a, b):
         raise ValueError("fields live on different grids")
 
 
-def _derivative_wavenumbers(grid: Grid3):
-    """ik factors with the Nyquist mode zeroed, keeping derivatives real and skew-adjoint."""
-    kx, ky, kz = grid.wavenumbers()
-    kx = kx.copy()
-    ky = ky.copy()
-    kz = kz.copy()
-    kx[grid.n // 2] = 0.0
-    ky[grid.n // 2] = 0.0
+def _derivative_wavenumbers(length: float, m: int):
+    """ik factors of an m-point grid over the period ``length``, with the Nyquist
+    mode zeroed, keeping derivatives real and skew-adjoint."""
+    k, kz = _wavenumbers(length, m)
+    k[m // 2] = 0.0
     kz[-1] = 0.0
-    return (
-        kx[:, None, None],
-        ky[None, :, None],
-        kz[None, None, :],
-    )
+    return k[:, None, None], k[None, :, None], kz[None, None, :]
 
 
 def _rfftn(values: np.ndarray) -> np.ndarray:
@@ -147,10 +148,11 @@ def _irfftn(spec: np.ndarray, n: int) -> np.ndarray:
     return _fft.irfftn(spec, s=(n, n, n), axes=(-3, -2, -1))
 
 
-def _curl_spectrum(grid: Grid3, vh: np.ndarray) -> np.ndarray:
-    """i k x vh for a (3, n, n, n//2 + 1) rfftn spectrum on ``grid``, with the
-    Nyquist wavenumbers zeroed: the spectrum ``curl`` transforms back."""
-    kx, ky, kz = _derivative_wavenumbers(grid)
+def _curl_spectrum(length: float, vh: np.ndarray) -> np.ndarray:
+    """i k x vh for a (3, m, m, m//2 + 1) rfftn spectrum of a grid over the
+    period ``length``, with the Nyquist wavenumbers zeroed: the spectrum
+    ``curl`` transforms back."""
+    kx, ky, kz = _derivative_wavenumbers(length, vh.shape[1])
     wh = np.empty_like(vh)
     wh[0] = 1j * (ky * vh[2] - kz * vh[1])
     wh[1] = 1j * (kz * vh[0] - kx * vh[2])
@@ -160,12 +162,12 @@ def _curl_spectrum(grid: Grid3, vh: np.ndarray) -> np.ndarray:
 
 def curl(v: VectorField3) -> VectorField3:
     """Spectral curl; the output divergence vanishes to round-off."""
-    return VectorField3(v.grid, _irfftn(_curl_spectrum(v.grid, _rfftn(v.values)), v.grid.n))
+    return VectorField3(v.grid, _irfftn(_curl_spectrum(v.grid.length, _rfftn(v.values)), v.grid.n))
 
 
 def divergence(v: VectorField3) -> ScalarField:
     """Spectral divergence."""
-    kx, ky, kz = _derivative_wavenumbers(v.grid)
+    kx, ky, kz = _derivative_wavenumbers(v.grid.length, v.grid.n)
     vh = _rfftn(v.values)
     dh = 1j * (kx * vh[0] + ky * vh[1] + kz * vh[2])
     return ScalarField(v.grid, _irfftn(dh, v.grid.n))
@@ -182,7 +184,7 @@ def project_solenoidal(v: VectorField3) -> VectorField3:
     """
     grid = v.grid
     vh = _rfftn(v.values)
-    _leray(vh, *_derivative_wavenumbers(grid))
+    _leray(vh, *_derivative_wavenumbers(grid.length, grid.n))
     return VectorField3(grid, _irfftn(vh, grid.n))
 
 
@@ -213,8 +215,7 @@ def _axis_phases(grid: Grid3, ell, m: int | None = None):
     if ell.shape != (3,):
         raise ValueError("shift vector must have 3 components")
     m = grid.n if m is None else m
-    k = 2.0 * np.pi * np.fft.fftfreq(m, d=grid.length / m)
-    kz = 2.0 * np.pi * np.fft.rfftfreq(m, d=grid.length / m)
+    k, kz = _wavenumbers(grid.length, m)
     half = m // 2
     px = np.exp(1j * k * ell[0])
     px[half] = np.cos(k[half] * ell[0])

@@ -17,7 +17,7 @@ import numpy as np
 from . import _kernels
 from ._kernels import COMBINE_COEFFS, CurlOf, LawKind, StatsEngine
 from .geometry import DirectionSet, direction_set_icosa
-from .grid import VectorField3, curl
+from .grid import VectorField3, _require_same_grid, curl
 
 __all__ = [
     "LawKind",
@@ -68,8 +68,8 @@ def _resolve_pair(law: LawKind, v: VectorField3, w) -> tuple[VectorField3, objec
         w = None
     elif w is None:
         raise ValueError(f"magnetic field required for the {law.value} law")
-    if isinstance(w, VectorField3) and w.grid != v.grid:
-        raise ValueError("fields live on different grids")
+    if isinstance(w, VectorField3):
+        _require_same_grid(v, w)
     return v, w
 
 
@@ -253,8 +253,7 @@ def dr_fourthirds(v: VectorField3, r: float, dirs: DirectionSet | None = None) -
 
 def elsasser(v: VectorField3, h: VectorField3) -> tuple[VectorField3, VectorField3]:
     """Characteristic variables Z+ = (v + h)/2 and Z- = (v - h)/2."""
-    if v.grid != h.grid:
-        raise ValueError("fields live on different grids")
+    _require_same_grid(v, h)
     zp = VectorField3(v.grid, (v.values + h.values) / 2.0)
     zm = VectorField3(v.grid, (v.values - h.values) / 2.0)
     return zp, zm
@@ -262,8 +261,7 @@ def elsasser(v: VectorField3, h: VectorField3) -> tuple[VectorField3, VectorFiel
 
 def elsasser_inverse(zp: VectorField3, zm: VectorField3) -> tuple[VectorField3, VectorField3]:
     """Reconstruct (v, h) = (Z+ + Z-, Z+ - Z-)."""
-    if zp.grid != zm.grid:
-        raise ValueError("fields live on different grids")
+    _require_same_grid(zp, zm)
     v = VectorField3(zp.grid, zp.values + zm.values)
     h = VectorField3(zp.grid, zp.values - zm.values)
     return v, h

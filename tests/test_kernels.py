@@ -372,6 +372,48 @@ class TestDerivedCurl:
         assert StatsEngine(g, {"c": flat, "w": CurlOf("c")}).components["w"].tolist() == [0] * 3
         with pytest.raises(ValueError, match="must come before it"):
             StatsEngine(g, {"w": CurlOf("v"), "v": v})
+        with pytest.raises(ValueError, match="must come before it"):
+            StatsEngine(g, {"w": CurlOf("w")})
+
+    def test_default_curl_is_taken_on_the_reduced_grid(self, monkeypatch):
+        g = make_grid(32)
+        v = random_solenoidal(g, SpectrumSpec(-5.0 / 3.0, 1, 5, 1.0, 7))
+        original, seen = _kernels._curl_spectrum, []
+
+        def spy(length, vh):
+            seen.append(vh.shape)
+            return original(length, vh)
+
+        monkeypatch.setattr(_kernels, "_curl_spectrum", spy)
+        m = sweep_structure(LawKind.HELICITY, v, [0.2, 0.4], DIRS).engine["m"]
+        assert m < g.n
+        assert seen == [(3, m, m, m // 2 + 1)]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_raw_array_is_rejected(bad):
+    # A NaN peak would make every mode read as inactive: the zero field.
+    g, fields = band_fields()
+    raw = np.array(fields["h"].values)
+    raw[1, 2, 3, 4] = bad
+    with pytest.raises(ValueError, match="field 'h' has non-finite values"):
+        StatsEngine(g, {"v": fields["v"], "h": raw})
+
+
+@settings(max_examples=60, deadline=None)
+@given(half=st.integers(4, 16), data=st.data())
+def test_support_radius_is_the_largest_signed_index(half, data):
+    n = 2 * half
+    index = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, half))
+    nyquist = st.sampled_from([(half, 0, 0), (0, half, 0), (0, 0, half), (n - 1, half, half)])
+    picks = data.draw(st.lists(index, max_size=6)) + data.draw(st.lists(nyquist, max_size=2))
+    active = np.zeros((n, n, half + 1), dtype=bool)
+    for i in picks:
+        active[i] = True
+    # Index i on a full axis is the wavenumber i or i - n; kz is never negative.
+    expected = max((max(min(i, n - i), min(j, n - j), k) for i, j, k in zip(*np.nonzero(active))),
+                   default=0)
+    assert _kernels._support_radius(active, n) == expected
 
 
 # Requests over the fields v, w = curl v (derived), h and the zero field.

@@ -155,6 +155,10 @@ class TestRawCombos:
         _, _, h = random_pair(n=16, kmax=4)
         with pytest.raises(ValueError, match="different grids"):
             raw_combos(LawKind.MHD_ENERGY, v, h, 0.3, DIRS12)
+        with pytest.raises(ValueError, match="different grids"):
+            elsasser(v, h)
+        with pytest.raises(ValueError, match="different grids"):
+            elsasser_inverse(v, h)
 
 
 MOL = bump_mollifier()

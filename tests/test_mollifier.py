@@ -11,6 +11,7 @@ from exactlaws.mollifier import (
     coefficient_oracle,
     d_ball,
     d_shell,
+    dissipation_matrix,
     dr_dissipation,
     dr_dissipation_profile,
     extrapolate_to_zero,
@@ -120,6 +121,15 @@ class TestBallShell:
         g = make_grid(8)
         zero = VectorField3(g, np.zeros((3, 8, 8, 8)))
         assert d_ball(LawKind.HYDRO_ENERGY, "L", zero, None, MOL, 0.4, 8, DIRS12) == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_raw_array_is_rejected(self, bad):
+        g = make_grid(16)
+        raw = np.random.default_rng(2).standard_normal((3, 16, 16, 16))
+        raw[0, 5, 6, 7] = bad
+        with pytest.raises(ValueError, match="field 'v' has non-finite values"):
+            dissipation_matrix(g, {"v": raw, "zero": None},
+                               {"x": (LawKind.HYDRO_ENERGY, "v", "zero")}, MOL, [0.4], 4, DIRS12)
 
     def test_ball_matches_shell_at_matched_nodes(self):
         g, v = small_random()
