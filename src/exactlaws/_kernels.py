@@ -105,8 +105,8 @@ class _LawRow:
     #                           + r^2 * phi_eps * (b_T * S_T + b_F * S_flux)],
     # S_main being S_L for the L part and S_T for the T part.
     shell: dict
-    # The ball integrand groups the flux with T1 under 2*phi/r (then
-    # b_F = 2*a*p), or else adds it as a separate b_F * (phi/r) * flux term.
+    # The ball integrand groups the flux under 2*phi/r with T1 (then
+    # b_F = 2*a*p) or with T2 (then b_F = 2*a*q), sign flipped for the T part.
     flux_with_t1: bool
 
 
@@ -520,24 +520,14 @@ def term_means(law: LawKind, da, db, nhat) -> tuple[float, float, float, float, 
     return _law_terms(law, cube, trace)
 
 
-def _cube_index(x, y, z) -> tuple:
-    """The entries M[x_i, y_j, z_k] that the cube piece contracts, (3, 3, 3)."""
-    return np.ix_(x, y, z)
-
-
-def _trace_index(x, y, z) -> tuple:
-    """The entries M[x_k, y_i, z_i] that the trace piece contracts, (3, 3)."""
-    return x[:, None], y[None, :], z[None, :]
-
-
 def _cube(mom, n3, x, y, z) -> np.ndarray:
     """Per direction, sum_ijk n_i n_j n_k M[x_i, y_j, z_k]."""
-    return (n3 * mom[_cube_index(x, y, z)]).reshape(27, -1).sum(axis=0)
+    return (n3 * mom[np.ix_(x, y, z)]).reshape(27, -1).sum(axis=0)
 
 
 def _trace(mom, nt, x, y, z) -> np.ndarray:
     """Per direction, sum_k n_k sum_i M[x_k, y_i, z_i]."""
-    return (nt * mom[_trace_index(x, y, z)].sum(axis=1)).sum(axis=0)
+    return (nt * mom[x[:, None], y[None, :], z[None, :]].sum(axis=1)).sum(axis=0)
 
 
 def _moment_terms(law: LawKind, mom, n3, nt, a, b) -> tuple:
@@ -555,17 +545,12 @@ def _moment_terms(law: LawKind, mom, n3, nt, a, b) -> tuple:
 
 def _law_triples(law: LawKind, a, b) -> set:
     """The sorted component triples (p <= q <= r) of M that ``_moment_terms``
-    reads for ``law`` on the fields with component indices ``a`` and ``b``."""
-    comps = {"a": a, "b": b}
-    read = set()
-
-    def record(index_of, pattern):
-        index = np.broadcast_arrays(*index_of(*(comps[c] for c in pattern)))
-        read.update(zip(*(i.ravel().tolist() for i in index)))
-        return 0.0
-
-    _law_terms(law, lambda p: record(_cube_index, p), lambda p: record(_trace_index, p))
-    return {tuple(sorted(t)) for t in read}
+    reads for ``law`` on the fields with component indices ``a`` and ``b``: a
+    cube piece over "xyz" reads every M[x_i, y_j, z_k], a trace piece a subset."""
+    row = LAWS[law]
+    comps = {"a": a.tolist(), "b": b.tolist()}
+    return {tuple(sorted(t)) for p in row.l1 + row.l2 + row.flux
+            for t in itertools.product(*(comps[c] for c in p))}
 
 
 def angular_term_sums(engine: StatsEngine, requests, r: float, dirs):
@@ -624,18 +609,18 @@ def ball_node(law: LawKind, part: str, terms, phi: float, dphi: float, r: float)
     quadrature of the dissipation functional.  The groupings mirror the
     functional definitions term by term, with weights a*p and a*q that are
     exact in binary, so equal-field cancellations are exact in floating point.
+    Only a is read from the shell row, the flux entering with T1 or T2 under
+    2*phi/r, so comparing ball and shell checks the shell row's b_F.
     """
     l1, l2, t1, t2, fx = terms
     row = LAWS[law]
-    a, _, b_f = row.shell[part]
+    a = row.shell[part][0]
     p, q = row.raw
     g = 2.0 * phi / r
-    t1g = t1 + fx if row.flux_with_t1 else t1
+    t1g, t2g = (t1 + fx, t2) if row.flux_with_t1 else (t1, t2 + fx)
     if part == "L":
-        node = a * p * (dphi * l1 + g * t1g) + a * q * (dphi * l2 + g * t2)
-    else:
-        node = a * p * (dphi * t1 - g * t1g) + a * q * (dphi * t2 - g * t2)
-    return node if row.flux_with_t1 else node + b_f * (phi / r) * fx
+        return a * p * (dphi * l1 + g * t1g) + a * q * (dphi * l2 + g * t2g)
+    return a * p * (dphi * t1 - g * t1g) + a * q * (dphi * t2 - g * t2g)
 
 
 def shell_node(

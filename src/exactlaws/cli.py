@@ -41,6 +41,7 @@ from .mollifier import (
     extrapolate_to_zero,
     mollifier_moments,
     phi_L,
+    radial_quadrature,
     sweep_dissipation,
 )
 from .synth import SpectrumSpec, abc_flow, mhd_test_pair, random_solenoidal, taylor_green
@@ -303,7 +304,11 @@ class VerifyConfig:
     def __post_init__(self):
         for name in ("identity_tol", "quad_match_tol", "degeneracy_tol"):
             _check_tolerance(name.replace("_", "-"), getattr(self, name))
-        _check_ladder(self.length, self.eps_ladder, "epsilons", ascending=False)
+        # Build what the suites build, so a bad value fails before any runs.
+        make_grid(self.n, self.length)
+        _check_ladder(self.length, self.eps_ladder, "epsilons")
+        parse_direction_spec(self.dirs)
+        radial_quadrature(self.eps_ladder[0], self.radial_nodes)
 
 
 def run_verify(cfg: VerifyConfig) -> Verdict:

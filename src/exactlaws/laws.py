@@ -80,15 +80,15 @@ _LADDER_TEXT = {
 }
 
 
-def _check_ladder(length: float, values, kind: str = "scales", ascending: bool = True) -> list:
-    """``values`` as a nonempty list of floats, each in (0, length/4] for the
-    period ``length`` and, if ``ascending``, strictly ascending; ``kind``
-    ("scales" or "epsilons") names them in the errors."""
+def _check_ladder(length: float, values, kind: str = "scales") -> list:
+    """``values`` as a nonempty, strictly ascending list of floats, each in
+    (0, length/4] for the period ``length``; ``kind`` ("scales" or
+    "epsilons") names them in the errors."""
     name, remark = _LADDER_TEXT[kind]
     values = [float(x) for x in values]
     if not values:
         raise ValueError(f"{kind} must not be empty")
-    if ascending and any(b <= a for a, b in zip(values, values[1:])):
+    if any(b <= a for a, b in zip(values, values[1:])):
         raise ValueError(f"{kind} must be strictly ascending")
     for x in values:
         if not x > 0.0:

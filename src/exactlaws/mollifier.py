@@ -359,7 +359,7 @@ def dissipation_matrix(
     ``requests`` maps labels to (law, first_name, second_name) into
     ``fields``; returns {label: {"ball": {part: [per-eps]}, "shell": ...}}.
     """
-    epsilons = _check_ladder(grid.length, epsilons, "epsilons", ascending=False)
+    epsilons = _check_ladder(grid.length, epsilons, "epsilons")
     dirs = dirs if dirs is not None else default_directions()
     return _engine_matrix(StatsEngine(grid, fields), requests, m, epsilons, radial_nodes, dirs)
 

@@ -5,7 +5,8 @@ shifted fields come from direct evaluation of the trigonometric interpolant
 built with explicit DFT matrices, projections apply the n (x) n matrix,
 flux kernels use literal cross products, and averages are plain sums.  The
 cost is O(n^6) per shift, which is fine for the small grids the oracle
-comparisons run on.
+comparisons run on.  The one exception, ``law_triples_by_replay``, replays
+the library's own kernel algebra to record which moments it reads.
 """
 
 import numpy as np
@@ -114,3 +115,29 @@ def antipodal_half(dirs):
         key = max(tuple(d), tuple(-d))
         groups[key] = groups.get(key, 0.0) + w
     return np.array(list(groups)), np.array(list(groups.values()))
+
+
+def law_triples_by_replay(law, a, b):
+    """The sorted component triples of M that the law's kernel algebra reads,
+    found by running ``_kernels._law_terms`` with cube and trace callbacks
+    that record the entries of M they would contract: M[x_i, y_j, z_k] for a
+    cube piece over "xyz", M[x_k, y_i, z_i] for a trace piece.  ``a`` and
+    ``b`` are the component indices of the two fields."""
+    from exactlaws import _kernels
+
+    comps = {"a": a, "b": b}
+    read = set()
+
+    def cube_index(x, y, z):
+        return np.ix_(x, y, z)
+
+    def trace_index(x, y, z):
+        return x[:, None], y[None, :], z[None, :]
+
+    def record(index_of, pattern):
+        index = np.broadcast_arrays(*index_of(*(comps[c] for c in pattern)))
+        read.update(zip(*(i.ravel().tolist() for i in index)))
+        return 0.0
+
+    _kernels._law_terms(law, lambda p: record(cube_index, p), lambda p: record(trace_index, p))
+    return {tuple(sorted(t)) for t in read}

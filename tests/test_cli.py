@@ -259,6 +259,35 @@ class TestVerify:
         assert checks["degeneracy/beltrami-halving"]["pass"] is False
         assert checks["degeneracy/beltrami-halving"]["measured"] > 0.1
 
+    def test_ballshell_suite_catches_a_wrong_mhd_flux_coefficient(self, monkeypatch):
+        # The ball integrand takes the flux weight from the raw weights, not
+        # from the shell row, so a wrong shell b_F of the MHD law shows.
+        row = _kernels.LAWS[LawKind.MHD_ENERGY]
+        shell = {**row.shell, "L": (0.75, 1.5, -2.0)}
+        monkeypatch.setitem(
+            _kernels.LAWS, LawKind.MHD_ENERGY, dataclasses.replace(row, shell=shell)
+        )
+        cfg = cli.VerifyConfig(suite="ballshell", n=16, dirs="icosa:1", radial_nodes=8, seed=3)
+        checks = {c.name: c for c in cli.run_verify(cfg).checks}
+        assert checks["ballshell/mhd-energy/L"].passed is False
+        assert checks["ballshell/mhd-energy/L"].measured > 0.1
+        assert checks["ballshell/helicity/L"].passed is True
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--n", "7", "n must be even"),
+         ("--dirs", "bogus", "unrecognized direction-set spec"),
+         ("--radial-nodes", "1", "need at least 2 radial nodes")],
+    )
+    def test_bad_config_exits_2_before_any_suite(self, tmp_path, capsys, flag, value, message):
+        # The identity suite reads none of these; they are checked anyway.
+        rc = run(["verify", "--suite", "identity", flag, value, "--out", tmp_path / "r.json"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "identity/" not in captured.out
+        assert not (tmp_path / "r.json").exists()
+
     def test_degeneracy_suite_builds_two_engines(self, tmp_path, monkeypatch):
         # One engine for the five ball functionals, one for the helicity flux.
         built = []

@@ -16,6 +16,8 @@ from exactlaws.mollifier import bump_mollifier, dissipation_matrix
 from exactlaws.report import canonical_hash
 from exactlaws.synth import SpectrumSpec, random_solenoidal
 
+from oracles import law_triples_by_replay
+
 ALL_LAWS = (LawKind.HYDRO_ENERGY, LawKind.HELICITY, LawKind.MHD_ENERGY, LawKind.CROSS_HELICITY)
 DIRS = direction_set_icosa(1)
 
@@ -461,6 +463,18 @@ def test_restricted_rows_match_full_rows(chosen, seed):
     mom = restricted.moments(0.3 * DIRS.directions, [])
     for t in itertools.combinations_with_replacement(range(zero), 3):
         assert np.all(np.isfinite(mom[t]) if t in wanted else np.isnan(mom[t]))
+
+
+@pytest.mark.parametrize("law", ALL_LAWS)
+@pytest.mark.parametrize(
+    "b", [np.arange(3, 6), np.arange(3), np.full(3, 3)], ids=["distinct", "equal", "zero"]
+)
+def test_law_triples_match_the_kernel_algebra(law, b):
+    # Read from the law's patterns, the rows equal those the kernel algebra
+    # contracts, for a second field of its own, equal to the first (a == b)
+    # and zero (index 3, the zero field's index beside one field with modes).
+    a = np.arange(3)
+    assert _kernels._law_triples(law, a, b) == law_triples_by_replay(law, a, b)
 
 
 class TestRestrictedExactGates:

@@ -22,7 +22,13 @@ from exactlaws.laws import (
     sweep_structure,
     yaglom_helicity,
 )
-from exactlaws.mollifier import bump_mollifier, d_ball, dr_dissipation, sweep_dissipation
+from exactlaws.mollifier import (
+    bump_mollifier,
+    d_ball,
+    dissipation_matrix,
+    dr_dissipation,
+    sweep_dissipation,
+)
 from exactlaws.synth import SpectrumSpec, abc_flow, random_solenoidal, taylor_green
 
 from oracles import naive_fourthirds, naive_raw_combos, naive_yaglom
@@ -178,6 +184,9 @@ AT_ONE_SCALE = {
 LADDERS = {
     "sweep_structure": lambda v, xs: sweep_structure(HYDRO, v, xs, DIRS12),
     "sweep_dissipation": lambda v, xs: sweep_dissipation(HYDRO, "L", v, MOL, xs, 4, DIRS12),
+    "dissipation_matrix": lambda v, xs: dissipation_matrix(
+        v.grid, {"v": v}, {"x": (HYDRO, "v", "v")}, MOL, xs, 4, DIRS12
+    ),
 }
 
 
