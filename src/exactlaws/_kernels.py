@@ -461,7 +461,8 @@ class StatsEngine:
             raise ValueError("the sine series needs an alias-free grid (m > 3*kmax)")
         if triples is None:
             triples = itertools.combinations_with_replacement(range(self._spectra.shape[0]), 3)
-        self._build_rows(triples)
+        if triples or self._modes is None:
+            self._build_rows(triples)
         kvec = self._modes[1]
         ells = np.asarray(ells, dtype=float).reshape(-1, 3)
         self.separations += ells.shape[0]
@@ -530,7 +531,7 @@ def _trace(mom, nt, x, y, z) -> np.ndarray:
     return (nt * mom[x[:, None], y[None, :], z[None, :]].sum(axis=1)).sum(axis=0)
 
 
-def _moment_terms(law: LawKind, mom, n3, nt, a, b) -> tuple:
+def _moment_terms(law: LawKind, a, b, mom, n3, nt) -> tuple:
     """Per-direction (L1, L2, T1, T2, flux) of ``term_means`` contracted from M.
 
     ``a`` and ``b`` are the component indices of the two fields.
@@ -553,57 +554,57 @@ def _law_triples(law: LawKind, a, b) -> set:
             for t in itertools.product(*(comps[c] for c in p))}
 
 
-def angular_term_sums(engine: StatsEngine, requests, r: float, dirs):
-    """Direction-weighted term means at separation r for several laws at once.
+def angular_term_sums(engine: StatsEngine, requests, radii, dirs) -> dict[str, np.ndarray]:
+    """Direction-weighted term means over a ladder of radii, for several laws at once.
 
-    ``requests`` maps labels to (law, first_name, second_name) triples.  On
-    an alias-free grid the moments at every direction come from one sine
-    series evaluation, over the rows the requested laws read, and are
-    contracted per law; otherwise the increments are computed once per
-    direction and shared by ``term_means``, visiting the directions sorted
-    by (l_x, l_y) so that consecutive separations share inverse passes.  Accumulation runs in the direction set's order, which
-    keeps the sums bit-reproducible.
+    ``requests`` maps labels to (law, first_name, second_name) triples; each
+    label gets a (len(radii), 5) array of (L1, L2, T1, T2, flux), one row per
+    radius.  The rows each request reads are found and built once per call.
+    On an alias-free grid the moments at every direction of one radius come
+    from one sine series evaluation and are contracted per law; otherwise the
+    increments are computed once per separation and shared by ``term_means``,
+    visiting the directions sorted by (l_x, l_y) so that consecutive
+    separations share inverse passes.  Accumulation runs in the direction
+    set's order, which keeps the sums bit-reproducible.
     """
+    sums = {label: np.zeros((len(radii), 5)) for label in requests}
     if engine.evaluation == "sine-series":
         # M is odd in the separation, so every term mean is even in nhat and
         # each antipodal pair contributes its summed weight times one value.
         nhat, weights = dirs._half
         nt = np.ascontiguousarray(nhat.T)
         n3 = nt[:, None, None] * nt[None, :, None] * nt[None, None, :]
-        comps = engine.components
-        triples = set().union(*(_law_triples(law, comps[name_a], comps[name_b])
-                                for law, name_a, name_b in requests.values()))
-        mom = engine.moments(r * nhat, triples)
-        sums = {}
-        for label, (law, name_a, name_b) in requests.items():
-            terms = _moment_terms(law, mom, n3, nt, comps[name_a], comps[name_b])
-            weighted = np.stack(terms) * weights
-            sums[label] = tuple(float(x) for x in weighted.sum(axis=1))
+        reads = {label: (law, engine.components[a], engine.components[b])
+                 for label, (law, a, b) in requests.items()}
+        engine._build_rows(set().union(*(_law_triples(*read) for read in reads.values())))
+        for i, r in enumerate(radii):
+            mom = engine.moments(r * nhat, ())
+            for label, read in reads.items():
+                sums[label][i] = (np.stack(_moment_terms(*read, mom, n3, nt)) * weights).sum(axis=1)
         return sums
-    ells = r * dirs.directions
-    means = [None] * len(ells)
-    for i in np.lexsort((ells[:, 1], ells[:, 0])):
-        deltas = engine.increments(ells[i])
-        means[i] = {
-            label: term_means(law, deltas[name_a], deltas[name_b], dirs.directions[i])
-            for label, (law, name_a, name_b) in requests.items()
-        }
-    sums = {label: (0.0, 0.0, 0.0, 0.0, 0.0) for label in requests}
-    for w, tms in zip(dirs.weights, means):
-        for label, tm in tms.items():
-            sums[label] = tuple(acc + w * t for acc, t in zip(sums[label], tm))
+    for i, r in enumerate(radii):
+        ells = r * dirs.directions
+        means = {label: np.empty((len(ells), 5)) for label in requests}
+        for j in np.lexsort((ells[:, 1], ells[:, 0])):
+            deltas = engine.increments(ells[j])
+            for label, (law, a, b) in requests.items():
+                means[label][j] = term_means(law, deltas[a], deltas[b], dirs.directions[j])
+        for label in requests:
+            for w, t in zip(dirs.weights, means[label]):
+                sums[label][i] += w * t
     return sums
 
 
-def raw_from_terms(law: LawKind, terms, r: float) -> tuple[float, float, float]:
-    """Assemble (raw_L, raw_T, raw_flux) from direction-summed term means."""
-    l1, l2, t1, t2, fx = terms
+def raw_from_terms(law: LawKind, terms, r):
+    """Assemble (raw_L, raw_T, raw_flux) from direction-summed term means,
+    the last axis of ``terms``, at the radii ``r``."""
+    l1, l2, t1, t2, fx = np.moveaxis(np.asarray(terms), -1, 0)
     p, q = LAWS[law].raw
     return (p * l1 + q * l2) / r, (p * t1 + q * t2) / r, fx / r
 
 
-def ball_node(law: LawKind, part: str, terms, phi: float, dphi: float, r: float) -> float:
-    """Angular content of the ball integrand at radius r, as displayed.
+def ball_node(law: LawKind, part: str, terms, phi, dphi, r):
+    """Angular content of the ball integrand at the radii r, as displayed.
 
     Multiplied by 4*pi*r^2 and the radial weight this yields the ball
     quadrature of the dissipation functional.  The groupings mirror the
@@ -612,7 +613,7 @@ def ball_node(law: LawKind, part: str, terms, phi: float, dphi: float, r: float)
     Only a is read from the shell row, the flux entering with T1 or T2 under
     2*phi/r, so comparing ball and shell checks the shell row's b_F.
     """
-    l1, l2, t1, t2, fx = terms
+    l1, l2, t1, t2, fx = np.moveaxis(np.asarray(terms), -1, 0)
     row = LAWS[law]
     a = row.shell[part][0]
     p, q = row.raw
@@ -623,20 +624,12 @@ def ball_node(law: LawKind, part: str, terms, phi: float, dphi: float, r: float)
     return a * p * (dphi * t1 - g * t1g) + a * q * (dphi * t2 - g * t2g)
 
 
-def shell_node(
-    law: LawKind,
-    part: str,
-    raw_l: float,
-    raw_t: float,
-    raw_flux: float,
-    phi: float,
-    dphi: float,
-    r: float,
-) -> float:
-    """Radial shell integrand (without the 4*pi and the radial weight)."""
+def shell_node(law: LawKind, part: str, raw_l, raw_t, raw_flux, phi, dphi, r):
+    """Radial shell integrand at the radii r (without the 4*pi and the radial
+    weight); r^3 is the scalar pow, which ndarray ** 3 need not match bitwise."""
     a, b_t, b_f = LAWS[law].shell[part]
     main = raw_l if part == "L" else raw_t
-    return a * r**3 * dphi * main + r * r * phi * (b_t * raw_t + b_f * raw_flux)
+    return a * np.float_power(r, 3) * dphi * main + r * r * phi * (b_t * raw_t + b_f * raw_flux)
 
 
 def check_part(part: str) -> str:

@@ -11,6 +11,7 @@ relations constrain.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -114,15 +115,10 @@ def _law_engine(law: LawKind, fields, ladder, dirs, kind: str = "scales"):
     return law, ladder, (v, w), dirs, StatsEngine(v.grid, {"a": v, "b": w})
 
 
-def _term_sums(engine: StatsEngine, requests, radii, dirs) -> list[dict]:
-    """Direction-summed term means of every request at each radius."""
-    return [_kernels.angular_term_sums(engine, requests, r, dirs) for r in radii]
-
-
 def _combos(law: LawKind, engine: StatsEngine, scales, dirs) -> list[RawCombos]:
-    sums = _term_sums(engine, {"x": (law, "a", "b")}, scales, dirs)
-    return [RawCombos(law, r, *_kernels.raw_from_terms(law, s["x"], r))
-            for r, s in zip(scales, sums)]
+    sums = _kernels.angular_term_sums(engine, {"x": (law, "a", "b")}, scales, dirs)["x"]
+    raws = np.array(_kernels.raw_from_terms(law, sums, np.asarray(scales))).tolist()
+    return list(map(partial(RawCombos, law), scales, *raws))
 
 
 def raw_combos(

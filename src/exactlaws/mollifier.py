@@ -20,7 +20,7 @@ from . import _kernels
 from ._kernels import LawKind, StatsEngine, check_part
 from .geometry import DirectionSet
 from .grid import VectorField3
-from .laws import RawCombos, _check_ladder, _law_engine, _term_sums, default_directions
+from .laws import RawCombos, _check_ladder, _law_engine, default_directions
 
 __all__ = [
     "Mollifier",
@@ -119,27 +119,37 @@ def radial_quadrature(eps: float, count: int) -> tuple[np.ndarray, np.ndarray]:
     return (x + 1.0) * (eps / 2.0), w * (eps / 2.0)
 
 
-def _radial_nodes(m: Mollifier, eps: float, count: int) -> list[tuple]:
-    """(r, weight, phi_eps(r), phi_eps'(r)) at each radial node in (0, eps]."""
-    radii, weights = radial_quadrature(eps, count)
-    return [(r, wq, float(m.phi_scaled(r, eps)), float(m.dphi_scaled(r, eps)))
-            for r, wq in zip(radii, weights)]
+def _radial_nodes(m: Mollifier, eps: float, count: int) -> tuple[np.ndarray, ...]:
+    """Arrays (r, weight, phi_eps(r), phi_eps'(r)) over the radial nodes in (0, eps]."""
+    r, w = radial_quadrature(eps, count)
+    return r, w, m.phi_scaled(r, eps), m.dphi_scaled(r, eps)
 
 
-def _shell(law: LawKind, part: str, nodes, raws) -> float:
-    """Shell form of the dissipation functional over ``nodes``, from the raw
-    combos (raw_L, raw_T, raw_flux) at each node."""
-    total = 0.0
-    for (r, wq, phi, dphi), raw in zip(nodes, raws):
-        total += wq * _kernels.shell_node(law, part, *raw, phi, dphi, r)
-    return 4.0 * np.pi * total
+def _node_sum(x):
+    """Running sum over the radial nodes (last axis) from 0.0, in node order;
+    np.sum's pairwise grouping would move values whose nodes cancel strongly."""
+    return np.cumsum(np.insert(x, 0, 0.0, axis=-1), axis=-1)[..., -1]
+
+
+def _ball(law: LawKind, part: str, nodes, terms):
+    """Ball quadrature of the dissipation functional over ``nodes`` (radial
+    nodes on the last axis), from the direction-summed term means there."""
+    r, w, phi, dphi = nodes
+    return 4.0 * np.pi * _node_sum(w * r * r * _kernels.ball_node(law, part, terms, phi, dphi, r))
+
+
+def _shell(law: LawKind, part: str, nodes, raws):
+    """Shell form of the dissipation functional over ``nodes`` (radial nodes
+    on the last axis), from the raw combos (raw_L, raw_T, raw_flux) there."""
+    r, w, phi, dphi = nodes
+    return 4.0 * np.pi * _node_sum(w * _kernels.shell_node(law, part, *raws, phi, dphi, r))
 
 
 def mollifier_moments(m: Mollifier, eps: float = 1.0, count: int = 64) -> tuple[float, float]:
     """(4*pi int r^2 phi_eps, 4*pi int r^3 phi_eps') — must be (1, -3) at any eps."""
-    r, w = radial_quadrature(eps, count)
-    m2 = 4.0 * np.pi * float(np.sum(w * r * r * m.phi_scaled(r, eps)))
-    m3 = 4.0 * np.pi * float(np.sum(w * r**3 * m.dphi_scaled(r, eps)))
+    r, w, phi, dphi = _radial_nodes(m, eps, count)
+    m2 = 4.0 * np.pi * float(np.sum(w * r * r * phi))
+    m3 = 4.0 * np.pi * float(np.sum(w * r**3 * dphi))
     return m2, m3
 
 
@@ -159,10 +169,7 @@ def d_ball(
     terms carry phi_eps'(r) n-components, the 2/|l| terms carry phi_eps, and
     the triple-product term enters with the law's own weight.
     """
-    part = check_part(part)
-    law, epsilons, _, dirs, engine = _law_engine(law, (v, w), [eps], dirs, "epsilons")
-    matrix = _engine_matrix(engine, {"x": (law, "a", "b")}, m, epsilons, radial_nodes, dirs)
-    return matrix["x"]["ball"][part][0]
+    return sweep_dissipation(law, part, (v, w), m, [eps], radial_nodes, dirs).d_ball[0]
 
 
 def d_shell(
@@ -182,9 +189,13 @@ def d_shell(
     law = LawKind(law)
     part = check_part(part)
     nodes = _radial_nodes(m, eps, radial_nodes)
-    raws = [(p.raw_L, p.raw_T, p.raw_flux) if isinstance(p, RawCombos) else tuple(map(float, p))
-            for p in (profiles(node[0]) for node in nodes)]
-    return _shell(law, part, nodes, raws)
+    raws = np.array(list(map(_raw_triple, map(profiles, nodes[0])))).T
+    return float(_shell(law, part, nodes, raws))
+
+
+def _raw_triple(p) -> tuple[float, float, float]:
+    """(raw_L, raw_T, raw_flux) of a profile value: a RawCombos or a triple."""
+    return (p.raw_L, p.raw_T, p.raw_flux) if isinstance(p, RawCombos) else tuple(map(float, p))
 
 
 def coefficient_oracle(
@@ -252,13 +263,9 @@ def dr_dissipation(
     if kernel not in ("long", "full"):
         raise ValueError("kernel must be 'long' or 'full'")
     law, (eps,), _, dirs, engine = _law_engine(LawKind.HYDRO_ENERGY, v, [eps], dirs, "epsilons")
-    nodes = _radial_nodes(m, eps, radial_nodes)
-    sums = _term_sums(engine, {"x": (law, "a", "b")}, [node[0] for node in nodes], dirs)
-    total = 0.0
-    for (r, wq, _, dphi), s in zip(nodes, sums):
-        l1, _, t1, _, _ = s["x"]
-        total += wq * r * r * dphi * (l1 if kernel == "long" else l1 + t1)
-    return np.pi * total  # (1/4) * 4*pi
+    r, w, _, dphi = _radial_nodes(m, eps, radial_nodes)
+    l1, _, t1, _, _ = _kernels.angular_term_sums(engine, {"x": (law, "a", "b")}, r, dirs)["x"].T
+    return np.pi * float(_node_sum(w * r * r * dphi * (l1 if kernel == "long" else l1 + t1)))
 
 
 def dr_dissipation_profile(
@@ -273,10 +280,9 @@ def dr_dissipation_profile(
     prefactor; a constant profile J = 1 yields -3/4 by the third-moment
     identity of the mollifier.
     """
-    total = 0.0
-    for r, wq, _, dphi in _radial_nodes(m, eps, radial_nodes):
-        total += wq * r**3 * dphi * float(profile(r))
-    return np.pi * total
+    r, w, _, dphi = _radial_nodes(m, eps, radial_nodes)
+    values = np.array(list(map(profile, r)), dtype=float)
+    return np.pi * float(_node_sum(w * np.float_power(r, 3) * dphi * values))  # (1/4) * 4*pi
 
 
 @dataclass(frozen=True)
@@ -367,22 +373,19 @@ def dissipation_matrix(
 def _engine_matrix(engine, requests, m, epsilons, radial_nodes, dirs) -> dict:
     """``dissipation_matrix`` on an engine that is already built, with checked
     epsilons and a direction set."""
-    out = {
-        label: {"ball": {"L": [], "T": []}, "shell": {"L": [], "T": []}}
-        for label in requests
-    }
-    for eps in epsilons:
-        nodes = _radial_nodes(m, eps, radial_nodes)
-        sums = _term_sums(engine, requests, [node[0] for node in nodes], dirs)
-        for label, (law, _, _) in requests.items():
-            terms = [s[label] for s in sums]
-            raws = [_kernels.raw_from_terms(law, t, node[0]) for t, node in zip(terms, nodes)]
-            for part in ("L", "T"):
-                ball = 0.0
-                for t, (r, wq, phi, dphi) in zip(terms, nodes):
-                    ball += wq * r * r * _kernels.ball_node(law, part, t, phi, dphi, r)
-                out[label]["ball"][part].append(4.0 * np.pi * ball)
-                out[label]["shell"][part].append(_shell(law, part, nodes, raws))
+    # (r, weight, phi_eps, phi_eps') of shape (epsilons, radial nodes): one
+    # ladder for the engine, and one sum over the last axis per value.
+    nodes = np.stack([_radial_nodes(m, eps, radial_nodes) for eps in epsilons], axis=1)
+    r = nodes[0]
+    sums = _kernels.angular_term_sums(engine, requests, r.ravel(), dirs)
+    out = {}
+    for label, (law, _, _) in requests.items():
+        terms = sums[label].reshape(r.shape + (5,))
+        raws = _kernels.raw_from_terms(law, terms, r)
+        out[label] = {
+            "ball": {part: _ball(law, part, nodes, terms).tolist() for part in ("L", "T")},
+            "shell": {part: _shell(law, part, nodes, raws).tolist() for part in ("L", "T")},
+        }
     return out
 
 

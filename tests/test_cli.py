@@ -11,6 +11,7 @@ from exactlaws.cli import combine_consistency_checks, main, parse_ladder
 from exactlaws.grid import VectorField3, make_grid, read_field, write_field
 from exactlaws.laws import LawKind
 from exactlaws.report import canonical_hash
+from exactlaws.synth import abc_flow
 
 
 def run(args):
@@ -193,6 +194,19 @@ class TestDissipation:
         assert "eps=0.3" in err
         assert (tmp_path / "diss.json").exists()
 
+    def test_out_with_json_suffix_is_not_doubled(self, tmp_path, field_files):
+        v, _ = field_files
+        out = tmp_path / "out"
+        out.mkdir()
+        common = ["--v", v, "--dirs", "icosa:0"]
+        assert run(["dissipation", "--law", "hydro-energy", *common, "--eps", "0.3:0.3:1",
+                    "--radial-nodes", 4, "--out", out / "d.json"]) == 0
+        assert run(["analyze", "--law", "hydro-energy", *common, "--scales", "0.1:0.4:2",
+                    "--out", out / "a.json"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["a.csv", "a.json", "d.json"]
+        assert json.loads((out / "d.json").read_text())["law"] == "hydro-energy"
+        assert len(json.loads((out / "a.json").read_text())["rows"]) == 2
+
     @pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"])
     def test_unusable_tolerance_rejected(self, tmp_path, field_files, capsys, tol):
         v, _ = field_files
@@ -272,6 +286,22 @@ class TestVerify:
         assert checks["ballshell/mhd-energy/L"].passed is False
         assert checks["ballshell/mhd-energy/L"].measured > 0.1
         assert checks["ballshell/helicity/L"].passed is True
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_ballshell_suite_fails_on_fields_without_triads(self, tmp_path, monkeypatch, seed):
+        # ABC flows have no wavevector triads: their ball values are round-off
+        # (exactly 0.0 at seed 0), so there is nothing to compare and the
+        # checks fail with nothing measured.
+        monkeypatch.setattr(cli, "_band_limited", lambda grid, seed: abc_flow(grid))
+        rc = run(["verify", "--suite", "ballshell", "--n", 16, "--dirs", "icosa:1",
+                  "--radial-nodes", 8, "--seed", seed, "--out", tmp_path / "r.json"])
+        assert rc == 1
+        checks = {c["name"]: c for c in json.loads((tmp_path / "r.json").read_text())["verdict"]["checks"]}
+        for part in ("L", "T"):
+            assert checks[f"ballshell/helicity/{part}"] == {
+                "name": f"ballshell/helicity/{part}", "measured": None, "threshold": 1e-10,
+                "pass": False,
+            }
 
     @pytest.mark.parametrize(
         "flag, value, message",

@@ -29,15 +29,26 @@ def band_fields(n=16, kmax=4, seed=3):
     return g, {"v": v, "w": curl(v), "h": h, "zero": None}
 
 
-def per_shift_sums(engine, requests, r, dirs):
-    """The per-direction loop: explicit increments, term means, weighted sums."""
-    sums = {label: (0.0, 0.0, 0.0, 0.0, 0.0) for label in requests}
-    for nhat, w in zip(dirs.directions, dirs.weights):
-        deltas = engine.increments(r * nhat)
-        for label, (law, a, b) in requests.items():
-            tm = term_means(law, deltas[a], deltas[b], nhat)
-            sums[label] = tuple(acc + w * t for acc, t in zip(sums[label], tm))
-    return sums
+def per_shift_sums(engine, requests, radii, dirs):
+    """The per-direction loop at each radius: explicit increments, term
+    means, weighted sums; {label: (len(radii), 5)}."""
+    out = {label: [] for label in requests}
+    for r in radii:
+        sums = {label: (0.0, 0.0, 0.0, 0.0, 0.0) for label in requests}
+        for nhat, w in zip(dirs.directions, dirs.weights):
+            deltas = engine.increments(r * nhat)
+            for label, (law, a, b) in requests.items():
+                tm = term_means(law, deltas[a], deltas[b], nhat)
+                sums[label] = tuple(acc + w * t for acc, t in zip(sums[label], tm))
+        for label in requests:
+            out[label].append(sums[label])
+    return {label: np.array(rows) for label, rows in out.items()}
+
+
+def assert_bitwise(got, ref):
+    assert got.keys() == ref.keys()
+    for label in ref:
+        assert np.array_equal(got[label], ref[label])
 
 
 def assert_columns_agree(got, ref, rtol, common=False):
@@ -61,8 +72,9 @@ class TestSineSeriesAgreement:
         assert engine.alias_free and engine.evaluation == "sine-series"
         req = {"x": request_for(law)}
         radii = (0.05, 0.3, g.length / 4.0)
-        got = [_kernels.angular_term_sums(engine, req, r, DIRS)["x"] for r in radii]
-        ref = [per_shift_sums(engine, req, r, DIRS)["x"] for r in radii]
+        got = _kernels.angular_term_sums(engine, req, radii, DIRS)["x"]
+        ref = per_shift_sums(engine, req, radii, DIRS)["x"]
+        assert got.shape == (3, 5)
         assert_columns_agree(got, ref, 1e-12)
 
     def test_three_law_request(self):
@@ -74,10 +86,10 @@ class TestSineSeriesAgreement:
             "cross": request_for(LawKind.CROSS_HELICITY),
         }
         radii = (0.1, 0.4, 0.7)
-        got = [_kernels.angular_term_sums(engine, req, r, DIRS) for r in radii]
-        ref = [per_shift_sums(engine, req, r, DIRS) for r in radii]
+        got = _kernels.angular_term_sums(engine, req, radii, DIRS)
+        ref = per_shift_sums(engine, req, radii, DIRS)
         for label in req:
-            assert_columns_agree([g[label] for g in got], [f[label] for f in ref], 1e-12)
+            assert_columns_agree(got[label], ref[label], 1e-12)
 
 
 def random_dirs(vectors):
@@ -108,12 +120,12 @@ def test_sine_series_properties(n, seed, frac, vectors, law, alpha):
     dirs = random_dirs(vectors)
     r = frac * g.length / 4.0
     req = {"x": request_for(law)}
-    got = _kernels.angular_term_sums(engine, req, r, dirs)["x"]
-    ref = per_shift_sums(engine, req, r, dirs)["x"]
+    got = _kernels.angular_term_sums(engine, req, [r], dirs)["x"]
+    ref = per_shift_sums(engine, req, [r], dirs)["x"]
     # With as few as two directions one term can cancel far below the others
     # (round-off stays at the scale of the pieces), so the law's largest
     # term mean sets the scale here.
-    assert_columns_agree([got], [ref], 1e-12, common=True)
+    assert_columns_agree(got, ref, 1e-12, common=True)
 
     ells = r * dirs.directions
     mom = engine.moments(ells)
@@ -158,15 +170,14 @@ class TestFallback:
         with pytest.raises(ValueError, match="alias-free"):
             engine.moments([[0.1, 0.0, 0.0]])
         req = {"hy": (LawKind.HYDRO_ENERGY, "v", "zero"), "mhd": (LawKind.MHD_ENERGY, "v", "h")}
-        assert _kernels.angular_term_sums(engine, req, 0.4, DIRS) == per_shift_sums(
-            engine, req, 0.4, DIRS
-        )
+        radii = (0.4, 0.25, 0.4)
+        assert_bitwise(_kernels.angular_term_sums(engine, req, radii, DIRS),
+                       per_shift_sums(engine, req, radii, DIRS))
         # icosa:2 repeats components, the random set does not; visiting the
         # directions sorted changes which inverse passes are reused, not a bit.
         for dirs in (direction_set_icosa(2), direction_set_random(24)):
-            assert _kernels.angular_term_sums(engine, req, 0.4, dirs) == per_shift_sums(
-                engine, req, 0.4, dirs
-            )
+            assert_bitwise(_kernels.angular_term_sums(engine, req, radii, dirs),
+                           per_shift_sums(engine, req, radii, dirs))
 
     def test_zero_separation_increments_exactly_zero(self):
         g = make_grid(8)
@@ -222,13 +233,14 @@ class TestFallback:
             "mhd-zero": (LawKind.MHD_ENERGY, "v", "zero"),
             "hydro": (LawKind.HYDRO_ENERGY, "v", "zero"),
         }
-        sums = _kernels.angular_term_sums(engine, req, 0.4, DIRS)
+        radii = np.array([0.2, 0.4])
+        sums = _kernels.angular_term_sums(engine, req, radii, DIRS)
         for label in ("mhd-equal", "cross-equal"):
             law = req[label][0]
-            assert _kernels.raw_from_terms(law, sums[label], 0.4) == (0.0, 0.0, 0.0)
-        assert sums["cross-zero"] == (0.0, 0.0, 0.0, 0.0, 0.0)
-        assert sums["hydro"] == sums["mhd-zero"]
-        assert sums["hydro"][0] != 0.0
+            assert not np.any(_kernels.raw_from_terms(law, sums[label], radii))
+        assert not np.any(sums["cross-zero"])
+        assert np.array_equal(sums["hydro"], sums["mhd-zero"])
+        assert np.all(sums["hydro"][:, 0] != 0.0)
 
 
 class TestExactness:
@@ -244,11 +256,8 @@ class TestExactness:
         engine = StatsEngine(g, {"a": fields["v"], "b": copy})
         assert engine.components["a"].tolist() == engine.components["b"].tolist()
         for law in (LawKind.MHD_ENERGY, LawKind.CROSS_HELICITY):
-            l1, l2, t1, t2, fx = _kernels.angular_term_sums(
-                engine, {"x": (law, "a", "b")}, 0.3, DIRS
-            )["x"]
-            raw = _kernels.raw_from_terms(law, (l1, l2, t1, t2, fx), 0.3)
-            assert raw == (0.0, 0.0, 0.0)
+            terms = _kernels.angular_term_sums(engine, {"x": (law, "a", "b")}, [0.3], DIRS)["x"]
+            assert not np.any(_kernels.raw_from_terms(law, terms, 0.3))
 
     @pytest.mark.parametrize("fill", [0.0, 1.3])
     def test_modeless_field_gives_exact_zeros(self, fill):
@@ -259,16 +268,16 @@ class TestExactness:
         assert not np.any(mom[3:])
         assert not np.any(mom[:, 3:])
         sums = _kernels.angular_term_sums(
-            engine, {"x": (LawKind.CROSS_HELICITY, "v", "flat")}, 0.2, DIRS
+            engine, {"x": (LawKind.CROSS_HELICITY, "v", "flat")}, [0.2], DIRS
         )["x"]
-        assert _kernels.raw_from_terms(LawKind.CROSS_HELICITY, sums, 0.2) == (0.0, 0.0, 0.0)
+        assert not np.any(_kernels.raw_from_terms(LawKind.CROSS_HELICITY, sums, 0.2))
 
     def test_no_modes_at_all(self):
         g = make_grid(8)
         engine = StatsEngine(g, {"a": VectorField3(g, np.full((3, 8, 8, 8), 0.4)), "b": None})
         assert engine.kmax == 0 and engine.alias_free
-        sums = _kernels.angular_term_sums(engine, {"x": (LawKind.HELICITY, "a", "b")}, 0.3, DIRS)
-        assert sums["x"] == (0.0, 0.0, 0.0, 0.0, 0.0)
+        sums = _kernels.angular_term_sums(engine, {"x": (LawKind.HELICITY, "a", "b")}, [0.3], DIRS)
+        assert sums["x"].shape == (1, 5) and not np.any(sums["x"])
 
 
 ALL_LAW_REQUESTS = {law.value: request_for(law) for law in ALL_LAWS}
@@ -277,9 +286,38 @@ ALL_LAW_REQUESTS = {law.value: request_for(law) for law in ALL_LAWS}
 def law_raws(g, fields, r, dirs):
     """(4 laws, 3) raw combos (raw_L, raw_T, raw_flux) from one engine."""
     engine = StatsEngine(g, fields)
-    sums = _kernels.angular_term_sums(engine, ALL_LAW_REQUESTS, r, dirs)
-    return engine, [_kernels.raw_from_terms(law, sums[label], r)
+    sums = _kernels.angular_term_sums(engine, ALL_LAW_REQUESTS, [r], dirs)
+    return engine, [_kernels.raw_from_terms(law, sums[label][0], r)
                     for label, (law, _, _) in ALL_LAW_REQUESTS.items()]
+
+
+def test_ladder_finds_and_builds_rows_once(monkeypatch):
+    # The rows a request reads depend on the request and the engine only, so
+    # a ladder finds them once per request and builds them in one call; each
+    # radius still gets the sums a ladder of its own would give, bit for bit.
+    g, fields = band_fields()
+    engine = StatsEngine(g, fields)
+    calls = {"law_triples": 0, "build_rows": 0}
+    law_triples, build_rows = _kernels._law_triples, StatsEngine._build_rows
+
+    def counting_law_triples(*args):
+        calls["law_triples"] += 1
+        return law_triples(*args)
+
+    def counting_build_rows(self, triples):
+        calls["build_rows"] += 1
+        return build_rows(self, triples)
+
+    monkeypatch.setattr(_kernels, "_law_triples", counting_law_triples)
+    monkeypatch.setattr(StatsEngine, "_build_rows", counting_build_rows)
+    radii = np.geomspace(0.05, g.length / 4.0, 12)
+    sums = _kernels.angular_term_sums(engine, ALL_LAW_REQUESTS, radii, DIRS)
+    assert calls == {"law_triples": len(ALL_LAW_REQUESTS), "build_rows": 1}
+    assert engine.separations == 12 * len(DIRS) // 2  # one per antipodal pair
+    for i, r in enumerate(radii):
+        single = _kernels.angular_term_sums(engine, ALL_LAW_REQUESTS, [r], DIRS)
+        assert_bitwise(single, {label: x[i : i + 1] for label, x in sums.items()})
+    assert calls == {"law_triples": 13 * len(ALL_LAW_REQUESTS), "build_rows": 13}
 
 
 class TestMetamorphic:
@@ -451,14 +489,14 @@ def test_restricted_rows_match_full_rows(chosen, seed):
     ))
     zero = restricted.components["zero"][0]
     wanted = {t for t in read if zero not in t}
-    for r in (0.3, 0.7):  # a radius ladder builds each row once
-        got = _kernels.angular_term_sums(restricted, requests, r, DIRS)
-        ref = _kernels.angular_term_sums(full, requests, r, DIRS)
+    for radii in ((0.3, 0.7), (0.5,)):  # each row is built once, by the first ladder
+        got = _kernels.angular_term_sums(restricted, requests, radii, DIRS)
+        ref = _kernels.angular_term_sums(full, requests, radii, DIRS)
         assert restricted.describe()["series_rows"] == len(wanted)
         for label in requests:
             # An unbuilt row reads NaN, so finite sums never read one.
             assert np.all(np.isfinite(got[label]))
-            assert_columns_agree([got[label]], [ref[label]], 1e-12, common=True)
+            assert_columns_agree(got[label], ref[label], 1e-12, common=True)
     assert full.describe()["series_rows"] == 165
     mom = restricted.moments(0.3 * DIRS.directions, [])
     for t in itertools.combinations_with_replacement(range(zero), 3):
@@ -486,9 +524,9 @@ class TestRestrictedExactGates:
         g, fields = band_fields()
         engine = StatsEngine(g, {"v": fields["v"], "zero": None})
         sums = _kernels.angular_term_sums(
-            engine, {"x": (LawKind.CROSS_HELICITY, "v", "zero")}, 0.3, DIRS
+            engine, {"x": (LawKind.CROSS_HELICITY, "v", "zero")}, [0.3], DIRS
         )
-        assert sums["x"] == (0.0,) * 5
+        assert not np.any(sums["x"])
         assert engine.describe()["series_rows"] == 0
         assert self.ball(g, {"v": fields["v"], "zero": None},
                          (LawKind.CROSS_HELICITY, "v", "zero")) == 0.0
