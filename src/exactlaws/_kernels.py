@@ -169,18 +169,11 @@ def _support_radius(active: np.ndarray, n: int) -> int:
 
 
 def _reduced_size(kmax: int, n: int) -> int:
-    """Smallest even fast FFT length m > 3*kmax (cubic products alias-free)."""
-    target = 3 * kmax + 1
-    if target >= n:
-        return n
-    m = max(target, 4)
-    while True:
-        fast = _fft.next_fast_len(m, real=True)
-        if fast >= n:
-            return n
-        if fast % 2 == 0:
-            return fast
-        m = fast + 1
+    """Smallest even fast FFT length m > 3*kmax, at least 4 (cubic products
+    alias-free), or n when that is not smaller: twice the smallest 5-smooth
+    number of at least half the target."""
+    m = 2 * _fft.next_fast_len(-(-max(3 * kmax + 1, 4) // 2), real=True)
+    return m if m < n else n
 
 
 def _extract_spectrum(spec: np.ndarray, n: int, m: int) -> np.ndarray:
@@ -188,14 +181,8 @@ def _extract_spectrum(spec: np.ndarray, n: int, m: int) -> np.ndarray:
     (m even, m < n), values unscaled; the m-grid's Nyquist planes stay empty."""
     half = m // 2
     out = np.zeros(spec.shape[:-3] + (m, m, half + 1), dtype=spec.dtype)
-    pos = slice(0, half)
-    neg_t = slice(half + 1, m)
-    neg_s = slice(n - half + 1, n)
-    cols = slice(0, half)
-    out[..., pos, pos, cols] = spec[..., pos, pos, cols]
-    out[..., pos, neg_t, cols] = spec[..., pos, neg_s, cols]
-    out[..., neg_t, pos, cols] = spec[..., neg_s, pos, cols]
-    out[..., neg_t, neg_t, cols] = spec[..., neg_s, neg_s, cols]
+    src, dst = np.r_[:half, n - half + 1 : n], np.r_[:half, half + 1 : m]
+    out[..., dst[:, None], dst, :half] = spec[..., src[:, None], src, :half]
     return out
 
 

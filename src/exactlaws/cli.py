@@ -9,7 +9,11 @@ Verbs:
 
 All reports are canonical JSON (sorted keys, 17-significant-digit floats);
 volatile data sits under "provenance", which the canonical hash excludes.
-Every random draw is keyed by the --seed flag.
+--out of analyze, dissipation, verify and selftest is a prefix (one
+trailing .json is dropped); gen's is the field file's path.
+gen --kind random and verify draw from --seed; analyze, dissipation and
+selftest accept the flag but read no seed: a random:COUNT:SEED direction set
+carries its own, and selftest uses fixed Philox keys.
 """
 
 from __future__ import annotations
@@ -159,6 +163,12 @@ def _band_limited(grid, seed: int) -> VectorField3:
     return random_solenoidal(grid, SpectrumSpec(-5.0 / 3.0, 2, min(5, grid.n // 3), 1.0, seed))
 
 
+def _ballshell_gap(ball, shell) -> np.ndarray:
+    """Relative gap |ball - shell| / |ball| per epsilon (1e-30 guards a zero ball)."""
+    ball = np.asarray(ball)
+    return np.abs(ball - np.asarray(shell)) / (np.abs(ball) + 1e-30)
+
+
 # A ballshell check whose ball values all lie below this fraction of rms(v)^3
 # compares round-off, not quadratures, and fails.
 _BALL_FLOOR = 1e-12
@@ -182,8 +192,7 @@ def _ballshell_checks(cfg: VerifyConfig, verdict: Verdict) -> None:
     for label in requests:
         for part in ("L", "T"):
             ball = np.array(matrix[label]["ball"][part])
-            shell = np.array(matrix[label]["shell"][part])
-            rel = np.max(np.abs(ball - shell) / (np.abs(ball) + 1e-30))
+            rel = np.max(_ballshell_gap(ball, matrix[label]["shell"][part]))
             rel = rel if np.any(np.abs(ball) >= floor) else np.nan
             verdict.add(f"ballshell/{label}/{part}", rel, cfg.quad_match_tol)
 
@@ -469,101 +478,78 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _second_field_for(args, law: LawKind):
-    """The law's second field from --omega (helicity) or --h, None if not
-    given; the laws module decides what a missing or unused one means."""
+def _load_inputs(args) -> tuple:
+    """(law, (v, w), direction set) from --law, --v, --omega or --h, and --dirs.
+
+    The second field comes from --omega (helicity) or --h, None if not given;
+    the laws module decides what a missing or unused one means."""
+    law = LawKind(args.law)
     path = args.omega if law is LawKind.HELICITY else args.h
-    return _load_vector(path) if path else None
+    fields = (_load_vector(args.v), _load_vector(path) if path else None)
+    return law, fields, parse_direction_spec(args.dirs)
+
+
+def _write_report(out: str, payload: dict, csv_rows=None, **provenance) -> None:
+    """Write ``payload`` to <out>.json and ``csv_rows``, if given, to <out>.csv,
+    one trailing .json dropped from ``out``; ``provenance`` adds keys under
+    "provenance"."""
+    out = out.removesuffix(".json")
+    payload = {**payload, "provenance": {**rep.provenance(), **provenance}}
+    digest = rep.write_report(out + ".json", payload)
+    written = out + ".json"
+    if csv_rows is not None:
+        rep.write_csv(out + ".csv", csv_rows)
+        written += f" and {out}.csv"
+    print(f"wrote {written} (canonical hash {digest})")
 
 
 def cmd_analyze(args) -> int:
-    law = LawKind(args.law)
-    v = _load_vector(args.v)
-    w = _second_field_for(args, law)
-    scales = parse_ladder(args.scales)
-    dirs = parse_direction_spec(args.dirs)
-    provenance_info = {"v": str(args.v)}
-    if args.omega:
-        provenance_info["omega"] = str(args.omega)
-    if args.h:
-        provenance_info["h"] = str(args.h)
-    report = sweep_structure(law, (v, w), scales, dirs, provenance=provenance_info)
-    payload = report.to_json_dict()
-    payload["provenance"] = {**rep.provenance(), "engine": report.engine}
-    out = (args.out or "structure").removesuffix(".json")
-    digest = rep.write_report(out + ".json", payload)
-    rep.write_csv(out + ".csv", report.csv_rows())
-    print(f"wrote {out}.json and {out}.csv (canonical hash {digest})")
+    law, fields, dirs = _load_inputs(args)
+    files = {name: str(getattr(args, name)) for name in ("v", "omega", "h") if getattr(args, name)}
+    report = sweep_structure(law, fields, parse_ladder(args.scales), dirs, provenance=files)
+    _write_report(args.out, report.to_json_dict(), report.csv_rows(), engine=report.engine)
     return 0
 
 
 def cmd_dissipation(args) -> int:
-    law = LawKind(args.law)
     tol = _check_tolerance("quad-match-tol", args.quad_match_tol)
-    v = _load_vector(args.v)
-    w = _second_field_for(args, law)
-    epsilons = parse_ladder(args.eps)
-    dirs = parse_direction_spec(args.dirs)
+    law, fields, dirs = _load_inputs(args)
     report = sweep_dissipation(
-        law, args.part, (v, w), bump_mollifier(), epsilons, args.radial_nodes, dirs
+        law, args.part, fields, bump_mollifier(), parse_ladder(args.eps), args.radial_nodes, dirs
     )
-    failures = []
-    if args.method == "both":
-        for eps, b, s in zip(report.epsilons, report.d_ball, report.d_shell):
-            rel = abs(b - s) / (abs(b) + 1e-30)
-            if rel > tol:
-                failures.append((eps, rel))
-    payload = report.to_json_dict()
-    if args.method == "ball":
-        payload["d_shell"] = None
-    elif args.method == "shell":
-        payload["d_ball"] = None
-    payload["method"] = args.method
-    payload["provenance"] = {**rep.provenance(), "engine": report.engine}
-    out = (args.out or "dissipation").removesuffix(".json")
-    digest = rep.write_report(out + ".json", payload)
-    print(f"wrote {out}.json (canonical hash {digest})")
-    if failures:
-        for eps, rel in failures:
-            print(
-                f"ball/shell mismatch at eps={eps:g}: relative {rel:.3e} exceeds "
-                f"{tol:g}",
-                file=sys.stderr,
-            )
-        return 1
-    return 0
+    payload = {**report.to_json_dict(), "method": args.method}
+    if args.method != "both":
+        payload["d_shell" if args.method == "ball" else "d_ball"] = None
+    _write_report(args.out, payload, engine=report.engine)
+    gap = _ballshell_gap(report.d_ball, report.d_shell) if args.method == "both" else []
+    failures = [(eps, rel) for eps, rel in zip(report.epsilons, gap) if rel > tol]
+    for eps, rel in failures:
+        print(f"ball/shell mismatch at eps={eps:g}: relative {rel:.3e} exceeds {tol:g}",
+              file=sys.stderr)
+    return 1 if failures else 0
 
 
-def _timed_verdict(run, **extra) -> tuple[Verdict, dict, float]:
-    """Run ``run()``, print its verdict lines and return (verdict, report
-    payload with ``extra`` keys, elapsed seconds)."""
+def _run_verdict(run, out, **extra) -> int:
+    """Run ``run()``, print its verdict lines and the time taken, and write the
+    verdict with ``extra`` keys to the --out prefix if one is given."""
     start = time.perf_counter()
     verdict = run()
     elapsed = time.perf_counter() - start
     verdict.print_lines()
-    payload = {
-        "verdict": verdict.to_json_dict(),
-        **extra,
-        "provenance": {**rep.provenance(), "elapsed_seconds": elapsed},
-    }
-    return verdict, payload, elapsed
+    print(f"finished in {elapsed:.1f}s")
+    if out:
+        _write_report(out, {"verdict": verdict.to_json_dict(), **extra}, elapsed_seconds=elapsed)
+    return 0 if verdict.passed else 1
 
 
 def cmd_verify(args) -> int:
     values = {f.name: getattr(args, f.metadata.get("flag", f.name)) for f in fields(VerifyConfig)}
     cfg = VerifyConfig(**{**values, "eps_ladder": tuple(parse_ladder(values["eps_ladder"]))})
-    verdict, payload, elapsed = _timed_verdict(lambda: run_verify(cfg), config=asdict(cfg))
-    digest = rep.write_report(args.out, payload)
-    print(f"wrote {args.out} (canonical hash {digest}, {elapsed:.1f}s)")
-    return 0 if verdict.passed else 1
+    return _run_verdict(lambda: run_verify(cfg), args.out, config=asdict(cfg))
 
 
 def cmd_selftest(args) -> int:
-    verdict, payload, elapsed = _timed_verdict(run_selftest)
-    if args.out:
-        rep.write_report(args.out, payload)
-    print(f"selftest finished in {elapsed:.1f}s")
-    return 0 if verdict.passed else 1
+    return _run_verdict(run_selftest, args.out)
 
 
 # ----------------------------------------------------------------------------
@@ -578,13 +564,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seed_help):
         p.set_defaults(parser=p)
         p.add_argument("--config", help="JSON file whose keys override flags")
-        p.add_argument("--seed", type=int, default=0, help="seed for all randomness")
+        p.add_argument("--seed", type=int, default=0, help=seed_help)
+
+    def report_out(p, default=None):
+        p.add_argument("--out", default=default,
+                       help="output prefix: writes PREFIX.json (one trailing .json is dropped)")
+
+    no_seed = "accepted, not read: a random:COUNT:SEED direction set carries its own seed"
+
+    def inputs(p, out):
+        """The flags analyze and dissipation share."""
+        common(p, no_seed)
+        p.add_argument("--law", required=True, choices=[k.value for k in LawKind])
+        p.add_argument("--v", required=True, help="velocity field file (EXL1)")
+        p.add_argument("--omega", help="vorticity file; default curl of velocity")
+        p.add_argument("--h", help="magnetic field file (EXL1)")
+        p.add_argument("--dirs", default="icosa:2", help="icosa:LEVEL or random:COUNT:SEED")
+        report_out(p, out)
 
     p = sub.add_parser("gen", help="generate a solenoidal field file")
-    common(p)
+    common(p, "seed of the random field (--kind random)")
     p.add_argument("--kind", required=True, choices=("abc", "taylor-green", "random"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--length", type=float, default=2.0 * np.pi)
@@ -598,44 +600,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rms", type=float, default=1.0)
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("analyze", help="structure-function sweep")
-    common(p)
-    p.add_argument("--law", required=True, choices=[k.value for k in LawKind])
-    p.add_argument("--v", required=True, help="velocity field file (EXL1)")
-    p.add_argument("--omega", help="vorticity file; default curl of velocity")
-    p.add_argument("--h", help="magnetic field file (EXL1)")
+    p = sub.add_parser("analyze", help="structure-function sweep -> PREFIX.json + PREFIX.csv")
+    inputs(p, "structure")
     p.add_argument("--scales", default="0.05:0.8:12", help="geometric ladder lo:hi:count")
-    p.add_argument("--dirs", default="icosa:2")
-    p.add_argument("--out", help="output prefix (JSON + CSV)")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("dissipation", help="dissipation-functional sweep")
-    common(p)
-    p.add_argument("--law", required=True, choices=[k.value for k in LawKind])
-    p.add_argument("--v", required=True)
-    p.add_argument("--omega")
-    p.add_argument("--h")
+    inputs(p, "dissipation")
     p.add_argument("--part", default="L", choices=("L", "T"))
     p.add_argument("--method", default="both", choices=("ball", "shell", "both"))
     p.add_argument("--eps", default="0.2:0.8:3", help="geometric ladder lo:hi:count")
     p.add_argument("--radial-nodes", type=int, default=32)
-    p.add_argument("--dirs", default="icosa:2")
     p.add_argument("--quad-match-tol", type=float, default=1e-10)
-    p.add_argument("--out", help="output prefix (JSON); a trailing .json is not doubled")
     p.set_defaults(func=cmd_dissipation)
 
     p = sub.add_parser("verify", help="run the exact-law verification suite")
-    common(p)
+    common(p, "seed of the suites' random samples and fields")
     for f in fields(VerifyConfig):
         if f.name != "seed":
             opts = {"type": type(f.default), "default": f.default, **f.metadata}
             p.add_argument("--" + opts.pop("flag", f.name).replace("_", "-"), **opts)
-    p.add_argument("--out", default="verify_report.json")
+    report_out(p, "verify_report")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("selftest", help="fast built-in consistency checks")
-    common(p)
-    p.add_argument("--out")
+    common(p, "accepted, not read: the checks use fixed Philox keys")
+    report_out(p)
     p.set_defaults(func=cmd_selftest)
 
     return parser

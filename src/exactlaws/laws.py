@@ -274,6 +274,23 @@ class FitResult:
     n_points: int
 
 
+def _line_fit(x, y) -> tuple[float, float, float]:
+    """Least-squares line y = slope * x + intercept, in closed form from numpy
+    reductions (no BLAS or LAPACK call): (slope, intercept, r_squared), with
+    r_squared = 1 for constant y.  Raises ValueError when x has no spread."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.max() == x.min():
+        raise ValueError("the abscissas of a line fit must not all be equal")
+    mx, my = x.mean(), y.mean()
+    dx, dy = x - mx, y - my
+    slope = (dx * dy).sum() / (dx * dx).sum()
+    intercept = my - slope * mx
+    total = (dy * dy).sum()
+    resid = y - (slope * x + intercept)
+    r_squared = 1.0 if total == 0.0 else 1.0 - (resid * resid).sum() / total
+    return float(slope), float(intercept), float(r_squared)
+
+
 def fit_power_law(xs, values) -> FitResult:
     """Fit log|values| vs log xs; sign changes are flagged, zeros dropped."""
     xs = np.asarray(xs, dtype=float)
@@ -285,17 +302,10 @@ def fit_power_law(xs, values) -> FitResult:
     xs, values = xs[usable], values[usable]
     if xs.size < 3:
         raise ValueError("fewer than 3 usable points for a power-law fit")
-    lx = np.log(xs)
-    ly = np.log(np.abs(values))
-    design = np.column_stack([lx, np.ones_like(lx)])
-    coef, *_ = np.linalg.lstsq(design, ly, rcond=None)
-    resid = ly - design @ coef
-    total = ly - ly.mean()
-    denom = float(total @ total)
-    r_squared = 1.0 if denom == 0.0 else 1.0 - float(resid @ resid) / denom
+    slope, intercept, r_squared = _line_fit(np.log(xs), np.log(np.abs(values)))
     return FitResult(
-        slope=float(coef[0]),
-        prefactor=float(np.exp(coef[1])),
+        slope=slope,
+        prefactor=float(np.exp(intercept)),
         r_squared=r_squared,
         sign_consistent=sign_consistent,
         n_points=int(xs.size),

@@ -12,7 +12,7 @@ asserted by the verification suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from . import _kernels
 from ._kernels import LawKind, StatsEngine, check_part
 from .geometry import DirectionSet
 from .grid import VectorField3
-from .laws import RawCombos, _check_ladder, _law_engine, default_directions
+from .laws import RawCombos, _check_ladder, _law_engine, _line_fit, default_directions
 
 __all__ = [
     "Mollifier",
@@ -214,18 +214,12 @@ def coefficient_oracle(
     of -4/5 and -8/15, with the flux coefficients matching ``combine``.
     """
     law = LawKind(law)
-    m = m if m is not None else bump_mollifier()
-    basis = {
-        "raw_L": (1.0, 0.0, 0.0),
-        "raw_T": (0.0, 1.0, 0.0),
-        "flux": (0.0, 0.0, 1.0),
+    nodes = _radial_nodes(m if m is not None else bump_mollifier(), 1.0, radial_nodes)
+    basis = np.eye(3)[:, :, None]  # (raw_L, raw_T, raw_flux) of each unit profile
+    rows = {
+        part: dict(zip(("raw_L", "raw_T", "flux"), _shell(law, part, nodes, basis).tolist()))
+        for part in ("L", "T")
     }
-    rows = {}
-    for part in ("L", "T"):
-        rows[part] = {
-            name: d_shell(law, part, lambda r, p=p: p, m, 1.0, radial_nodes)
-            for name, p in basis.items()
-        }
     alpha = rows["L"]["raw_L"]
     beta = rows["L"]["raw_T"]
     gamma_l = rows["L"]["flux"]
@@ -302,18 +296,8 @@ class DissipationReport:
     engine: dict = field(default_factory=dict)  # StatsEngine.describe(); not in to_json_dict
 
     def to_json_dict(self) -> dict:
-        return {
-            "law": self.law.value,
-            "part": self.part,
-            "mollifier": self.mollifier,
-            "epsilons": list(self.epsilons),
-            "d_ball": None if self.d_ball is None else list(self.d_ball),
-            "d_shell": None if self.d_shell is None else list(self.d_shell),
-            "radial_nodes": self.radial_nodes,
-            "directions": self.directions,
-            "extrapolation": self.extrapolation,
-            "metadata": self.metadata,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "engine"}
+        return {**out, "law": self.law.value}
 
 
 def extrapolate_to_zero(epsilons, values) -> dict:
@@ -330,24 +314,12 @@ def extrapolate_to_zero(epsilons, values) -> dict:
         return {"value": None, "curvature": None, "r_squared": None, "order": None}
     order = np.argsort(eps)
     eps, vals = eps[order], vals[order]
-    e3, v3 = eps[:3], vals[:3]
-    design = np.column_stack([np.ones_like(e3), e3 * e3])
-    coef, *_ = np.linalg.lstsq(design, v3, rcond=None)
-    resid = v3 - design @ coef
-    total = v3 - v3.mean()
-    denom = float(total @ total)
-    r_squared = 1.0 if denom == 0.0 else 1.0 - float(resid @ resid) / denom
+    curvature, value, r_squared = _line_fit(eps[:3] ** 2, vals[:3])
     usable = vals != 0.0
     fit_order = None
     if int(usable.sum()) >= 3:
-        slope, _ = np.polyfit(np.log(eps[usable]), np.log(np.abs(vals[usable])), 1)
-        fit_order = float(slope)
-    return {
-        "value": float(coef[0]),
-        "curvature": float(coef[1]),
-        "r_squared": r_squared,
-        "order": fit_order,
-    }
+        fit_order = _line_fit(np.log(eps[usable]), np.log(np.abs(vals[usable])))[0]
+    return {"value": value, "curvature": curvature, "r_squared": r_squared, "order": fit_order}
 
 
 def dissipation_matrix(

@@ -207,6 +207,13 @@ class TestDissipation:
         assert json.loads((out / "d.json").read_text())["law"] == "hydro-energy"
         assert len(json.loads((out / "a.json").read_text())["rows"]) == 2
 
+    @pytest.mark.parametrize("verb", [["verify", "--suite", "identity"], ["selftest"]])
+    @pytest.mark.parametrize("name", ["x", "x.json"])
+    def test_verdict_out_is_a_prefix(self, tmp_path, verb, name):
+        assert run([*verb, "--out", tmp_path / name]) == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["x.json"]
+        assert json.loads((tmp_path / "x.json").read_text())["verdict"]["pass"] is True
+
     @pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"])
     def test_unusable_tolerance_rejected(self, tmp_path, field_files, capsys, tol):
         v, _ = field_files

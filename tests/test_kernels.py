@@ -1,5 +1,6 @@
 """The increment-statistics engine: sine-series path against the per-shift loop."""
 
+import bisect
 import itertools
 
 import numpy as np
@@ -454,6 +455,18 @@ def test_support_radius_is_the_largest_signed_index(half, data):
     expected = max((max(min(i, n - i), min(j, n - j), k) for i, j, k in zip(*np.nonzero(active))),
                    default=0)
     assert _kernels._support_radius(active, n) == expected
+
+
+def test_reduced_size_is_the_smallest_even_fast_length():
+    # Every even n in [8, 1024] and every kmax < n: the result is n, or the
+    # smallest even 5-smooth m >= 4 with 3*kmax < m < n.
+    smooth = sorted(2**a * 3**b * 5**c for a in range(1, 11) for b in range(7) for c in range(5)
+                    if 4 <= 2**a * 3**b * 5**c <= 1024)
+    for n in range(8, 1025, 2):
+        for kmax in range(n):
+            i = bisect.bisect_right(smooth, 3 * kmax)
+            expected = smooth[i] if i < len(smooth) and smooth[i] < n else n
+            assert _kernels._reduced_size(kmax, n) == expected, (kmax, n)
 
 
 # Requests over the fields v, w = curl v (derived), h and the zero field.

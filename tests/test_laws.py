@@ -10,6 +10,7 @@ from exactlaws.geometry import direction_set_icosa, direction_set_random
 from exactlaws.grid import VectorField3, curl, make_grid
 from exactlaws.laws import (
     COMBINE_COEFFS,
+    _line_fit,
     LawKind,
     RawCombos,
     combine,
@@ -380,3 +381,22 @@ class TestPowerLawFit:
     def test_too_few_points(self):
         with pytest.raises(ValueError, match="3"):
             fit_power_law([0.1, 0.2], [1.0, 2.0])
+
+    def test_abscissas_without_spread_are_rejected(self):
+        with pytest.raises(ValueError, match="abscissas"):
+            fit_power_law([0.1, 0.1, 0.1], [1.0, 2.0, 3.0])
+
+
+class TestLineFit:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_polyfit(self, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-3.0, 2.0, 4 + seed)
+        y = rng.normal(0.5, 2.0) * x + rng.normal() + 0.1 * rng.standard_normal(x.size)
+        slope, intercept, _ = _line_fit(x, y)
+        ref_slope, ref_intercept = np.polyfit(x, y, 1)
+        assert abs(slope - ref_slope) <= 1e-12 * abs(ref_slope)
+        assert abs(intercept - ref_intercept) <= 1e-12 * abs(ref_intercept)
+
+    def test_constant_values_fit_exactly(self):
+        assert _line_fit([0.1, 0.2, 0.4], [2.5, 2.5, 2.5]) == (0.0, 2.5, 1.0)

@@ -89,11 +89,14 @@ class TestShellConstants:
 
     @pytest.mark.parametrize("law", list(CASES))
     def test_rows(self, law):
-        basis = {(1.0, 0.0, 0.0): 0, (0.0, 1.0, 0.0): 1, (0.0, 0.0, 1.0): 2}
-        for profile, idx in basis.items():
+        # The oracle's rows are these six shell values, bit for bit.
+        rows = coefficient_oracle(law)["rows"]
+        basis = {"raw_L": (1.0, 0.0, 0.0), "raw_T": (0.0, 1.0, 0.0), "flux": (0.0, 0.0, 1.0)}
+        for idx, (name, profile) in enumerate(basis.items()):
             for part in ("L", "T"):
                 got = d_shell(law, part, lambda r, p=profile: p, MOL, 1.0, radial_nodes=64)
                 assert abs(got - self.CASES[law][part][idx]) <= 1e-8
+                assert rows[part][name] == got
 
     def test_oracle_solutions(self):
         expected_flux = {
