@@ -56,9 +56,9 @@ from functools import reduce
 from operator import add
 
 import numpy as np
-from scipy import fft as _fft
 
-from .grid import Grid3, VectorField3, _axis_phases, _curl_spectrum, _wavenumbers
+from .grid import (Grid3, VectorField3, _axis_phases, _curl_spectrum, _irfftn, _rfftn,
+                   _wavenumbers)
 
 __all__ = [
     "LawKind",
@@ -168,12 +168,22 @@ def _support_radius(active: np.ndarray, n: int) -> int:
                for t, other in ((k, (1, 2)), (k, (0, 2)), (kz, (0, 1))))
 
 
+def _is_5_smooth(k: int) -> bool:
+    """Whether k has no prime factor above 5."""
+    for p in (2, 3, 5):
+        while k % p == 0:
+            k //= p
+    return k == 1
+
+
 def _reduced_size(kmax: int, n: int) -> int:
     """Smallest even fast FFT length m > 3*kmax, at least 4 (cubic products
     alias-free), or n when that is not smaller: twice the smallest 5-smooth
     number of at least half the target."""
-    m = 2 * _fft.next_fast_len(-(-max(3 * kmax + 1, 4) // 2), real=True)
-    return m if m < n else n
+    half = -(-max(3 * kmax + 1, 4) // 2)
+    while not _is_5_smooth(half):
+        half += 1
+    return 2 * half if 2 * half < n else n
 
 
 def _extract_spectrum(spec: np.ndarray, n: int, m: int) -> np.ndarray:
@@ -260,7 +270,7 @@ class StatsEngine:
             source[name] = next((j for j, (seen, _, _) in enumerate(given)
                                  if seen is values or np.array_equal(seen, values)), None)
             if source[name] is None:
-                spec = _fft.rfftn(values, axes=(1, 2, 3))
+                spec = _rfftn(values)
                 active = _active_modes(spec)
                 if active.any():
                     source[name] = len(given)
@@ -365,12 +375,10 @@ class StatsEngine:
         keys = (float(ell[0]), (float(ell[0]), float(ell[1])))
         made = {"x": keys[0] != self._keys[0], "xy": keys[1] != self._keys[1], "z": True}
         if made["x"]:
-            x = _fft.ifft(np.multiply(self._spectra, px[:, None, None], out=x), axis=1,
-                          overwrite_x=True)
+            np.fft.ifft(np.multiply(self._spectra, px[:, None, None], out=x), axis=1, out=x)
         if made["xy"]:
-            xy = _fft.ifft(np.multiply(x, py[:, None], out=xy), axis=2, overwrite_x=True)
-        shifted = _fft.irfft(xy * pz, n=m, axis=3, overwrite_x=True)
-        self._passes = (x, xy)
+            np.fft.ifft(np.multiply(x, py[:, None], out=xy), axis=2, out=xy)
+        shifted = np.fft.irfft(xy * pz, n=m, axis=3)
         self._keys = keys
         if count:
             for axis, done in made.items():
@@ -384,9 +392,7 @@ class StatsEngine:
         m = self.m
         active = self._active
         coeff = self._spectra[:, active] / m**3
-        band = _fft.irfftn(
-            np.where(active, self._spectra, 0.0), s=(m, m, m), axes=(1, 2, 3)
-        )
+        band = _irfftn(np.where(active, self._spectra, 0.0), m)
         k, kz = _wavenumbers(self.grid.length, m)
         kx, ky, kz = np.meshgrid(k, k, kz, indexing="ij")
         kvec = np.stack([kx[active], ky[active], kz[active]], axis=1)
@@ -397,7 +403,7 @@ class StatsEngine:
         """conj((tu)^) / m**3 at the active modes, for components t <= u."""
         if (t, u) not in self._products:
             active, _, _, _, band = self._modes
-            spec = _fft.rfftn(band[t] * band[u])[active] / self.m**3
+            spec = _rfftn(band[t] * band[u])[active] / self.m**3
             self._products[t, u] = np.conj(spec)
         return self._products[t, u]
 

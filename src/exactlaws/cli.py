@@ -520,7 +520,9 @@ def cmd_dissipation(args) -> int:
     payload = {**report.to_json_dict(), "method": args.method}
     if args.method != "both":
         payload["d_shell" if args.method == "ball" else "d_ball"] = None
-    _write_report(args.out, payload, engine=report.engine)
+    # The eps -> 0 extrapolation assumes the eps^2 regime, kmax * eps << 1.
+    kmax = 2.0 * np.pi / fields[0].grid.length * report.engine["kmax"]
+    _write_report(args.out, payload, engine=report.engine, kmax_eps_min=kmax * min(report.epsilons))
     gap = _ballshell_gap(report.d_ball, report.d_shell) if args.method == "both" else []
     failures = [(eps, rel) for eps, rel in zip(report.epsilons, gap) if rel > tol]
     for eps, rel in failures:

@@ -14,7 +14,6 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import fft as _fft
 
 __all__ = [
     "Grid3",
@@ -140,12 +139,26 @@ def _derivative_wavenumbers(length: float, m: int):
     return k[:, None, None], k[None, :, None], kz[None, None, :]
 
 
+# The two transforms over the last three axes, on numpy's pocketfft.  They run
+# their passes in scipy.fft's order and scale once at the end, as it does, so
+# every spectrum and field is bit-identical to scipy.fft.rfftn and irfftn
+# (numpy's own rfftn and irfftn visit the complex axes in the other order).
 def _rfftn(values: np.ndarray) -> np.ndarray:
-    return _fft.rfftn(values, axes=(-3, -2, -1))
+    """Real-to-complex transform: the real pass on the last axis, then the
+    complex passes on axes -3 and -2."""
+    spec = np.fft.rfft(values, axis=-1)
+    np.fft.fft(spec, axis=-3, out=spec)
+    return np.fft.fft(spec, axis=-2, out=spec)
 
 
 def _irfftn(spec: np.ndarray, n: int) -> np.ndarray:
-    return _fft.irfftn(spec, s=(n, n, n), axes=(-3, -2, -1))
+    """Inverse of ``_rfftn`` onto an n-grid: unscaled complex passes on axes -3
+    and -2, the unscaled real pass on the last axis, then one scaling by 1/n^3."""
+    x = np.fft.ifft(spec, axis=-3, norm="forward")
+    np.fft.ifft(x, axis=-2, norm="forward", out=x)
+    out = np.fft.irfft(x, n=n, axis=-1, norm="forward")
+    out *= 1.0 / n**3
+    return out
 
 
 def _curl_spectrum(length: float, vh: np.ndarray) -> np.ndarray:

@@ -10,9 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as _fft
 
-from .grid import Grid3, VectorField3, _leray
+from .grid import Grid3, VectorField3, _irfftn, _leray, _rfftn
 
 __all__ = [
     "SpectrumSpec",
@@ -85,7 +84,7 @@ def _synthesize(grid: Grid3, spec: SpectrumSpec, rng: np.random.Generator) -> Ve
     spec.validate_for(grid)
     n = grid.n
     noise = rng.standard_normal((3, n, n, n))
-    vh = _fft.rfftn(noise, axes=(1, 2, 3))
+    vh = _rfftn(noise)
 
     m = np.fft.fftfreq(n, d=1.0 / n)  # signed integer wavenumber indices
     mz = np.fft.rfftfreq(n, d=1.0 / n)
@@ -115,7 +114,7 @@ def _synthesize(grid: Grid3, spec: SpectrumSpec, rng: np.random.Generator) -> Ve
     factor[nonzero] = np.sqrt(target[nonzero] / current[nonzero])
     vh *= factor[shell.clip(0, smax)] * band
 
-    v = _fft.irfftn(vh, s=(n, n, n), axes=(1, 2, 3))
+    v = _irfftn(vh, n)
     v *= spec.rms / np.sqrt(np.mean(np.sum(v * v, axis=0)))
     return VectorField3(grid, v)
 

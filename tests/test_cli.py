@@ -163,6 +163,24 @@ class TestDissipation:
             "series_rows": 0, "pair_products": 0,
         }
 
+    def test_kmax_eps_min_in_provenance_outside_hash(self, tmp_path, capsys):
+        # The n=64 field (shells 2..16) at the default ladder 0.2:0.8:3: kmax
+        # times the smallest epsilon is 16 * 0.2, far outside the eps^2 regime.
+        v = tmp_path / "v.fld"
+        run(["gen", "--kind", "random", "--n", 64, "--kmin", 2, "--kmax", 16,
+             "--seed", 3, "--out", v])
+        capsys.readouterr()
+        rc = run(["dissipation", "--law", "hydro-energy", "--v", v, "--radial-nodes", 4,
+                  "--dirs", "icosa:0", "--out", tmp_path / "diss"])
+        assert rc == 0
+        payload = json.loads((tmp_path / "diss.json").read_text())
+        assert payload["provenance"]["kmax_eps_min"] == pytest.approx(3.2, rel=1e-12)
+        assert "kmax_eps_min" not in payload
+        provenance = {k: x for k, x in payload["provenance"].items() if k != "kmax_eps_min"}
+        digest = canonical_hash(payload)
+        assert canonical_hash({**payload, "provenance": provenance}) == digest
+        assert f"(canonical hash {digest})" in capsys.readouterr().out
+
     def test_zero_field_passes(self, tmp_path):
         v = tmp_path / "z.fld"
         run(["gen", "--kind", "abc", "--n", 16, "--A", 0, "--B", 0, "--C", 0, "--out", v])
