@@ -6,35 +6,46 @@ increment third moments, M_pqr(l) = <dp dq dr>, over the stacked components
 of the input fields.  Because the kernels are cubic, their volume mean is
 alias-free on any grid with more than 3*kmax points per axis, where kmax is
 the largest active wavenumber of the input fields.  The engine therefore
-works on the smallest such grid (m points per axis): the given fields fix
-m, each is cut to the m-grid once, with its active mask, and what the
-engine derives from them (curls, the sine-series modes) is taken there.
+works on the smallest such grid (m points per axis), which the given fields
+fix.
+
+On an alias-free grid the engine keeps each field only at the K active
+modes, the union of the fields' active masks: the values are gathered once
+from the full-grid spectrum, the cut to the m-grid and its (m/n)^3 scale
+being an index map.  Curls and the sine-series tables are taken at those
+modes, and no operation holds a full-grid box for long: the band-limited
+fields behind the pair products are inverted one component at a time
+through one half-spectrum buffer and dropped once the products exist, and
+the directions of one call to ``moments`` are evaluated in blocks whose
+K x block temporaries hold at most ``_MOMENT_BLOCK`` elements.  Otherwise
+(m = n) each field is kept as its whole spectrum.
 
 Two evaluation paths share that reduced grid:
 
 * sine series, when the grid is alias-free (m > 3*kmax).  For real fields
   M_pqr(l) is a sine series in k.l with one row of real coefficients per
   sorted component triple, so all directions at one radius cost one matrix
-  product and no transform; the law's term means are contractions of M.
+  product per block of directions and no transform; the law's term means
+  are contractions of M.
   A row, and the pair-product transforms it needs, is built the first time
   a request reads it and kept for the rest of the engine's life, so a
   radius or epsilon ladder builds each row once and a law never pays for
   the rows of the others (helicity reads 18 of the 56 rows of its two
   fields).
 * per-shift FFT, otherwise.  Each separation costs an inverse transform of
-  the shifted spectra, one axis at a time, and a pointwise kernel pass.
-  The phase factors are separable, so separations with equal x, or equal
-  (x, y), components share the first passes; the directions are visited in
-  that order.  This is the case for full-spectrum input (e.g. white noise,
+  the shifted spectra, one axis at a time into buffers the engine keeps,
+  and a pointwise kernel pass.  The phase factors are separable, so
+  separations with equal x, or equal (x, y), components share the first
+  passes; the directions are visited in that order.  This is the case for full-spectrum input (e.g. white noise,
   m = n), where the report value is the grid average of the aliased cubic
   products; the sine series gives the continuous average instead, which
   differs there.  Zero fields cost nothing on this path: they have no
   increment array, and the pieces that touch them are exactly 0.0.
 
 A field may be given as ``CurlOf`` another: the engine then takes i k x u^
-from the source's spectrum on the reduced grid (the spectrum ``grid.curl``
-transforms back, cut to that grid), with no round trip through the grid.
-The helicity law's default vorticity is taken this way.
+from the source's stored spectrum (the spectrum ``grid.curl`` transforms
+back, at the kept modes), with no round trip through the grid.  The
+helicity law's default vorticity is taken this way.
 
 The law table ``LAWS`` is the one place a law is defined: one row of
 coefficients per law over two kinds of cubic increment pieces, the cube
@@ -57,8 +68,8 @@ from operator import add
 
 import numpy as np
 
-from .grid import (Grid3, VectorField3, _axis_phases, _curl_spectrum, _irfftn, _rfftn,
-                   _wavenumbers)
+from .grid import (Grid3, VectorField3, _axis_phases, _curl_modes, _derivative_wavenumbers,
+                   _irfftn, _rfftn, _wavenumbers)
 
 __all__ = [
     "LawKind",
@@ -147,18 +158,18 @@ LAWS[LawKind.HYDRO_ENERGY] = LAWS[LawKind.MHD_ENERGY]
 COMBINE_COEFFS = {law: row.combine for law, row in LAWS.items()}
 
 _SUPPORT_RTOL = 1e-13  # spectral amplitudes below this (relative) count as empty
+# Elements of each modes x directions temporary in ``StatsEngine.moments``:
+# the directions of one call are evaluated in blocks of at most this size.
+_MOMENT_BLOCK = 2**20
 
 
 def _active_modes(spec: np.ndarray) -> np.ndarray:
-    """Half-spectrum modes k != 0 where one field's (3, ...) rfftn spectrum is active.
-
-    A mode is active when its amplitude exceeds _SUPPORT_RTOL of the field's
-    peak amplitude; the mean (k = 0) never counts, since increments ignore it.
-    """
-    amp = np.abs(spec).max(axis=0)
-    active = amp > _SUPPORT_RTOL * amp.max()
-    active[0, 0, 0] = False
-    return active
+    """Modes where one field's (3, ...) spectrum is active: where its amplitude
+    exceeds _SUPPORT_RTOL of the field's peak amplitude (none for a zero field)."""
+    amp = np.abs(spec[0])
+    for comp in spec[1:]:
+        np.maximum(amp, np.abs(comp), out=amp)
+    return amp > _SUPPORT_RTOL * amp.max()
 
 
 def _support_radius(active: np.ndarray, n: int) -> int:
@@ -186,16 +197,6 @@ def _reduced_size(kmax: int, n: int) -> int:
     return 2 * half if 2 * half < n else n
 
 
-def _extract_spectrum(spec: np.ndarray, n: int, m: int) -> np.ndarray:
-    """Cut an rfftn spectrum, or a mask over one, from an n-grid to an m-grid
-    (m even, m < n), values unscaled; the m-grid's Nyquist planes stay empty."""
-    half = m // 2
-    out = np.zeros(spec.shape[:-3] + (m, m, half + 1), dtype=spec.dtype)
-    src, dst = np.r_[:half, n - half + 1 : n], np.r_[:half, half + 1 : m]
-    out[..., dst[:, None], dst, :half] = spec[..., src[:, None], src, :half]
-    return out
-
-
 # (-1)^j / (2j + 1)! for j = 1..9: the Taylor series of sin(x) - x in powers
 # of x^2; at |x| = 1 the first omitted term is 1.2e-19 of the leading one.
 _SIN_SERIES = tuple((-1.0) ** j / float(np.prod(np.arange(1, 2 * j + 2))) for j in range(1, 10))
@@ -218,10 +219,10 @@ def _sin_minus_x(x: np.ndarray) -> np.ndarray:
 class CurlOf:
     """A ``StatsEngine`` field that is the spectral curl of the field ``name``.
 
-    The engine takes i k x u^ from that field's spectrum on the reduced grid,
-    within its active mask: the spectrum ``grid.curl`` transforms back, cut
-    to that grid, without the round trip through the grid.  ``name`` must
-    come before it in the fields.
+    The engine takes i k x u^ from that field's stored spectrum, within its
+    active mask: the spectrum ``grid.curl`` transforms back, at the modes
+    the engine keeps, without the round trip through the grid.  ``name``
+    must come before it in the fields.
     """
 
     name: str
@@ -234,18 +235,20 @@ class StatsEngine:
     ``CurlOf`` an earlier name; a None entry, an all-zero field and a field
     without modes besides its mean all stand for the zero field.  Names
     holding the same values share one set of component rows; raw arrays must
-    be finite.  The given fields fix the reduced grid; each is cut to it once,
-    with its active mask, and a curl is taken there.  ``increments``
-    then costs at most one inverse pass per axis and separation vector, fewer
-    when consecutive separations share components; on an alias-free grid
-    (``alias_free``: m > 3*kmax) ``moments`` gives the third moments of the
-    increments at many separations in one matrix product.  The sine-series
-    rows behind it are built on first use, only for the component triples
-    asked for, and kept for later calls.  ``evaluation`` names the path
-    ``angular_term_sums`` takes: "sine-series" or "per-shift-fft".
-    ``separations`` counts the separations evaluated, ``inverse_passes`` the
-    inverse passes per axis, ``describe`` also the series rows and pair
-    products built.
+    be finite.  The given fields fix the reduced grid.  On an alias-free grid
+    (``alias_free``: m > 3*kmax) each distinct field is kept as its values at
+    the K modes of the union of the active masks, and ``moments`` gives the
+    third moments of the increments at many separations in one matrix
+    product per block of directions; the sine-series rows behind it are
+    built on first use, only for the component triples asked for, and kept
+    for later calls.  Otherwise each field is kept as its whole spectrum on
+    the m-grid, and ``increments`` costs at most one inverse pass per axis
+    and separation vector, fewer when consecutive separations share
+    components.  A curl is taken from its source's stored spectrum, within
+    the source's mask.  ``evaluation`` names the path ``angular_term_sums``
+    takes: "sine-series" or "per-shift-fft".  ``separations`` counts the
+    separations evaluated, ``inverse_passes`` the inverse passes per axis,
+    ``describe`` also the modes kept, the series rows and pair products built.
     """
 
     def __init__(self, grid: Grid3, fields: dict):
@@ -272,6 +275,7 @@ class StatsEngine:
             if source[name] is None:
                 spec = _rfftn(values)
                 active = _active_modes(spec)
+                active[0, 0, 0] = False  # the mean: increments ignore it
                 if active.any():
                     source[name] = len(given)
                     given.append((values, spec, active))
@@ -281,10 +285,25 @@ class StatsEngine:
         self.alias_free = m > 3 * self.kmax
         self.evaluation = "sine-series" if self.alias_free else "per-shift-fft"
 
-        # Second pass, in the given order: each distinct field is cut to the
-        # m-grid once, with its mask, and a curl is taken there from the cut
-        # spectrum of its source, within the source's mask.
-        blocks = []  # (spectrum, active mask) on the m-grid of each distinct field with modes
+        # Second pass, in the given order: each distinct field is stored once,
+        # at the K modes of the union of the masks on an alias-free grid (every
+        # active mode lies inside the m-grid), else as its whole spectrum, and
+        # a curl is taken from its source's stored spectrum, within its mask.
+        if self.alias_free:
+            union = reduce(np.logical_or, [active for _, _, active in given],
+                           np.zeros((n, n, n // 2 + 1), dtype=bool))
+            at = np.nonzero(union)
+            # The same modes on the m-grid: the negative wavenumbers of the
+            # two full axes move from index n - k to m - k.
+            self._index = tuple(np.where(i < n // 2, i, i + m - n) for i in at[:2]) + at[2:]
+            k, kz = _wavenumbers(grid.length, m)
+            wavenumbers = (k[self._index[0]], k[self._index[1]], kz[self._index[2]])
+            gather = (Ellipsis, *at)
+        else:
+            self._index = None
+            wavenumbers = _derivative_wavenumbers(grid.length, m)
+            gather = Ellipsis
+        blocks = []  # (stored spectrum, active mask) of each distinct field with modes
         block = {None: None}  # index into given, or ("curl", block) -> index into blocks
         owner = {}  # name -> index into blocks, or None for the zero field
         for name, src in source.items():
@@ -292,34 +311,37 @@ class StatsEngine:
                 src = None if owner[src.name] is None else ("curl", owner[src.name])
             if src not in block:
                 if isinstance(src, tuple):
-                    spec = _curl_spectrum(grid.length, blocks[src[1]][0])
+                    spec = _curl_modes(*wavenumbers, blocks[src[1]][0])
                     active = _active_modes(spec) & blocks[src[1]][1]
-                elif m < n:
-                    spec = _extract_spectrum(given[src][1], n, m) * (m / n) ** 3
-                    active = _extract_spectrum(given[src][2], n, m)
                 else:
-                    _, spec, active = given[src]
+                    spec = given[src][1][gather]
+                    if m < n:
+                        spec *= (m / n) ** 3
+                    active = given[src][2][gather]
                 block[src] = len(blocks) if active.any() else None
                 if active.any():
                     blocks.append((spec, active))
             owner[name] = block[src]
-        del given  # the full-grid spectra, not needed past the cut, before the copy below
-        self._active = np.zeros((m, m, m // 2 + 1), dtype=bool)  # union of the masks
-        for _, active in blocks:
-            self._active |= active
-        empty = np.zeros((0, m, m, m // 2 + 1), dtype=complex)
-        self._spectra = np.concatenate([spec for spec, _ in blocks] or [empty])
+        del given  # the full-grid spectra, before the copy below
+        stored = (len(at[0]),) if self.alias_free else (m, m, m // 2 + 1)
+        self._fields = np.concatenate([spec for spec, _ in blocks]
+                                      or [np.zeros((0,) + stored, dtype=complex)])
+        self._wavenumbers = wavenumbers
         # The three component indices of each field in ``moments``; the extra
-        # index len(self._spectra) stands for the zero field.
-        zero = self._spectra.shape[0]
+        # index len(self._fields) stands for the zero field.
+        zero = self._fields.shape[0]
         self.components = {
             name: np.full(3, zero) if j is None else np.arange(3 * j, 3 * j + 3)
             for name, j in owner.items()
         }
+        # Spectra on the m-grid for ``increments``; on an alias-free grid they
+        # are scattered from the stored modes on first use.
+        self._spectra = None if self.alias_free else self._fields
         self._base = None  # field values on the reduced grid, on first use
-        self._passes = None  # buffers of the last x pass and xy pass
+        self._passes = None  # buffers of the last x pass and xy pass, and the z pass's output
         self._keys = (None, None)  # the l_x and (l_x, l_y) the buffers hold
-        self._modes = None  # sine-series mode tables, on first use
+        self._series = None  # sine-series mode tables, on first use
+        self._band = None  # band-limited fields, while pair products are built
         self._products = {}  # (t, u) -> pair-product coefficients, as built
         self._coeffs = None  # the G rows built so far, (rows, K)
         # Row of G that each (p, q, r) reads in ``moments``: -1 for a row not
@@ -330,14 +352,15 @@ class StatsEngine:
         self.inverse_passes = {"x": 0, "xy": 0, "z": 0}
 
     def describe(self) -> dict:
-        """The grid the engine used, the evaluation path it takes and the work
-        it did so far."""
+        """The grid the engine used, the evaluation path it takes, the modes it
+        keeps (0 on the per-shift path) and the work it did so far."""
         return {
             "n": self.grid.n,
             "m": self.m,
             "kmax": self.kmax,
             "alias_free": self.alias_free,
             "evaluation": self.evaluation,
+            "modes": self._fields.shape[1] if self.alias_free else 0,
             "separations": self.separations,
             "inverse_passes": dict(self.inverse_passes),
             "series_rows": 0 if self._coeffs is None else self._coeffs.shape[0],
@@ -347,19 +370,23 @@ class StatsEngine:
     def increments(self, ell) -> dict[str, np.ndarray | None]:
         """Flat (3, m**3) increment arrays u(x + ell) - u(x) per field name.
 
-        The zero field gets None: it has no increment array.
+        The arrays are views of one buffer, which the next call overwrites.
+        The zero field gets None: it has no increment array.  On an alias-free
+        grid the fields are the ones the sine series sums, their values at the
+        stored modes.
         """
         if self._base is None:
-            self._base = self._shifted(np.zeros(3), count=False)
+            self._base = self._shifted(np.zeros(3), count=False).copy()
         delta = self._shifted(ell)
         delta -= self._base
         self.separations += 1
-        zero = self._spectra.shape[0]
+        zero = self._fields.shape[0]
         return {name: None if p == zero else delta[p : p + 3]
                 for name, (p, _, _) in self.components.items()}
 
     def _shifted(self, ell, count: bool = True) -> np.ndarray:
-        """The fields at x + ell on the reduced grid, flat (C, m**3).
+        """The fields at x + ell on the reduced grid, flat (C, m**3), in the
+        engine's output buffer.
 
         The inverse transform runs one axis at a time, each pass after the
         phase factor of its axis.  The x pass depends on l_x only and the xy
@@ -368,42 +395,52 @@ class StatsEngine:
         ``count`` adds the passes made to ``inverse_passes``.
         """
         m = self.m
+        if self._spectra is None:
+            self._spectra = np.zeros((self._fields.shape[0], m, m, m // 2 + 1), dtype=complex)
+            self._spectra[(Ellipsis, *self._index)] = self._fields
         px, py, pz = _axis_phases(self.grid, ell, m)
         if self._passes is None:
-            self._passes = (np.empty_like(self._spectra), np.empty_like(self._spectra))
-        x, xy = self._passes
+            self._passes = (np.empty_like(self._spectra), np.empty_like(self._spectra),
+                            np.empty(self._spectra.shape[:-1] + (m,)))
+        x, xy, out = self._passes
         keys = (float(ell[0]), (float(ell[0]), float(ell[1])))
         made = {"x": keys[0] != self._keys[0], "xy": keys[1] != self._keys[1], "z": True}
         if made["x"]:
             np.fft.ifft(np.multiply(self._spectra, px[:, None, None], out=x), axis=1, out=x)
         if made["xy"]:
             np.fft.ifft(np.multiply(x, py[:, None], out=xy), axis=2, out=xy)
-        shifted = np.fft.irfft(xy * pz, n=m, axis=3)
+        np.fft.irfft(xy * pz, n=m, axis=3, out=out)
         self._keys = keys
         if count:
             for axis, done in made.items():
                 self.inverse_passes[axis] += done
-        return shifted.reshape(shifted.shape[0], -1)
+        return out.reshape(out.shape[0], -1)
 
     def _series_modes(self) -> tuple:
-        """(active mask, wavevectors (K, 3), pair weights (K,), spectral
-        coefficients (C, K), band-limited fields (C, m, m, m)) of the K active
-        modes of all fields."""
+        """(wavevectors (K, 3), pair weights (K,), spectral coefficients (C, K))
+        of the K stored modes."""
+        kx, ky, kz = self._wavenumbers
+        pair = np.where(kz == 0.0, -2.0, -4.0)
+        return np.stack([kx, ky, kz], axis=1), pair, self._fields / self.m**3
+
+    def _band_fields(self) -> np.ndarray:
+        """The band-limited fields (C, m, m, m) on the reduced grid, inverted
+        one component at a time through one reused half-spectrum buffer."""
         m = self.m
-        active = self._active
-        coeff = self._spectra[:, active] / m**3
-        band = _irfftn(np.where(active, self._spectra, 0.0), m)
-        k, kz = _wavenumbers(self.grid.length, m)
-        kx, ky, kz = np.meshgrid(k, k, kz, indexing="ij")
-        kvec = np.stack([kx[active], ky[active], kz[active]], axis=1)
-        pair = np.where(kz[active] == 0.0, -2.0, -4.0)
-        return active, kvec, pair, coeff, band
+        band = np.empty((self._fields.shape[0], m, m, m))
+        spec = np.empty((m, m, m // 2 + 1), dtype=complex)
+        for values, out in zip(self._fields, band):
+            spec.fill(0.0)
+            spec[self._index] = values
+            out[...] = _irfftn(spec, m)
+        return band
 
     def _product(self, t: int, u: int) -> np.ndarray:
-        """conj((tu)^) / m**3 at the active modes, for components t <= u."""
+        """conj((tu)^) / m**3 at the stored modes, for components t <= u."""
         if (t, u) not in self._products:
-            active, _, _, _, band = self._modes
-            spec = _rfftn(band[t] * band[u])[active] / self.m**3
+            if self._band is None:
+                self._band = self._band_fields()
+            spec = _rfftn(self._band[t] * self._band[u])[self._index] / self.m**3
             self._products[t, u] = np.conj(spec)
         return self._products[t, u]
 
@@ -421,12 +458,13 @@ class StatsEngine:
         exactly; then M = O(l^3), the linear part sum_k G_k k.l vanishes, and
         dropping it keeps full relative precision at small separations, where
         the sine terms would cancel.  Every permutation of (p, q, r) reads the
-        same row, so permuted moments are bitwise equal.
+        same row, so permuted moments are bitwise equal.  The band-limited
+        fields behind the pair products are dropped once the rows exist.
         """
-        if self._modes is None:
-            self._modes = self._series_modes()
-            self._coeffs = np.empty((0, self._modes[1].shape[0]))
-        _, _, pair, coeff, _ = self._modes
+        if self._series is None:
+            self._series = self._series_modes()
+            self._coeffs = np.empty((0, self._series[0].shape[0]))
+        _, pair, coeff = self._series
         index = self._row_index
         new = sorted(t for t in {tuple(sorted(map(int, t))) for t in triples} if index[t] == -1)
         rows = []
@@ -439,6 +477,7 @@ class StatsEngine:
             for perm in itertools.permutations((p, q, r)):
                 index[perm] = self._coeffs.shape[0] + len(rows)
             rows.append(pair * split)
+        self._band = None
         if rows:
             self._coeffs = np.concatenate([self._coeffs, rows])
 
@@ -449,22 +488,28 @@ class StatsEngine:
         indices p, q, r; the last index of each axis is the zero field.
         ``triples`` lists the sorted (p, q, r) to build rows for, all of them
         by default; entries whose row was never built read NaN, never 0.0.
+        The separations are evaluated in blocks whose modes x separations
+        temporaries hold at most ``_MOMENT_BLOCK`` elements.
         """
         if not self.alias_free:
             raise ValueError("the sine series needs an alias-free grid (m > 3*kmax)")
         if triples is None:
-            triples = itertools.combinations_with_replacement(range(self._spectra.shape[0]), 3)
-        if triples or self._modes is None:
+            triples = itertools.combinations_with_replacement(range(self._fields.shape[0]), 3)
+        if triples or self._series is None:
             self._build_rows(triples)
-        kvec = self._modes[1]
+        kvec = self._series[0]
         ells = np.asarray(ells, dtype=float).reshape(-1, 3)
         self.separations += ells.shape[0]
-        phase = (
-            kvec[:, 0:1] * ells[:, 0]
-            + kvec[:, 1:2] * ells[:, 1]
-            + kvec[:, 2:3] * ells[:, 2]
-        )
-        rows = self._coeffs @ _sin_minus_x(phase)
+        rows = np.empty((self._coeffs.shape[0], ells.shape[0]))
+        step = max(1, _MOMENT_BLOCK // max(1, kvec.shape[0]))
+        for s in range(0, ells.shape[0], step):
+            block = ells[s : s + step]
+            phase = (
+                kvec[:, 0:1] * block[:, 0]
+                + kvec[:, 1:2] * block[:, 1]
+                + kvec[:, 2:3] * block[:, 2]
+            )
+            rows[:, s : s + step] = self._coeffs @ _sin_minus_x(phase)
         unbuilt = np.full(ells.shape[0], np.nan)
         return np.vstack([rows, np.zeros(ells.shape[0]), unbuilt])[self._row_index]
 

@@ -153,10 +153,11 @@ def _rfftn(values: np.ndarray) -> np.ndarray:
 
 def _irfftn(spec: np.ndarray, n: int) -> np.ndarray:
     """Inverse of ``_rfftn`` onto an n-grid: unscaled complex passes on axes -3
-    and -2, the unscaled real pass on the last axis, then one scaling by 1/n^3."""
-    x = np.fft.ifft(spec, axis=-3, norm="forward")
-    np.fft.ifft(x, axis=-2, norm="forward", out=x)
-    out = np.fft.irfft(x, n=n, axis=-1, norm="forward")
+    and -2, the unscaled real pass on the last axis, then one scaling by 1/n^3.
+    The complex passes run in place, so ``spec`` is overwritten."""
+    np.fft.ifft(spec, axis=-3, norm="forward", out=spec)
+    np.fft.ifft(spec, axis=-2, norm="forward", out=spec)
+    out = np.fft.irfft(spec, n=n, axis=-1, norm="forward")
     out *= 1.0 / n**3
     return out
 
@@ -165,7 +166,12 @@ def _curl_spectrum(length: float, vh: np.ndarray) -> np.ndarray:
     """i k x vh for a (3, m, m, m//2 + 1) rfftn spectrum of a grid over the
     period ``length``, with the Nyquist wavenumbers zeroed: the spectrum
     ``curl`` transforms back."""
-    kx, ky, kz = _derivative_wavenumbers(length, vh.shape[1])
+    return _curl_modes(*_derivative_wavenumbers(length, vh.shape[1]), vh)
+
+
+def _curl_modes(kx, ky, kz, vh: np.ndarray) -> np.ndarray:
+    """i k x vh for the spectrum vh[c] of each component at modes with the
+    wavenumbers kx, ky, kz (broadcasting against vh[0]): a box or a mode list."""
     wh = np.empty_like(vh)
     wh[0] = 1j * (ky * vh[2] - kz * vh[1])
     wh[1] = 1j * (kz * vh[0] - kx * vh[2])
@@ -286,15 +292,15 @@ def write_field(fld, path) -> None:
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(_HEADER.pack(1, grid.n, grid.length, len(comps)))
-        for comp in comps:
-            fh.write(np.ravel(comp, order="F").astype("<f8").tobytes())
+        for comp in comps:  # x-fastest: the transposed component in C order
+            fh.write(np.ascontiguousarray(comp.T, dtype="<f8"))
 
 
 def read_field(path):
     """Read an EXL1 file; returns a VectorField3 (ncomp=3) or ScalarField (ncomp=1).
 
-    The payload is read into one preallocated array and copied once into
-    the [component, ix, iy, iz] C-order layout.
+    Each component is read into one reused buffer and copied once into the
+    [component, ix, iy, iz] C-order layout.
     """
     with open(path, "rb") as fh:
         head = fh.read(4 + _HEADER.size)
@@ -317,11 +323,12 @@ def read_field(path):
             raise FieldFileError("short read: truncated EXL1 payload")
         if size > 8 * count:
             raise FieldFileError("trailing data after EXL1 payload")
-        flat = np.empty(count, dtype="<f8")
-        if fh.readinto(flat) != 8 * count:
-            raise FieldFileError("short read: truncated EXL1 payload")
-    # Each component is stored x-fastest: flat[c, iz, iy, ix] in C order.
-    values = np.ascontiguousarray(flat.reshape(ncomp, n, n, n).transpose(0, 3, 2, 1))
+        values = np.empty((ncomp, n, n, n))
+        flat = np.empty(n**3, dtype="<f8")
+        for comp in values:
+            if fh.readinto(flat) != flat.nbytes:
+                raise FieldFileError("short read: truncated EXL1 payload")
+            comp[...] = flat.reshape(n, n, n).T  # stored x-fastest: flat[iz, iy, ix]
     del flat  # released before the field checks its values
     if ncomp == 1:
         return ScalarField(grid, values[0])

@@ -83,8 +83,7 @@ def _rng(seed: int, stream: int = 0) -> np.random.Generator:
 def _synthesize(grid: Grid3, spec: SpectrumSpec, rng: np.random.Generator) -> VectorField3:
     spec.validate_for(grid)
     n = grid.n
-    noise = rng.standard_normal((3, n, n, n))
-    vh = _rfftn(noise)
+    vh = _rfftn(rng.standard_normal((3, n, n, n)))  # the noise is freed here
 
     m = np.fft.fftfreq(n, d=1.0 / n)  # signed integer wavenumber indices
     mz = np.fft.rfftfreq(n, d=1.0 / n)
@@ -102,7 +101,10 @@ def _synthesize(grid: Grid3, spec: SpectrumSpec, rng: np.random.Generator) -> Ve
     weight = np.full(shell.shape, 2.0)
     weight[:, :, 0] = 1.0
     weight[:, :, -1] = 1.0
-    e_mode = 0.5 * weight * np.sum(np.abs(vh) ** 2, axis=0)
+    power = np.abs(vh[0]) ** 2  # summed over components in np.sum's order
+    for c in vh[1:]:
+        power += np.abs(c) ** 2
+    e_mode = 0.5 * weight * power
     smax = spec.kmax
     current = np.zeros(smax + 1)
     np.add.at(current, shell.clip(0, smax).ravel(), (e_mode * band).ravel())
@@ -115,7 +117,11 @@ def _synthesize(grid: Grid3, spec: SpectrumSpec, rng: np.random.Generator) -> Ve
     vh *= factor[shell.clip(0, smax)] * band
 
     v = _irfftn(vh, n)
-    v *= spec.rms / np.sqrt(np.mean(np.sum(v * v, axis=0)))
+    del vh
+    sq = v[0] * v[0]  # |v|^2, summed over components in np.sum's order
+    for c in v[1:]:
+        sq += c * c
+    v *= spec.rms / np.sqrt(np.mean(sq))
     return VectorField3(grid, v)
 
 

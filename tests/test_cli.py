@@ -111,10 +111,11 @@ class TestAnalyze:
         payload = json.loads((tmp_path / "rep.json").read_text())
         # 2 scales x 6 antipodal pairs of icosa:0, no inverse transforms.  The
         # helicity law reads the 18 sorted triples (a, a', b) of the 56 rows
-        # over 6 components, built from the 9 products ab and the 6 aa'.
+        # over 6 components, built from the 9 products ab and the 6 aa'; the
+        # series sums over the field's 228 active modes.
         assert payload["provenance"]["engine"] == {
             "n": 16, "m": 16, "kmax": 4, "alias_free": True, "evaluation": "sine-series",
-            "separations": 12, "inverse_passes": {"x": 0, "xy": 0, "z": 0},
+            "modes": 228, "separations": 12, "inverse_passes": {"x": 0, "xy": 0, "z": 0},
             "series_rows": 18, "pair_products": 15,
         }
         provenance = {k: x for k, x in payload["provenance"].items() if k != "engine"}
@@ -159,7 +160,7 @@ class TestDissipation:
         # distinct (x, y) components per radius.
         assert payload["provenance"]["engine"] == {
             "n": 8, "m": 8, "kmax": 4, "alias_free": False, "evaluation": "per-shift-fft",
-            "separations": 48, "inverse_passes": {"x": 20, "xy": 32, "z": 48},
+            "modes": 0, "separations": 48, "inverse_passes": {"x": 20, "xy": 32, "z": 48},
             "series_rows": 0, "pair_products": 0,
         }
 

@@ -9,8 +9,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_import_skips_integrate_and_spatial():
-    # Only phi_T needs scipy.integrate, and the icosahedron's faces are a
-    # table, so neither module belongs on the import path.
+    # phi_T runs a fixed Gauss-Legendre rule, and the icosahedron's faces
+    # are a table, so neither module belongs on the import path.
     code = (
         "import sys, exactlaws\n"
         "print(sorted(m for m in sys.modules\n"
@@ -53,6 +53,7 @@ def test_operations_load_no_scipy(tmp_path):
          "--dirs", "icosa:0", "--out", str(tmp_path / "d")],
         ["verify", "--suite", "ballshell", "--n", "16", "--dirs", "icosa:0",
          "--out", str(tmp_path / "r")],
+        ["selftest", "--out", str(tmp_path / "s")],
     ]
     code = (
         "import sys\n"

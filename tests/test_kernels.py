@@ -2,6 +2,7 @@
 
 import bisect
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -157,6 +158,35 @@ def test_small_separation_limit():
     slope = np.fft.irfftn(1j * k_dot_n * spec, s=(16, 16, 16), axes=(1, 2, 3)).reshape(6, -1)
     expected = np.einsum("pi,qi,ri->pqr", slope, slope, slope) / slope.shape[1]
     assert np.max(np.abs(mom - expected)) <= 1e-7 * np.max(np.abs(expected))
+
+
+def test_moment_blocks_match_one_block(monkeypatch):
+    # A smaller budget splits the separations into blocks of one matrix
+    # product each, which may move the moments at round-off only.
+    g, fields = band_fields(n=24, kmax=6, seed=5)
+    ells = 0.4 * direction_set_icosa(1).directions
+    one = StatsEngine(g, fields).moments(ells)
+    modes = StatsEngine(g, fields).describe()["modes"]
+    assert modes * len(ells) <= _kernels._MOMENT_BLOCK
+    for budget in (5 * modes, 1):  # 5 separations per block, then 1
+        monkeypatch.setattr(_kernels, "_MOMENT_BLOCK", budget)
+        blocked = StatsEngine(g, fields).moments(ells)
+        assert np.max(np.abs(blocked - one)) <= 1e-13 * np.max(np.abs(one))
+
+
+def test_sweep_peak_memory():
+    # The engine keeps each field at its active modes, and its transforms
+    # run one component at a time, so a sweep's traced peak stays within a
+    # few field sizes.
+    g = make_grid(64)
+    v = random_solenoidal(g, SpectrumSpec(-5.0 / 3.0, 2, 16, 1.0, 3))
+    tracemalloc.start()
+    try:
+        sweep_structure(LawKind.HELICITY, v, [0.2, 0.8], direction_set_icosa(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.6 * v.values.nbytes
 
 
 class TestFallback:
@@ -419,16 +449,18 @@ class TestDerivedCurl:
     def test_default_curl_is_taken_on_the_reduced_grid(self, monkeypatch):
         g = make_grid(32)
         v = random_solenoidal(g, SpectrumSpec(-5.0 / 3.0, 1, 5, 1.0, 7))
-        original, seen = _kernels._curl_spectrum, []
+        original, seen = _kernels._curl_modes, []
 
-        def spy(length, vh):
-            seen.append(vh.shape)
-            return original(length, vh)
+        def spy(kx, ky, kz, vh):
+            seen.append((vh.shape, kx.shape, ky.shape, kz.shape))
+            return original(kx, ky, kz, vh)
 
-        monkeypatch.setattr(_kernels, "_curl_spectrum", spy)
-        m = sweep_structure(LawKind.HELICITY, v, [0.2, 0.4], DIRS).engine["m"]
-        assert m < g.n
-        assert seen == [(3, m, m, m // 2 + 1)]
+        monkeypatch.setattr(_kernels, "_curl_modes", spy)
+        engine = sweep_structure(LawKind.HELICITY, v, [0.2, 0.4], DIRS).engine
+        m, modes = engine["m"], engine["modes"]
+        assert m < g.n and 0 < modes < m**3
+        # Once, on the source's active modes: never at n, never on a box.
+        assert seen == [((3, modes), (modes,), (modes,), (modes,))]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -514,6 +546,21 @@ def test_restricted_rows_match_full_rows(chosen, seed):
     mom = restricted.moments(0.3 * DIRS.directions, [])
     for t in itertools.combinations_with_replacement(range(zero), 3):
         assert np.all(np.isfinite(mom[t]) if t in wanted else np.isnan(mom[t]))
+
+
+def test_rows_built_later_match_rows_built_at_once():
+    # The band-limited fields are dropped once the requested rows exist and
+    # inverted again for a later request, which builds the same rows.
+    g, fields = derived_fields()
+    later, once = StatsEngine(g, fields), StatsEngine(g, fields)
+    once.moments(np.zeros((1, 3)))
+    later.moments(np.zeros((1, 3)), [(0, 0, 0), (0, 4, 7)])
+    assert later._band is None and later.describe()["series_rows"] == 2
+    later.moments(np.zeros((1, 3)))
+    assert later._band is None and later.describe()["series_rows"] == 165
+    zero = later.components["zero"][0]
+    for t in itertools.combinations_with_replacement(range(zero), 3):
+        assert np.array_equal(later._coeffs[later._row_index[t]], once._coeffs[once._row_index[t]])
 
 
 @pytest.mark.parametrize("law", ALL_LAWS)

@@ -73,6 +73,14 @@ class TestMollifierProfile:
             expected = MOL.dphi(r) + 2.0 * MOL.phi(r) / r
             assert abs(grad - expected) <= 1e-7
 
+    def test_phi_T_matches_adaptive_quadrature(self):
+        # The fixed Gauss-Legendre rule against scipy's adaptive quad.
+        from scipy import integrate
+
+        for r in np.linspace(0.01, 0.99, 99):
+            val, _ = integrate.quad(lambda s: MOL.phi(s) / s, r, 1.0, epsabs=1e-13, epsrel=1e-12)
+            assert abs(phi_T(MOL, r) - 2.0 * val) <= 1e-12
+
     def test_decomposition_consistency(self):
         r = 0.5
         assert abs(phi_L(MOL, r) + phi_T(MOL, r) - MOL.phi(r)) <= 1e-10
