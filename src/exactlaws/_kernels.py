@@ -14,11 +14,13 @@ modes, the union of the fields' active masks: the values are gathered once
 from the full-grid spectrum, the cut to the m-grid and its (m/n)^3 scale
 being an index map.  Curls and the sine-series tables are taken at those
 modes, and no operation holds a full-grid box for long: the band-limited
-fields behind the pair products are inverted one component at a time
-through one half-spectrum buffer and dropped once the products exist, and
-the directions of one call to ``moments`` are evaluated in blocks whose
-K x block temporaries hold at most ``_MOMENT_BLOCK`` elements.  Otherwise
-(m = n) each field is kept as its whole spectrum.
+fields behind the pair products are inverted in batches of stacked
+components through one reused half-spectrum buffer, the products are
+transformed in batches of stacked products, each batch holding at most
+``_BATCH`` grid points, and the fields are dropped once the products exist.
+The directions of one radius are evaluated in blocks whose K x block
+temporaries hold at most ``_MOMENT_BLOCK`` elements.  Otherwise (m = n)
+each field is kept as its whole spectrum.
 
 Two evaluation paths share that reduced grid:
 
@@ -26,7 +28,10 @@ Two evaluation paths share that reduced grid:
   M_pqr(l) is a sine series in k.l with one row of real coefficients per
   sorted component triple, so all directions at one radius cost one matrix
   product per block of directions and no transform; the law's term means
-  are contractions of M.
+  are contractions of M.  While K x directions x radii fit in ``_BATCH``,
+  whole radii of a ladder share one pass of phases, sine table and
+  contractions, and each radius keeps its own matrix product, which leaves
+  its values bitwise those of a ladder of its own.
   A row, and the pair-product transforms it needs, is built the first time
   a request reads it and kept for the rest of the engine's life, so a
   radius or epsilon ladder builds each row once and a law never pays for
@@ -159,8 +164,13 @@ COMBINE_COEFFS = {law: row.combine for law, row in LAWS.items()}
 
 _SUPPORT_RTOL = 1e-13  # spectral amplitudes below this (relative) count as empty
 # Elements of each modes x directions temporary in ``StatsEngine.moments``:
-# the directions of one call are evaluated in blocks of at most this size.
+# the directions of one radius are evaluated in blocks of at most this size.
 _MOMENT_BLOCK = 2**20
+# Elements of one batch: the stacked m^3 grids of one batched transform, and
+# the modes x directions x radii of one sine-table pass over a ladder.  At
+# m = 16 a batch of 16 products ran faster than one of all 30 (2^17), and
+# with a lower peak resident memory.
+_BATCH = 2**16
 
 
 def _active_modes(spec: np.ndarray) -> np.ndarray:
@@ -248,12 +258,16 @@ class StatsEngine:
     the source's mask.  ``evaluation`` names the path ``angular_term_sums``
     takes: "sine-series" or "per-shift-fft".  ``separations`` counts the
     separations evaluated, ``inverse_passes`` the inverse passes per axis,
-    ``describe`` also the modes kept, the series rows and pair products built.
+    ``transform_calls`` the 3-D transforms (one per distinct given field and
+    one per batch of band components or pair products), ``sine_passes`` the
+    sine-table evaluations; ``describe`` also gives the modes kept and the
+    series rows and pair products built.
     """
 
     def __init__(self, grid: Grid3, fields: dict):
         self.grid = grid
         n = grid.n
+        self.transform_calls = 0
         # First pass: each distinct given field is transformed once, and the
         # supports of their active masks fix kmax, hence m.
         given = []  # (values, spectrum, active mask) of each distinct given field with modes
@@ -274,6 +288,7 @@ class StatsEngine:
                                  if seen is values or np.array_equal(seen, values)), None)
             if source[name] is None:
                 spec = _rfftn(values)
+                self.transform_calls += 1
                 active = _active_modes(spec)
                 active[0, 0, 0] = False  # the mean: increments ignore it
                 if active.any():
@@ -322,10 +337,14 @@ class StatsEngine:
                 if active.any():
                     blocks.append((spec, active))
             owner[name] = block[src]
-        del given  # the full-grid spectra, before the copy below
-        stored = (len(at[0]),) if self.alias_free else (m, m, m // 2 + 1)
-        self._fields = np.concatenate([spec for spec, _ in blocks]
-                                      or [np.zeros((0,) + stored, dtype=complex)])
+        del given  # the full-grid spectra, before any copy below
+        self.modes = len(at[0]) if self.alias_free else 0
+        stored = (self.modes,) if self.alias_free else (m, m, m // 2 + 1)
+        if len(blocks) == 1:  # a lone field is kept as it is, without a copy
+            self._fields = blocks[0][0]
+        else:
+            self._fields = np.concatenate([spec for spec, _ in blocks]
+                                          or [np.zeros((0,) + stored, dtype=complex)])
         self._wavenumbers = wavenumbers
         # The three component indices of each field in ``moments``; the extra
         # index len(self._fields) stands for the zero field.
@@ -350,6 +369,7 @@ class StatsEngine:
         self._row_index[:zero, :zero, :zero] = -1
         self.separations = 0
         self.inverse_passes = {"x": 0, "xy": 0, "z": 0}
+        self.sine_passes = 0
 
     def describe(self) -> dict:
         """The grid the engine used, the evaluation path it takes, the modes it
@@ -360,11 +380,13 @@ class StatsEngine:
             "kmax": self.kmax,
             "alias_free": self.alias_free,
             "evaluation": self.evaluation,
-            "modes": self._fields.shape[1] if self.alias_free else 0,
+            "modes": self.modes,
             "separations": self.separations,
             "inverse_passes": dict(self.inverse_passes),
             "series_rows": 0 if self._coeffs is None else self._coeffs.shape[0],
             "pair_products": len(self._products),
+            "transform_calls": self.transform_calls,
+            "sine_passes": self.sine_passes,
         }
 
     def increments(self, ell) -> dict[str, np.ndarray | None]:
@@ -424,25 +446,43 @@ class StatsEngine:
         return np.stack([kx, ky, kz], axis=1), pair, self._fields / self.m**3
 
     def _band_fields(self) -> np.ndarray:
-        """The band-limited fields (C, m, m, m) on the reduced grid, inverted
-        one component at a time through one reused half-spectrum buffer."""
-        m = self.m
-        band = np.empty((self._fields.shape[0], m, m, m))
-        spec = np.empty((m, m, m // 2 + 1), dtype=complex)
-        for values, out in zip(self._fields, band):
-            spec.fill(0.0)
-            spec[self._index] = values
-            out[...] = _irfftn(spec, m)
+        """The band-limited fields (C, m, m, m) on the reduced grid, inverted in
+        batches of components through one reused half-spectrum buffer."""
+        m, count = self.m, self._fields.shape[0]
+        step = max(1, _BATCH // m**3)
+        band = np.empty((count, m, m, m))
+        spec = np.empty((min(step, count), m, m, m // 2 + 1), dtype=complex)
+        for s in range(0, count, step):
+            batch = spec[: min(step, count - s)]
+            batch.fill(0.0)
+            batch[(slice(None), *self._index)] = self._fields[s : s + step]
+            band[s : s + step] = _irfftn(batch, m)
+            self.transform_calls += 1
         return band
 
-    def _product(self, t: int, u: int) -> np.ndarray:
-        """conj((tu)^) / m**3 at the stored modes, for components t <= u."""
-        if (t, u) not in self._products:
-            if self._band is None:
-                self._band = self._band_fields()
-            spec = _rfftn(self._band[t] * self._band[u])[self._index] / self.m**3
-            self._products[t, u] = np.conj(spec)
-        return self._products[t, u]
+    def _build_products(self, pairs) -> None:
+        """Store conj((tu)^) / m**3 at the stored modes for the component pairs
+        (t, u), t <= u, a batch of pairs per transform; the band-limited
+        fields are dropped once all exist."""
+        self._band = self._band_fields()
+        step = max(1, _BATCH // self.m**3)
+        for s in range(0, len(pairs), step):
+            batch = pairs[s : s + step]
+            self._products.update(zip(batch, self._product_batch(batch)))
+        self._band = None
+
+    def _product_batch(self, batch) -> np.ndarray:
+        """conj((tu)^) / m**3 at the stored modes, (len(batch), K), from one
+        forward transform of the stacked products.  Its grids are freed on
+        return, before the next batch is built; freeing the stack before the
+        gather instead raised the peak resident memory of an n=64 sweep."""
+        m, band = self.m, self._band
+        stack = np.empty((len(batch), m, m, m))
+        for out, (t, u) in zip(stack, batch):
+            np.multiply(band[t], band[u], out=out)
+        spec = _rfftn(stack)
+        self.transform_calls += 1
+        return np.conj(spec[(slice(None), *self._index)] / m**3)
 
     def _build_rows(self, triples) -> None:
         """Build the G rows of the sorted component triples (p <= q <= r) not
@@ -458,8 +498,8 @@ class StatsEngine:
         exactly; then M = O(l^3), the linear part sum_k G_k k.l vanishes, and
         dropping it keeps full relative precision at small separations, where
         the sine terms would cancel.  Every permutation of (p, q, r) reads the
-        same row, so permuted moments are bitwise equal.  The band-limited
-        fields behind the pair products are dropped once the rows exist.
+        same row, so permuted moments are bitwise equal.  The pair products
+        the new rows need and do not have yet are built first, in batches.
         """
         if self._series is None:
             self._series = self._series_modes()
@@ -467,29 +507,36 @@ class StatsEngine:
         _, pair, coeff = self._series
         index = self._row_index
         new = sorted(t for t in {tuple(sorted(map(int, t))) for t in triples} if index[t] == -1)
+        pairs = {pq for p, q, r in new for pq in ((q, r), (p, r), (p, q))}
+        if pairs - self._products.keys():
+            self._build_products(sorted(pairs - self._products.keys()))
+        products = self._products
         rows = []
         for p, q, r in new:
             split = (
-                np.imag(coeff[p] * self._product(q, r))
-                + np.imag(coeff[q] * self._product(p, r))
-                + np.imag(coeff[r] * self._product(p, q))
+                np.imag(coeff[p] * products[q, r])
+                + np.imag(coeff[q] * products[p, r])
+                + np.imag(coeff[r] * products[p, q])
             )
             for perm in itertools.permutations((p, q, r)):
                 index[perm] = self._coeffs.shape[0] + len(rows)
             rows.append(pair * split)
-        self._band = None
         if rows:
             self._coeffs = np.concatenate([self._coeffs, rows])
 
     def moments(self, ells, triples=None) -> np.ndarray:
-        """Increment third moments M[p, q, r, s] = <dp dq dr> at separations ells[s].
+        """Increment third moments M[p, q, r, ...] = <dp dq dr> at separations ells[...].
 
         Valid on alias-free grids only.  ``components`` gives each field's
         indices p, q, r; the last index of each axis is the zero field.
         ``triples`` lists the sorted (p, q, r) to build rows for, all of them
         by default; entries whose row was never built read NaN, never 0.0.
-        The separations are evaluated in blocks whose modes x separations
-        temporaries hold at most ``_MOMENT_BLOCK`` elements.
+        ``ells`` is (S, 3), or (R, S, 3) for R rungs of a ladder of S
+        separations each, and M has the trailing axes (S,) or (R, S).  Each
+        rung's separations are evaluated in blocks whose modes x separations
+        temporaries hold at most ``_MOMENT_BLOCK`` elements, one matrix product
+        per block and rung; the phases and the sine table of a block are
+        taken for all rungs in one pass, counted in ``sine_passes``.
         """
         if not self.alias_free:
             raise ValueError("the sine series needs an alias-free grid (m > 3*kmax)")
@@ -498,20 +545,25 @@ class StatsEngine:
         if triples or self._series is None:
             self._build_rows(triples)
         kvec = self._series[0]
-        ells = np.asarray(ells, dtype=float).reshape(-1, 3)
-        self.separations += ells.shape[0]
-        rows = np.empty((self._coeffs.shape[0], ells.shape[0]))
+        ells = np.asarray(ells, dtype=float)
+        rungs = ells if ells.ndim == 3 else ells.reshape(1, -1, 3)
+        count, size = rungs.shape[:2]
+        self.separations += count * size
+        rows = np.empty((self._coeffs.shape[0] + 2, count, size))
+        rows[-2] = 0.0  # the zero field's row
+        rows[-1] = np.nan  # the rows not built
         step = max(1, _MOMENT_BLOCK // max(1, kvec.shape[0]))
-        for s in range(0, ells.shape[0], step):
-            block = ells[s : s + step]
-            phase = (
-                kvec[:, 0:1] * block[:, 0]
-                + kvec[:, 1:2] * block[:, 1]
-                + kvec[:, 2:3] * block[:, 2]
+        for s in range(0, size, step):
+            block = rungs[:, None, s : s + step]
+            table = _sin_minus_x(
+                kvec[:, 0:1] * block[..., 0] + kvec[:, 1:2] * block[..., 1]
+                + kvec[:, 2:3] * block[..., 2]
             )
-            rows[:, s : s + step] = self._coeffs @ _sin_minus_x(phase)
-        unbuilt = np.full(ells.shape[0], np.nan)
-        return np.vstack([rows, np.zeros(ells.shape[0]), unbuilt])[self._row_index]
+            self.sine_passes += 1
+            for i in range(count):
+                rows[:-2, i, s : s + step] = self._coeffs @ table[i]
+        out = rows[self._row_index]
+        return out if ells.ndim == 3 else out[..., 0, :]
 
 
 def _law_terms(law: LawKind, cube, trace) -> tuple:
@@ -599,7 +651,8 @@ def angular_term_sums(engine: StatsEngine, requests, radii, dirs) -> dict[str, n
     label gets a (len(radii), 5) array of (L1, L2, T1, T2, flux), one row per
     radius.  The rows each request reads are found and built once per call.
     On an alias-free grid the moments at every direction of one radius come
-    from one sine series evaluation and are contracted per law; otherwise the
+    from one sine series evaluation and are contracted per law, as many whole
+    radii at once as K x directions x radii fit in ``_BATCH``; otherwise the
     increments are computed once per separation and shared by ``term_means``,
     visiting the directions sorted by (l_x, l_y) so that consecutive
     separations share inverse passes.  Accumulation runs in the direction
@@ -610,15 +663,24 @@ def angular_term_sums(engine: StatsEngine, requests, radii, dirs) -> dict[str, n
         # M is odd in the separation, so every term mean is even in nhat and
         # each antipodal pair contributes its summed weight times one value.
         nhat, weights = dirs._half
-        nt = np.ascontiguousarray(nhat.T)
-        n3 = nt[:, None, None] * nt[None, :, None] * nt[None, None, :]
         reads = {label: (law, engine.components[a], engine.components[b])
                  for label, (law, a, b) in requests.items()}
         engine._build_rows(set().union(*(_law_triples(*read) for read in reads.values())))
-        for i, r in enumerate(radii):
-            mom = engine.moments(r * nhat, ())
+        radii = np.asarray(radii, dtype=float)
+        # Whole radii share one pass while modes x directions x radii fit in
+        # _BATCH.  One direction pair keeps one radius per pass: the cube sum
+        # over 27 entries is pairwise on one column and in order on more.
+        per = max(1, _BATCH // max(1, engine.modes * len(nhat))) if len(nhat) > 1 else 1
+        nt = np.tile(nhat.T, min(per, len(radii)))
+        n3 = nt[:, None, None] * nt[None, :, None] * nt[None, None, :]
+        for i in range(0, len(radii), per):
+            r = radii[i : i + per]
+            mom = engine.moments(r[:, None, None] * nhat, ())
+            mom = mom.reshape(mom.shape[:3] + (-1,))
+            cols = mom.shape[-1]
             for label, read in reads.items():
-                sums[label][i] = (np.stack(_moment_terms(*read, mom, n3, nt)) * weights).sum(axis=1)
+                terms = np.stack(_moment_terms(*read, mom, n3[..., :cols], nt[:, :cols]))
+                sums[label][i : i + len(r)] = (terms.reshape(5, len(r), -1) * weights).sum(axis=2).T
         return sums
     for i, r in enumerate(radii):
         ells = r * dirs.directions

@@ -19,8 +19,10 @@ carries its own, and selftest uses fixed Philox keys.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
+import shutil
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -175,11 +177,10 @@ _BALL_FLOOR = 1e-12
 
 
 def _ballshell_checks(cfg: VerifyConfig, verdict: Verdict) -> None:
-    grid = make_grid(cfg.n, cfg.length)
+    grid, dirs = cfg.grid, cfg.directions
     v = _band_limited(grid, cfg.seed)
     h = _band_limited(grid, cfg.seed + 9001)
     floor = _BALL_FLOOR * v.rms() ** 3
-    dirs = parse_direction_spec(cfg.dirs)
     requests = {
         "helicity": (LawKind.HELICITY, "v", "omega"),
         "mhd-energy": (LawKind.MHD_ENERGY, "v", "h"),
@@ -198,9 +199,8 @@ def _ballshell_checks(cfg: VerifyConfig, verdict: Verdict) -> None:
 
 
 def _degeneracy_checks(cfg: VerifyConfig, verdict: Verdict) -> None:
-    grid = make_grid(cfg.n, cfg.length)
+    grid, dirs = cfg.grid, cfg.directions
     v = _band_limited(grid, cfg.seed)
-    dirs = parse_direction_spec(cfg.dirs)
     eps = min(0.4, grid.length / 8.0)
     rms3 = v.rms() ** 3
     requests = {
@@ -225,12 +225,11 @@ def _degeneracy_checks(cfg: VerifyConfig, verdict: Verdict) -> None:
 
 
 def _smooth_checks(cfg: VerifyConfig, verdict: Verdict) -> None:
-    grid = make_grid(cfg.n, cfg.length)
+    grid, dirs = cfg.grid, cfg.directions
     kmax = min(5, grid.n // 3)
     unit = cfg.length / (2.0 * np.pi)
     u = _band_limited(grid, cfg.seed)
     u2 = _band_limited(grid, cfg.seed + 9001)
-    dirs = parse_direction_spec(cfg.dirs)
     mol = bump_mollifier()
 
     r_hi = 0.35 / kmax * unit
@@ -299,7 +298,10 @@ class VerifyConfig:
     The fields are also the flags of ``verify``, in this order: --name with
     dashes for underscores, of the field's type and default.  A field's
     metadata names a different flag ("flag") or overrides the keywords of
-    ``add_argument``.  --seed is every verb's own flag.
+    ``add_argument``.  --seed is every verb's own flag.  The grid and the
+    direction set the suites use are built once, when the config is made,
+    and kept as the attributes ``grid`` and ``directions`` (not fields, so
+    they are neither flags nor part of the reported config).
     """
 
     suite: str = field(default="all", metadata={"choices": ("all", *_SUITES)})
@@ -319,10 +321,10 @@ class VerifyConfig:
     def __post_init__(self):
         for name in ("identity_tol", "quad_match_tol", "degeneracy_tol"):
             _check_tolerance(name.replace("_", "-"), getattr(self, name))
-        # Build what the suites build, so a bad value fails before any runs.
-        make_grid(self.n, self.length)
+        # Build what the suites use, so a bad value fails before any runs.
+        object.__setattr__(self, "grid", make_grid(self.n, self.length))
         _check_ladder(self.length, self.eps_ladder, "epsilons")
-        parse_direction_spec(self.dirs)
+        object.__setattr__(self, "directions", parse_direction_spec(self.dirs))
         radial_quadrature(self.eps_ladder[0], self.radial_nodes)
 
 
@@ -559,12 +561,20 @@ def cmd_selftest(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # argparse builds a formatter for every argument it adds and sizes each one
+    # from the terminal; this is the width each would find, looked up once.
+    formatter = functools.partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
+    )
     parser = argparse.ArgumentParser(
         prog="exactlaws",
         description="Structure-function and dissipation-functional diagnostics "
         "on periodic 3D fields.",
+        formatter_class=formatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(
+        parser.add_subparsers(dest="command", required=True).add_parser, formatter_class=formatter
+    )
 
     def common(p, seed_help):
         p.set_defaults(parser=p)
@@ -587,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dirs", default="icosa:2", help="icosa:LEVEL or random:COUNT:SEED")
         report_out(p, out)
 
-    p = sub.add_parser("gen", help="generate a solenoidal field file")
+    p = add_parser("gen", help="generate a solenoidal field file")
     common(p, "seed of the random field (--kind random)")
     p.add_argument("--kind", required=True, choices=("abc", "taylor-green", "random"))
     p.add_argument("--n", type=int, required=True)
@@ -602,12 +612,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rms", type=float, default=1.0)
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("analyze", help="structure-function sweep -> PREFIX.json + PREFIX.csv")
+    p = add_parser("analyze", help="structure-function sweep -> PREFIX.json + PREFIX.csv")
     inputs(p, "structure")
     p.add_argument("--scales", default="0.05:0.8:12", help="geometric ladder lo:hi:count")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("dissipation", help="dissipation-functional sweep")
+    p = add_parser("dissipation", help="dissipation-functional sweep")
     inputs(p, "dissipation")
     p.add_argument("--part", default="L", choices=("L", "T"))
     p.add_argument("--method", default="both", choices=("ball", "shell", "both"))
@@ -616,7 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quad-match-tol", type=float, default=1e-10)
     p.set_defaults(func=cmd_dissipation)
 
-    p = sub.add_parser("verify", help="run the exact-law verification suite")
+    p = add_parser("verify", help="run the exact-law verification suite")
     common(p, "seed of the suites' random samples and fields")
     for f in fields(VerifyConfig):
         if f.name != "seed":
@@ -625,7 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
     report_out(p, "verify_report")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("selftest", help="fast built-in consistency checks")
+    p = add_parser("selftest", help="fast built-in consistency checks")
     common(p, "accepted, not read: the checks use fixed Philox keys")
     report_out(p)
     p.set_defaults(func=cmd_selftest)

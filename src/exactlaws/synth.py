@@ -2,7 +2,10 @@
 
 All randomness flows through the counter-based Philox bit generator so that
 identical (grid, parameters, seed) inputs reproduce identical fields on any
-platform.
+platform.  A random field draws n^3 noise values per component and
+transforms them on the whole grid; the shaping and the complex inverse
+passes then run on the box of wavenumbers up to the band's kmax only, with
+the values the whole half-spectrum would give, bit for bit.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid3, VectorField3, _irfftn, _leray, _rfftn
+from .grid import Grid3, VectorField3, _leray, _rfftn
 
 __all__ = [
     "SpectrumSpec",
@@ -81,43 +84,64 @@ def _rng(seed: int, stream: int = 0) -> np.random.Generator:
 
 
 def _synthesize(grid: Grid3, spec: SpectrumSpec, rng: np.random.Generator) -> VectorField3:
-    spec.validate_for(grid)
-    n = grid.n
-    vh = _rfftn(rng.standard_normal((3, n, n, n)))  # the noise is freed here
+    """One seeded field: n^3 noise per component and its forward transform,
+    then everything else on the band box |kx|, |ky|, kz <= kmax.
 
-    m = np.fft.fftfreq(n, d=1.0 / n)  # signed integer wavenumber indices
-    mz = np.fft.rfftfreq(n, d=1.0 / n)
+    The band lies inside the box, which holds no Nyquist plane (kmax <= n/3),
+    and the box keeps the ascending index order of each axis, so every mode
+    gets the values, and every shell the sums (in the same order), that the
+    whole half-spectrum would give.  The x and y inverse passes run only on
+    the lines through the box and the z pass zero-pads the rest of its half
+    axis, which leaves every output value as the whole-spectrum inverse
+    computes it.
+    """
+    spec.validate_for(grid)
+    n, kmax = grid.n, spec.kmax
+    axis = np.r_[0 : kmax + 1, n - kmax : n]  # indices of |k| <= kmax, ascending
+    vh = _rfftn(rng.standard_normal((3, n, n, n)))  # the noise is freed here
+    box = vh[:, axis[:, None], axis, : kmax + 1]
+    del vh
+
+    m = np.fft.fftfreq(n, d=1.0 / n)[axis]  # signed integer wavenumber indices
+    mz = np.fft.rfftfreq(n, d=1.0 / n)[: kmax + 1]
     mx = m[:, None, None]
     my = m[None, :, None]
     mzz = mz[None, None, :]
     shell = np.rint(np.sqrt(mx * mx + my * my + mzz * mzz)).astype(int)
-    band = (shell >= spec.kmin) & (shell <= spec.kmax)
-    vh *= band
+    band = (shell >= spec.kmin) & (shell <= kmax)
+    box *= band
 
-    _leray(vh, mx, my, mzz)
+    _leray(box, mx, my, mzz)
 
     # Shell energies from the half-spectrum: conjugate modes count twice except
-    # on the kz = 0 and kz = n/2 planes.
+    # on the kz = 0 plane (the box holds no kz = n/2 plane).
     weight = np.full(shell.shape, 2.0)
     weight[:, :, 0] = 1.0
-    weight[:, :, -1] = 1.0
-    power = np.abs(vh[0]) ** 2  # summed over components in np.sum's order
-    for c in vh[1:]:
+    power = np.abs(box[0]) ** 2  # summed over components in np.sum's order
+    for c in box[1:]:
         power += np.abs(c) ** 2
     e_mode = 0.5 * weight * power
-    smax = spec.kmax
-    current = np.zeros(smax + 1)
-    np.add.at(current, shell.clip(0, smax).ravel(), (e_mode * band).ravel())
+    current = np.zeros(kmax + 1)
+    np.add.at(current, shell.clip(0, kmax).ravel(), (e_mode * band).ravel())
     target = np.array(
-        [float(s) ** spec.slope if spec.kmin <= s <= smax else 0.0 for s in range(smax + 1)]
+        [float(s) ** spec.slope if spec.kmin <= s <= kmax else 0.0 for s in range(kmax + 1)]
     )
-    factor = np.zeros(smax + 1)
+    factor = np.zeros(kmax + 1)
     nonzero = current > 0
     factor[nonzero] = np.sqrt(target[nonzero] / current[nonzero])
-    vh *= factor[shell.clip(0, smax)] * band
+    box *= factor[shell.clip(0, kmax)] * band
 
-    v = _irfftn(vh, n)
-    del vh
+    # ``grid._irfftn``'s passes and scaling, the complex ones on the box lines.
+    lines = np.zeros((3, n, len(axis), kmax + 1), dtype=complex)
+    lines[:, axis] = box
+    np.fft.ifft(lines, axis=1, norm="forward", out=lines)
+    planes = np.zeros((3, n, n, kmax + 1), dtype=complex)
+    planes[:, :, axis] = lines
+    del lines
+    np.fft.ifft(planes, axis=2, norm="forward", out=planes)
+    v = np.fft.irfft(planes, n=n, axis=3, norm="forward")
+    del planes
+    v *= 1.0 / n**3
     sq = v[0] * v[0]  # |v|^2, summed over components in np.sum's order
     for c in v[1:]:
         sq += c * c

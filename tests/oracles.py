@@ -5,8 +5,11 @@ shifted fields come from direct evaluation of the trigonometric interpolant
 built with explicit DFT matrices, projections apply the n (x) n matrix,
 flux kernels use literal cross products, and averages are plain sums.  The
 cost is O(n^6) per shift, which is fine for the small grids the oracle
-comparisons run on.  The one exception, ``law_triples_by_replay``, replays
-the library's own kernel algebra to record which moments it reads.
+comparisons run on.  Two exceptions reuse library code on purpose:
+``law_triples_by_replay`` replays the library's own kernel algebra to record
+which moments it reads, and ``synthesize_full_grid`` is the field generator
+as it ran on the whole half-spectrum, the bitwise reference for the band-box
+generator.
 """
 
 import numpy as np
@@ -141,3 +144,52 @@ def law_triples_by_replay(law, a, b):
 
     _kernels._law_terms(law, lambda p: record(cube_index, p), lambda p: record(trace_index, p))
     return {tuple(sorted(t)) for t in read}
+
+
+def synthesize_full_grid(grid, spec, rng):
+    """``synth._synthesize`` on the whole half-spectrum: band mask, Leray
+    projection, shell shaping and the inverse transform over all n^2 (n/2 + 1)
+    modes.  It draws the same noise and runs the same transforms as the
+    library, so it gives the same field bit for bit."""
+    from exactlaws.grid import VectorField3, _irfftn, _leray, _rfftn
+
+    spec.validate_for(grid)
+    n = grid.n
+    vh = _rfftn(rng.standard_normal((3, n, n, n)))
+
+    m = np.fft.fftfreq(n, d=1.0 / n)
+    mz = np.fft.rfftfreq(n, d=1.0 / n)
+    mx = m[:, None, None]
+    my = m[None, :, None]
+    mzz = mz[None, None, :]
+    shell = np.rint(np.sqrt(mx * mx + my * my + mzz * mzz)).astype(int)
+    band = (shell >= spec.kmin) & (shell <= spec.kmax)
+    vh *= band
+
+    _leray(vh, mx, my, mzz)
+
+    weight = np.full(shell.shape, 2.0)
+    weight[:, :, 0] = 1.0
+    weight[:, :, -1] = 1.0
+    power = np.abs(vh[0]) ** 2
+    for c in vh[1:]:
+        power += np.abs(c) ** 2
+    e_mode = 0.5 * weight * power
+    smax = spec.kmax
+    current = np.zeros(smax + 1)
+    np.add.at(current, shell.clip(0, smax).ravel(), (e_mode * band).ravel())
+    target = np.array(
+        [float(s) ** spec.slope if spec.kmin <= s <= smax else 0.0 for s in range(smax + 1)]
+    )
+    factor = np.zeros(smax + 1)
+    nonzero = current > 0
+    factor[nonzero] = np.sqrt(target[nonzero] / current[nonzero])
+    vh *= factor[shell.clip(0, smax)] * band
+
+    v = _irfftn(vh, n)
+    del vh
+    sq = v[0] * v[0]
+    for c in v[1:]:
+        sq += c * c
+    v *= spec.rms / np.sqrt(np.mean(sq))
+    return VectorField3(grid, v)

@@ -1,7 +1,10 @@
 """End-to-end command-line tests (in-process)."""
 
+import argparse
 import dataclasses
 import json
+import os
+import shutil
 
 import numpy as np
 import pytest
@@ -112,11 +115,13 @@ class TestAnalyze:
         # 2 scales x 6 antipodal pairs of icosa:0, no inverse transforms.  The
         # helicity law reads the 18 sorted triples (a, a', b) of the 56 rows
         # over 6 components, built from the 9 products ab and the 6 aa'; the
-        # series sums over the field's 228 active modes.
+        # series sums over the field's 228 active modes.  Three transforms:
+        # the field's forward one, the 6 band components in one batch and the
+        # 15 products in another; both radii share one sine-table pass.
         assert payload["provenance"]["engine"] == {
             "n": 16, "m": 16, "kmax": 4, "alias_free": True, "evaluation": "sine-series",
             "modes": 228, "separations": 12, "inverse_passes": {"x": 0, "xy": 0, "z": 0},
-            "series_rows": 18, "pair_products": 15,
+            "series_rows": 18, "pair_products": 15, "transform_calls": 3, "sine_passes": 1,
         }
         provenance = {k: x for k, x in payload["provenance"].items() if k != "engine"}
         assert canonical_hash({**payload, "provenance": provenance}) == canonical_hash(payload)
@@ -157,11 +162,12 @@ class TestDissipation:
         assert rc == 0
         payload = json.loads((tmp_path / "diss.json").read_text())
         # 4 radial nodes x 12 directions; icosa:0 has 5 distinct x and 8
-        # distinct (x, y) components per radius.
+        # distinct (x, y) components per radius.  The one 3-D transform is the
+        # field's forward one; the separations run per-axis passes.
         assert payload["provenance"]["engine"] == {
             "n": 8, "m": 8, "kmax": 4, "alias_free": False, "evaluation": "per-shift-fft",
             "modes": 0, "separations": 48, "inverse_passes": {"x": 20, "xy": 32, "z": 48},
-            "series_rows": 0, "pair_products": 0,
+            "series_rows": 0, "pair_products": 0, "transform_calls": 1, "sine_passes": 0,
         }
 
     def test_kmax_eps_min_in_provenance_outside_hash(self, tmp_path, capsys):
@@ -440,6 +446,24 @@ class TestVerify:
         assert "quad-match-tol" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    def test_suites_share_the_config_grid_and_directions(self, tmp_path, monkeypatch):
+        # The config builds its grid and direction set once; the suites read
+        # them, and neither is a flag or part of the reported config.
+        calls = {"make_grid": 0, "parse_direction_spec": 0}
+        for name in calls:
+            def counting(*args, _real=getattr(cli, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(cli, name, counting)
+        rc = run(["verify", "--suite", "ballshell", "--n", 16, "--dirs", "icosa:1",
+                  "--radial-nodes", 4, "--seed", 3, "--out", tmp_path / "r.json"])
+        assert rc == 0
+        assert calls == {"make_grid": 1, "parse_direction_spec": 1}
+        config = json.loads((tmp_path / "r.json").read_text())["config"]
+        assert set(config) == {f.name for f in dataclasses.fields(cli.VerifyConfig)}
+        cfg = cli.VerifyConfig(n=16, dirs="icosa:1")
+        assert cfg.grid == make_grid(16) and len(cfg.directions) == 42
+
     def test_failing_check_still_writes_report(self, tmp_path):
         rc = run(["verify", "--suite", "identity", "--identity-tol", "1e-30",
                   "--out", tmp_path / "r.json"])
@@ -455,3 +479,21 @@ class TestSelftest:
         payload = json.loads((tmp_path / "self.json").read_text())
         assert payload["verdict"]["pass"] is True
         assert all("measured" in c for c in payload["verdict"]["checks"])
+
+
+def test_parser_reads_the_terminal_width_once(monkeypatch):
+    # Every formatter argparse builds gets the width it would have looked up
+    # itself, the terminal's columns less 2, from one lookup.
+    calls = []
+
+    def terminal_size(*args):
+        calls.append(args)
+        return os.terminal_size((57, 24))
+
+    monkeypatch.setattr(shutil, "get_terminal_size", terminal_size)
+    parser = cli.build_parser()
+    assert len(calls) == 1
+    subparsers = next(a for a in parser._actions if a.dest == "command").choices
+    assert set(subparsers) == {"gen", "analyze", "dissipation", "verify", "selftest"}
+    for p in (parser, *subparsers.values()):
+        assert p._get_formatter()._width == argparse.HelpFormatter(p.prog)._width == 55

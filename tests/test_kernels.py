@@ -563,6 +563,96 @@ def test_rows_built_later_match_rows_built_at_once():
         assert np.array_equal(later._coeffs[later._row_index[t]], once._coeffs[once._row_index[t]])
 
 
+def test_batched_transforms_match_one_at_a_time(monkeypatch):
+    # Stacked band components and stacked pair products are transformed
+    # together; with a budget of one element each goes through a transform
+    # of its own, and every product and row keeps its bits.
+    g, fields = derived_fields()
+    batched = StatsEngine(g, fields)
+    batched.moments(np.zeros((1, 3)))
+    monkeypatch.setattr(_kernels, "_BATCH", 1)
+    single = StatsEngine(g, fields)
+    single.moments(np.zeros((1, 3)))
+    components = batched._fields.shape[0]
+    assert batched.describe()["pair_products"] == components * (components + 1) // 2
+    given = 2  # the forward transforms of v and h; w is CurlOf("v")
+    assert batched.transform_calls == given + 2  # m = 10: one batch of each
+    assert single.transform_calls == given + components + len(single._products)
+    assert batched._products.keys() == single._products.keys()
+    for pair, values in batched._products.items():
+        assert np.array_equal(values, single._products[pair])
+    assert np.array_equal(batched._row_index, single._row_index)
+    assert np.array_equal(batched._coeffs, single._coeffs)
+
+
+@pytest.mark.parametrize("dirs", [DIRS, direction_set_random(2)], ids=["icosa1", "one-pair"])
+def test_grouped_ladder_matches_radius_by_radius(monkeypatch, dirs):
+    # Whole radii share one phase, sine-table and contraction pass; each
+    # radius keeps its own matrix product, so its sums are bitwise those of a
+    # ladder of its own, whether the whole ladder fits in one pass, the group
+    # boundary falls mid-ladder (2 + 2 + 1 radii) or each radius is a pass.
+    # One antipodal pair keeps one radius per pass (numpy sums a one-column
+    # cube contraction pairwise and a wider one in order).
+    g, fields = band_fields()
+    radii = np.geomspace(0.05, g.length / 4.0, 5)
+    engine = StatsEngine(g, fields)
+    single = [_kernels.angular_term_sums(engine, ALL_LAW_REQUESTS, [r], dirs) for r in radii]
+    alone = {label: np.concatenate([s[label] for s in single]) for label in ALL_LAW_REQUESTS}
+    nhat = dirs._half[0]
+    mom = engine.moments(radii[:, None, None] * nhat, ())
+    for i, r in enumerate(radii):
+        assert np.array_equal(mom[..., i, :], engine.moments(r * nhat, ()), equal_nan=True)
+    half = len(nhat)
+    for budget, passes in ((_kernels._BATCH, 1), (2 * engine.modes * half, 3), (1, 5)):
+        monkeypatch.setattr(_kernels, "_BATCH", budget)
+        before = engine.sine_passes
+        assert_bitwise(_kernels.angular_term_sums(engine, ALL_LAW_REQUESTS, radii, dirs), alone)
+        assert engine.sine_passes - before == (passes if half > 1 else len(radii))
+
+
+def test_sine_passes_follow_modes_times_directions():
+    # The ballshell gate's engine (n = 32, shells 2..5, K = 404) takes its six
+    # radial nodes over icosa:1 in one sine-table pass and five transforms:
+    # two forward, one for its 9 band components and two for its 30 products.
+    # The n = 64 field (K = 9843) has one pass per radius, and its 6 band
+    # components and 15 products at m = 50 have one transform each.
+    g = make_grid(32)
+    v, h = (random_solenoidal(g, SpectrumSpec(-5.0 / 3.0, 2, 5, 1.0, s)) for s in (2, 9003))
+    engine = StatsEngine(g, {"v": v, "omega": CurlOf("v"), "h": h})
+    requests = {
+        "helicity": (LawKind.HELICITY, "v", "omega"),
+        "mhd-energy": (LawKind.MHD_ENERGY, "v", "h"),
+        "cross-helicity": (LawKind.CROSS_HELICITY, "v", "h"),
+    }
+    _kernels.angular_term_sums(engine, requests, np.linspace(0.05, 0.4, 6), DIRS)
+    work = engine.describe()
+    assert (work["modes"], work["series_rows"], work["pair_products"]) == (404, 74, 30)
+    assert (work["sine_passes"], work["transform_calls"]) == (1, 5)
+
+    g = make_grid(64)
+    v = random_solenoidal(g, SpectrumSpec(-5.0 / 3.0, 2, 16, 1.0, 3))
+    engine = StatsEngine(g, {"v": v, "omega": CurlOf("v")})
+    _kernels.angular_term_sums(engine, {"x": (LawKind.HELICITY, "v", "omega")}, [0.2, 0.8], DIRS)
+    work = engine.describe()
+    assert (work["m"], work["modes"], work["pair_products"]) == (50, 9843, 15)
+    assert (work["sine_passes"], work["transform_calls"]) == (2, 1 + 6 + 15)
+
+
+def test_per_shift_build_keeps_one_spectrum():
+    # A lone field's spectrum is kept as transformed, not copied: white noise
+    # at n = 48 peaks at 1.34 times its spectrum (2.02 times with the copy).
+    g = make_grid(48)
+    v = VectorField3(g, np.random.default_rng(4).standard_normal((3, 48, 48, 48)))
+    tracemalloc.start()
+    try:
+        engine = StatsEngine(g, {"a": v, "b": None})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert engine.evaluation == "per-shift-fft"
+    assert peak <= 1.5 * engine._fields.nbytes
+
+
 @pytest.mark.parametrize("law", ALL_LAWS)
 @pytest.mark.parametrize(
     "b", [np.arange(3, 6), np.arange(3), np.full(3, 3)], ids=["distinct", "equal", "zero"]
