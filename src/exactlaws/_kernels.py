@@ -15,9 +15,12 @@ from the full-grid spectrum, the cut to the m-grid and its (m/n)^3 scale
 being an index map.  Curls and the sine-series tables are taken at those
 modes, and no operation holds a full-grid box for long: the band-limited
 fields behind the pair products are inverted in batches of stacked
-components through one reused half-spectrum buffer, the products are
-transformed in batches of stacked products, each batch holding at most
-``_BATCH`` grid points, and the fields are dropped once the products exist.
+components through one reused band box, the products are transformed in
+batches of stacked products, each batch holding at most ``_BATCH`` grid
+points, and the fields are dropped once the products exist.  Both
+transforms are ``grid``'s band-box forms, which run their passes only on
+the lines that hold a mode of the box |kx|, |ky|, kz <= kmax and give the
+whole-grid values there bit for bit.
 The directions of one radius are evaluated in blocks whose K x block
 temporaries hold at most ``_MOMENT_BLOCK`` elements.  Otherwise (m = n)
 each field is kept as its whole spectrum.
@@ -73,8 +76,8 @@ from operator import add
 
 import numpy as np
 
-from .grid import (Grid3, VectorField3, _axis_phases, _curl_modes, _derivative_wavenumbers,
-                   _irfftn, _rfftn, _wavenumbers)
+from .grid import (Grid3, VectorField3, _axis_phases, _band_irfftn, _band_rfftn, _curl_modes,
+                   _derivative_wavenumbers, _rfftn, _wavenumbers)
 
 __all__ = [
     "LawKind",
@@ -311,11 +314,14 @@ class StatsEngine:
             # The same modes on the m-grid: the negative wavenumbers of the
             # two full axes move from index n - k to m - k.
             self._index = tuple(np.where(i < n // 2, i, i + m - n) for i in at[:2]) + at[2:]
+            # And in the band box |kx|, |ky|, kz <= kmax of ``grid._band_rfftn``.
+            side = 2 * self.kmax + 1
+            self._box = tuple(np.where(i < n // 2, i, i + side - n) for i in at[:2]) + at[2:]
             k, kz = _wavenumbers(grid.length, m)
             wavenumbers = (k[self._index[0]], k[self._index[1]], kz[self._index[2]])
             gather = (Ellipsis, *at)
         else:
-            self._index = None
+            self._index = self._box = None
             wavenumbers = _derivative_wavenumbers(grid.length, m)
             gather = Ellipsis
         blocks = []  # (stored spectrum, active mask) of each distinct field with modes
@@ -447,16 +453,16 @@ class StatsEngine:
 
     def _band_fields(self) -> np.ndarray:
         """The band-limited fields (C, m, m, m) on the reduced grid, inverted in
-        batches of components through one reused half-spectrum buffer."""
+        batches of components through one reused band box."""
         m, count = self.m, self._fields.shape[0]
         step = max(1, _BATCH // m**3)
         band = np.empty((count, m, m, m))
-        spec = np.empty((min(step, count), m, m, m // 2 + 1), dtype=complex)
+        side = 2 * self.kmax + 1
+        box = np.zeros((min(step, count), side, side, self.kmax + 1), dtype=complex)
         for s in range(0, count, step):
-            batch = spec[: min(step, count - s)]
-            batch.fill(0.0)
-            batch[(slice(None), *self._index)] = self._fields[s : s + step]
-            band[s : s + step] = _irfftn(batch, m)
+            batch = box[: min(step, count - s)]
+            batch[(slice(None), *self._box)] = self._fields[s : s + step]
+            band[s : s + step] = _band_irfftn(batch, m)
             self.transform_calls += 1
         return band
 
@@ -473,16 +479,17 @@ class StatsEngine:
 
     def _product_batch(self, batch) -> np.ndarray:
         """conj((tu)^) / m**3 at the stored modes, (len(batch), K), from one
-        forward transform of the stacked products.  Its grids are freed on
-        return, before the next batch is built; freeing the stack before the
-        gather instead raised the peak resident memory of an n=64 sweep."""
+        band-box forward transform of the stacked products.  Its grids are
+        freed on return, before the next batch is built; freeing the stack
+        before the gather instead raised the peak resident memory of an n=64
+        sweep."""
         m, band = self.m, self._band
         stack = np.empty((len(batch), m, m, m))
         for out, (t, u) in zip(stack, batch):
             np.multiply(band[t], band[u], out=out)
-        spec = _rfftn(stack)
+        spec = _band_rfftn(stack, self.kmax)
         self.transform_calls += 1
-        return np.conj(spec[(slice(None), *self._index)] / m**3)
+        return np.conj(spec[(slice(None), *self._box)] / m**3)
 
     def _build_rows(self, triples) -> None:
         """Build the G rows of the sorted component triples (p <= q <= r) not
@@ -612,8 +619,14 @@ def term_means(law: LawKind, da, db, nhat) -> tuple[float, float, float, float, 
 
 
 def _cube(mom, n3, x, y, z) -> np.ndarray:
-    """Per direction, sum_ijk n_i n_j n_k M[x_i, y_j, z_k]."""
-    return (n3 * mom[np.ix_(x, y, z)]).reshape(27, -1).sum(axis=0)
+    """Per direction, sum_ijk n_i n_j n_k M[x_i, y_j, z_k], the 27 terms added
+    in order, so a column's bits do not depend on how many columns there are
+    (numpy's ``sum`` would add one column's terms pairwise)."""
+    terms = (n3 * mom[np.ix_(x, y, z)]).reshape(27, -1)
+    out = terms[0].copy()
+    for term in terms[1:]:
+        out += term
+    return out
 
 
 def _trace(mom, nt, x, y, z) -> np.ndarray:
@@ -667,10 +680,8 @@ def angular_term_sums(engine: StatsEngine, requests, radii, dirs) -> dict[str, n
                  for label, (law, a, b) in requests.items()}
         engine._build_rows(set().union(*(_law_triples(*read) for read in reads.values())))
         radii = np.asarray(radii, dtype=float)
-        # Whole radii share one pass while modes x directions x radii fit in
-        # _BATCH.  One direction pair keeps one radius per pass: the cube sum
-        # over 27 entries is pairwise on one column and in order on more.
-        per = max(1, _BATCH // max(1, engine.modes * len(nhat))) if len(nhat) > 1 else 1
+        # Whole radii share one pass while modes x directions x radii fit in _BATCH.
+        per = max(1, _BATCH // max(1, engine.modes * len(nhat)))
         nt = np.tile(nhat.T, min(per, len(radii)))
         n3 = nt[:, None, None] * nt[None, :, None] * nt[None, None, :]
         for i in range(0, len(radii), per):

@@ -78,6 +78,9 @@ class CheckResult:
 @dataclass
 class Verdict:
     checks: list[CheckResult] = field(default_factory=list)
+    # Wall seconds per verify suite, in run order; printed and kept under
+    # "provenance", not in the verdict itself.
+    seconds: dict[str, float] = field(default_factory=dict)
 
     def add(self, name: str, measured: float, threshold: float, larger_ok: bool = False):
         """Record a check; by default measured <= threshold passes.
@@ -100,12 +103,28 @@ class Verdict:
         return {"pass": self.passed, "checks": [c.to_json_dict() for c in self.checks]}
 
     def print_lines(self, out=None) -> None:
+        """One line per check, with its margin measured/threshold (a check
+        passes at a margin of at most 1, or of at least 1 where larger values
+        pass), the seconds of each suite, and the overall verdict."""
         out = sys.stdout if out is None else out
         for c in self.checks:
             tag = "PASS" if c.passed else "FAIL"
             measured = "null" if c.measured is None else f"{c.measured:.6e}"
-            print(f"[{tag}] {c.name}: measured={measured} threshold={c.threshold:.6e}", file=out)
+            print(f"[{tag}] {c.name}: measured={measured} threshold={c.threshold:.6e} "
+                  f"margin={_margin(c.measured, c.threshold)}", file=out)
+        for name, seconds in self.seconds.items():
+            print(f"suite {name}: {seconds:.3f}s", file=out)
         print(f"overall: {'PASS' if self.passed else 'FAIL'}", file=out)
+
+
+def _margin(measured: float | None, threshold: float) -> str:
+    """measured / threshold as printed; 0 for a zero measurement, inf for a
+    nonzero one against a zero threshold."""
+    if measured is None:
+        return "null"
+    if measured == 0.0:
+        return "0"
+    return f"{measured / threshold:.3g}" if threshold else "inf"
 
 
 def _check_tolerance(name: str, value: float) -> float:
@@ -334,7 +353,9 @@ def run_verify(cfg: VerifyConfig) -> Verdict:
     verdict = Verdict()
     for name, checks in _SUITES.items():
         if cfg.suite in ("all", name):
+            start = time.perf_counter()
             checks(cfg, verdict)
+            verdict.seconds[name] = time.perf_counter() - start
     return verdict
 
 
@@ -535,14 +556,16 @@ def cmd_dissipation(args) -> int:
 
 def _run_verdict(run, out, **extra) -> int:
     """Run ``run()``, print its verdict lines and the time taken, and write the
-    verdict with ``extra`` keys to the --out prefix if one is given."""
+    verdict with ``extra`` keys to the --out prefix if one is given; the
+    seconds, in total and per suite, go under "provenance"."""
     start = time.perf_counter()
     verdict = run()
     elapsed = time.perf_counter() - start
     verdict.print_lines()
     print(f"finished in {elapsed:.1f}s")
     if out:
-        _write_report(out, {"verdict": verdict.to_json_dict(), **extra}, elapsed_seconds=elapsed)
+        _write_report(out, {"verdict": verdict.to_json_dict(), **extra}, elapsed_seconds=elapsed,
+                      suite_seconds=verdict.seconds)
     return 0 if verdict.passed else 1
 
 

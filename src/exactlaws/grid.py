@@ -5,6 +5,13 @@ as band-limited trigonometric interpolants, so derivatives and sub-grid
 translations are exact up to round-off.  Arrays are indexed ``[ix, iy, iz]``
 with point (i, j, k) at (i*h, j*h, k*h); the file format stores values
 x-fastest, matching that indexing convention.
+
+Every 3-D transform of the package runs through this module's helpers: the
+whole-grid real transforms ``_rfftn`` and ``_irfftn``, and their forms on the
+band box |kx|, |ky|, kz <= kmax, ``_band_rfftn`` and ``_band_irfftn``, which
+the generator and the engine use for band-limited fields.  These pass only
+over the lines that hold a box mode, so their cost scales with the band, and
+give the whole-grid helpers' values at the box bit for bit.
 """
 
 from __future__ import annotations
@@ -158,6 +165,50 @@ def _irfftn(spec: np.ndarray, n: int) -> np.ndarray:
     np.fft.ifft(spec, axis=-3, norm="forward", out=spec)
     np.fft.ifft(spec, axis=-2, norm="forward", out=spec)
     out = np.fft.irfft(spec, n=n, axis=-1, norm="forward")
+    out *= 1.0 / n**3
+    return out
+
+
+# The same two transforms on the band box |kx|, |ky|, kz <= kmax (kmax < n/2),
+# held as (..., 2 kmax + 1, 2 kmax + 1, kmax + 1) with each full axis in
+# ascending index order: wavenumbers 0..kmax, then -kmax..-1.  Each pass runs
+# only on the lines that hold a box mode (or, inverse, that a box mode reaches),
+# and pocketfft transforms every line as it would among the whole grid's, so
+# the values are those of ``_rfftn`` and ``_irfftn`` bit for bit.
+def _band_axis(n: int, kmax: int) -> np.ndarray:
+    """The indices of the wavenumbers |k| <= kmax on an n-point axis, ascending."""
+    return np.r_[0 : kmax + 1, n - kmax : n]
+
+
+def _band_rfftn(values: np.ndarray, kmax: int) -> np.ndarray:
+    """``_rfftn(values)`` at the band box: the real pass on every z line, the
+    x pass on the kz <= kmax columns, then the y pass on the box's x rows."""
+    axis = _band_axis(values.shape[-1], kmax)
+    spec = np.fft.rfft(values, axis=-1)
+    cols = np.ascontiguousarray(spec[..., : kmax + 1])
+    del spec
+    np.fft.fft(cols, axis=-3, out=cols)
+    rows = cols[..., axis, :, :]
+    del cols
+    np.fft.fft(rows, axis=-2, out=rows)
+    return rows[..., axis, :]
+
+
+def _band_irfftn(box: np.ndarray, n: int) -> np.ndarray:
+    """``_irfftn`` of the box zero-embedded in the n-grid half-spectrum: the x
+    pass on the box's y columns, the y pass on the kz <= kmax columns, the z
+    pass zero-padded to n, then the scaling by 1/n^3.  ``box`` is kept."""
+    kmax = box.shape[-1] - 1
+    axis = _band_axis(n, kmax)
+    lines = np.zeros(box.shape[:-3] + (n,) + box.shape[-2:], dtype=complex)
+    lines[..., axis, :, :] = box
+    np.fft.ifft(lines, axis=-3, norm="forward", out=lines)
+    planes = np.zeros(box.shape[:-3] + (n, n, kmax + 1), dtype=complex)
+    planes[..., axis, :] = lines
+    del lines
+    np.fft.ifft(planes, axis=-2, norm="forward", out=planes)
+    out = np.fft.irfft(planes, n=n, axis=-1, norm="forward")
+    del planes
     out *= 1.0 / n**3
     return out
 

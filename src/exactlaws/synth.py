@@ -2,10 +2,10 @@
 
 All randomness flows through the counter-based Philox bit generator so that
 identical (grid, parameters, seed) inputs reproduce identical fields on any
-platform.  A random field draws n^3 noise values per component and
-transforms them on the whole grid; the shaping and the complex inverse
-passes then run on the box of wavenumbers up to the band's kmax only, with
-the values the whole half-spectrum would give, bit for bit.
+platform.  A random field draws n^3 noise values per component; the
+forward transform, the shaping and the inverse transform then run only on
+the lines through the box of wavenumbers up to the band's kmax, with the
+values the whole half-spectrum would give, bit for bit.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid3, VectorField3, _leray, _rfftn
+from .grid import Grid3, VectorField3, _band_axis, _band_irfftn, _band_rfftn, _leray
 
 __all__ = [
     "SpectrumSpec",
@@ -84,25 +84,24 @@ def _rng(seed: int, stream: int = 0) -> np.random.Generator:
 
 
 def _synthesize(grid: Grid3, spec: SpectrumSpec, rng: np.random.Generator) -> VectorField3:
-    """One seeded field: n^3 noise per component and its forward transform,
-    then everything else on the band box |kx|, |ky|, kz <= kmax.
+    """One seeded field: n^3 noise per component, then everything else on
+    the band box |kx|, |ky|, kz <= kmax.
 
     The band lies inside the box, which holds no Nyquist plane (kmax <= n/3),
     and the box keeps the ascending index order of each axis, so every mode
     gets the values, and every shell the sums (in the same order), that the
-    whole half-spectrum would give.  The x and y inverse passes run only on
-    the lines through the box and the z pass zero-pads the rest of its half
-    axis, which leaves every output value as the whole-spectrum inverse
-    computes it.
+    whole half-spectrum would give.  ``grid._band_rfftn`` and
+    ``grid._band_irfftn`` run their passes only on the lines through the box,
+    which leaves every box mode and every output value as the whole-grid
+    transforms compute them.
     """
     spec.validate_for(grid)
     n, kmax = grid.n, spec.kmax
-    axis = np.r_[0 : kmax + 1, n - kmax : n]  # indices of |k| <= kmax, ascending
-    vh = _rfftn(rng.standard_normal((3, n, n, n)))  # the noise is freed here
-    box = vh[:, axis[:, None], axis, : kmax + 1]
-    del vh
+    noise = rng.standard_normal((3, n, n, n))
+    box = np.stack([_band_rfftn(c, kmax) for c in noise])  # one component's spectrum at a time
+    del noise
 
-    m = np.fft.fftfreq(n, d=1.0 / n)[axis]  # signed integer wavenumber indices
+    m = np.fft.fftfreq(n, d=1.0 / n)[_band_axis(n, kmax)]  # signed integer wavenumbers
     mz = np.fft.rfftfreq(n, d=1.0 / n)[: kmax + 1]
     mx = m[:, None, None]
     my = m[None, :, None]
@@ -131,17 +130,8 @@ def _synthesize(grid: Grid3, spec: SpectrumSpec, rng: np.random.Generator) -> Ve
     factor[nonzero] = np.sqrt(target[nonzero] / current[nonzero])
     box *= factor[shell.clip(0, kmax)] * band
 
-    # ``grid._irfftn``'s passes and scaling, the complex ones on the box lines.
-    lines = np.zeros((3, n, len(axis), kmax + 1), dtype=complex)
-    lines[:, axis] = box
-    np.fft.ifft(lines, axis=1, norm="forward", out=lines)
-    planes = np.zeros((3, n, n, kmax + 1), dtype=complex)
-    planes[:, :, axis] = lines
-    del lines
-    np.fft.ifft(planes, axis=2, norm="forward", out=planes)
-    v = np.fft.irfft(planes, n=n, axis=3, norm="forward")
-    del planes
-    v *= 1.0 / n**3
+    v = _band_irfftn(box, n)
+    del box
     sq = v[0] * v[0]  # |v|^2, summed over components in np.sum's order
     for c in v[1:]:
         sq += c * c

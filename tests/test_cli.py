@@ -464,6 +464,35 @@ class TestVerify:
         cfg = cli.VerifyConfig(n=16, dirs="icosa:1")
         assert cfg.grid == make_grid(16) and len(cfg.directions) == 42
 
+    def test_margins_and_suite_seconds_printed_outside_the_hash(self, tmp_path, capsys):
+        # Each check line ends in its margin measured/threshold and each suite
+        # prints its seconds; the seconds go under "provenance", so two runs
+        # keep one canonical hash and the verdict keeps its keys.
+        digests = []
+        for name in ("a", "b"):
+            assert run(["verify", "--suite", "oracle", "--out", tmp_path / name]) == 0
+            payload = json.loads((tmp_path / f"{name}.json").read_text())
+            assert set(payload["provenance"]["suite_seconds"]) == {"oracle"}
+            assert set(payload) == {"verdict", "config", "provenance"}
+            for check in payload["verdict"]["checks"]:
+                assert set(check) == {"name", "measured", "threshold", "pass"}
+            digests.append(canonical_hash(payload))
+        assert digests[0] == digests[1]
+        out = capsys.readouterr().out
+        assert f"(canonical hash {digests[0]})" in out
+        for check in payload["verdict"]["checks"]:
+            margin = f"{check['measured'] / check['threshold']:.3g}"
+            assert f"threshold={check['threshold']:.6e} margin={margin}\n" in out
+        assert "suite oracle: " in out
+
+    @pytest.mark.parametrize("seed", range(21))
+    def test_seed_sweep_of_every_suite(self, tmp_path, capsys, seed):
+        # The random fields are keyed by the seed, so a gate that passed on one
+        # lucky field would show here as a FAIL on another.
+        run(["verify", "--suite", "all", "--n", 16, "--seed", seed, "--out", tmp_path / "r"])
+        out = capsys.readouterr().out
+        assert [line for line in out.splitlines() if line.startswith("[FAIL]")] == []
+
     def test_failing_check_still_writes_report(self, tmp_path):
         rc = run(["verify", "--suite", "identity", "--identity-tol", "1e-30",
                   "--out", tmp_path / "r.json"])

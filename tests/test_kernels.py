@@ -590,9 +590,9 @@ def test_grouped_ladder_matches_radius_by_radius(monkeypatch, dirs):
     # Whole radii share one phase, sine-table and contraction pass; each
     # radius keeps its own matrix product, so its sums are bitwise those of a
     # ladder of its own, whether the whole ladder fits in one pass, the group
-    # boundary falls mid-ladder (2 + 2 + 1 radii) or each radius is a pass.
-    # One antipodal pair keeps one radius per pass (numpy sums a one-column
-    # cube contraction pairwise and a wider one in order).
+    # boundary falls mid-ladder (2 + 2 + 1 radii) or each radius is a pass,
+    # also for one antipodal pair (the cube contraction adds its 27 terms in
+    # order, whatever the column count).
     g, fields = band_fields()
     radii = np.geomspace(0.05, g.length / 4.0, 5)
     engine = StatsEngine(g, fields)
@@ -607,7 +607,7 @@ def test_grouped_ladder_matches_radius_by_radius(monkeypatch, dirs):
         monkeypatch.setattr(_kernels, "_BATCH", budget)
         before = engine.sine_passes
         assert_bitwise(_kernels.angular_term_sums(engine, ALL_LAW_REQUESTS, radii, dirs), alone)
-        assert engine.sine_passes - before == (passes if half > 1 else len(radii))
+        assert engine.sine_passes - before == passes
 
 
 def test_sine_passes_follow_modes_times_directions():

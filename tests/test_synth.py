@@ -148,9 +148,9 @@ def grids_and_bands(draw):
     seed=st.integers(0, 2**32),
 )
 def test_band_box_synthesis_matches_full_grid_bitwise(grid_band, slope, rms, seed):
-    # The generator shapes the spectrum on the band box only; every value it
-    # writes is the one the whole half-spectrum gives, for the plain stream of
-    # random_solenoidal and both streams of mhd_test_pair.
+    # The generator transforms and shapes the spectrum on the band box only;
+    # every value it writes is the one the whole half-spectrum gives, for the
+    # plain stream of random_solenoidal and both streams of mhd_test_pair.
     grid, kmin, kmax = grid_band
     spec = SpectrumSpec(slope, kmin, kmax, rms, seed)
     got = random_solenoidal(grid, spec)
@@ -162,10 +162,34 @@ def test_band_box_synthesis_matches_full_grid_bitwise(grid_band, slope, rms, see
             assert same_bytes(fld.values, ref.values)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    grid_band=grids_and_bands(),
+    slope=st.floats(-4.0, 2.0),
+    rms=st.floats(0.1, 10.0),
+    seed=st.integers(1, 2**32),
+)
+def test_generated_field_properties(grid_band, slope, rms, seed):
+    # Whatever the draw, the shaping fixes the shell energies to k^slope, the
+    # projection the divergence and the scaling the rms; the bytes repeat for
+    # a seed, and the two streams of an MHD pair differ.
+    grid, kmin, kmax = grid_band
+    spec = SpectrumSpec(slope, kmin, kmax, rms, seed)
+    v = random_solenoidal(grid, spec)
+    shells = np.arange(kmin, kmax + 1)
+    per_target = measured_shell_energies(v, kmax)[kmin:] / shells.astype(float) ** slope
+    assert np.max(np.abs(per_target / per_target[0] - 1.0)) <= 1e-12
+    assert np.max(np.abs(divergence(v).values)) <= 1e-12 * rms * kmax
+    assert abs(v.rms() - rms) <= 1e-14 * rms
+    assert same_bytes(random_solenoidal(grid, spec).values, v.values)
+    a, b = mhd_test_pair(grid, seed)
+    assert not np.array_equal(a.values, b.values)
+
+
 def test_synthesis_peak_memory():
-    # The band box replaces the whole-spectrum temporaries of the shaping and
-    # the inverse passes: 12.8 MB traced at n = 64 (shells 2..16), 19.3 MB
-    # (18.4 MiB) for the whole half-spectrum.
+    # The band box replaces the whole-spectrum temporaries of the forward
+    # transform, the shaping and the inverse passes: 12.0 MB traced at n = 64
+    # (shells 2..16), 19.3 MB (18.4 MiB) for the whole half-spectrum.
     g = make_grid(64)
     spec = SpectrumSpec(-5.0 / 3.0, 2, 16, 1.0, 7)
     tracemalloc.start()

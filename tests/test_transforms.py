@@ -6,10 +6,13 @@ is for the spectral operators, and stays off the package's import path.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import fft as sfft
 
 from exactlaws._kernels import StatsEngine, _reduced_size
-from exactlaws.grid import VectorField3, _axis_phases, _irfftn, _rfftn, make_grid
+from exactlaws.grid import (VectorField3, _axis_phases, _band_axis, _band_irfftn, _band_rfftn,
+                            _irfftn, _rfftn, make_grid)
 
 # Every reduced grid an engine can pick for kmax <= 21, plus full grids.
 SIZES = sorted({_reduced_size(k, 1024) for k in range(22)} | {8, 12, 16, 32, 48, 64})
@@ -53,3 +56,27 @@ def test_per_shift_passes_match_scipy_bitwise(n, count):
     for ell in ells:
         assert_bitwise(engine._shifted(np.array(ell)), scipy_shifted(engine, ell))
     assert engine.inverse_passes == {"x": 3, "xy": 4, "z": 5}
+
+
+@st.composite
+def band_boxes(draw):
+    m = draw(st.integers(4, 32)) * 2
+    return m, draw(st.integers(1, (m - 1) // 3)), draw(st.integers(1, 9))
+
+
+@settings(max_examples=30, deadline=None)
+@given(box=band_boxes(), seed=st.integers(0, 2**32))
+def test_band_box_transforms_match_whole_grid_bitwise(box, seed):
+    # The band-box passes skip the lines without a box mode; every value they
+    # give is the whole-grid helper's: the forward at the box modes, the
+    # inverse of the box zero-embedded in the half-spectrum.
+    m, kmax, count = box
+    rng = np.random.Generator(np.random.Philox(key=[seed, 7]))
+    axis = _band_axis(m, kmax)
+    at = (Ellipsis, axis[:, None], axis, slice(0, kmax + 1))
+    values = rng.standard_normal((count, m, m, m))
+    spec = _band_rfftn(values, kmax)
+    assert_bitwise(spec, _rfftn(values)[at])
+    embedded = np.zeros((count, m, m, m // 2 + 1), dtype=complex)
+    embedded[at] = spec
+    assert_bitwise(_band_irfftn(spec, m), _irfftn(embedded, m))
