@@ -13,14 +13,14 @@ On an alias-free grid the engine keeps each field only at the K active
 modes, the union of the fields' active masks: the values are gathered once
 from the full-grid spectrum, the cut to the m-grid and its (m/n)^3 scale
 being an index map.  Curls and the sine-series tables are taken at those
-modes, and no operation holds a full-grid box for long: the band-limited
-fields behind the pair products are inverted in batches of stacked
-components through one reused band box, the products are transformed in
-batches of stacked products, each batch holding at most ``_BATCH`` grid
-points, and the fields are dropped once the products exist.  Both
-transforms are ``grid``'s band-box forms, which run their passes only on
-the lines that hold a mode of the box |kx|, |ky|, kz <= kmax and give the
-whole-grid values there bit for bit.
+modes at build, and no operation holds a full-grid box for long: one step
+builds the rows a request lacks, inverting the band-limited fields once, in
+batches of stacked components through one reused band box, transforming
+the missing pair products in batches, each holding at most ``_BATCH`` grid
+points, and dropping the fields before it forms the rows.  Both transforms
+are ``grid``'s band-box forms, which run their passes only on the lines
+that hold a mode of the box |kx|, |ky|, kz <= kmax and give the whole-grid
+values there bit for bit.
 The directions of one radius are evaluated in blocks whose K x block
 temporaries hold at most ``_MOMENT_BLOCK`` elements.  Otherwise (m = n)
 each field is kept as its whole spectrum.
@@ -250,14 +250,14 @@ class StatsEngine:
     holding the same values share one set of component rows; raw arrays must
     be finite.  The given fields fix the reduced grid.  On an alias-free grid
     (``alias_free``: m > 3*kmax) each distinct field is kept as its values at
-    the K modes of the union of the active masks, and ``moments`` gives the
-    third moments of the increments at many separations in one matrix
-    product per block of directions; the sine-series rows behind it are
-    built on first use, only for the component triples asked for, and kept
-    for later calls.  Otherwise each field is kept as its whole spectrum on
-    the m-grid, and ``increments`` costs at most one inverse pass per axis
-    and separation vector, fewer when consecutive separations share
-    components.  A curl is taken from its source's stored spectrum, within
+    the K modes of the union of the active masks, with their sine-series
+    tables, and ``moments`` gives the third moments of the increments at
+    many separations in one matrix product per block of directions; the rows
+    behind it and their pair products are built in one step on first use,
+    only for the component triples asked for, and kept for later calls.
+    Otherwise each field is kept as its whole spectrum on the m-grid, and
+    ``increments`` costs at most one inverse pass per axis and separation
+    vector, fewer when consecutive separations share components.  A curl is taken from its source's stored spectrum, within
     the source's mask.  ``evaluation`` names the path ``angular_term_sums``
     takes: "sine-series" or "per-shift-fft".  ``separations`` counts the
     separations evaluated, ``inverse_passes`` the inverse passes per axis,
@@ -319,6 +319,9 @@ class StatsEngine:
             self._box = tuple(np.where(i < n // 2, i, i + side - n) for i in at[:2]) + at[2:]
             k, kz = _wavenumbers(grid.length, m)
             wavenumbers = (k[self._index[0]], k[self._index[1]], kz[self._index[2]])
+            # The sine-series tables: wavevectors (K, 3) and pair weights (K,).
+            self._kvec = np.stack(wavenumbers, axis=1)
+            self._pair = np.where(wavenumbers[2] == 0.0, -2.0, -4.0)
             gather = (Ellipsis, *at)
         else:
             self._index = self._box = None
@@ -351,7 +354,6 @@ class StatsEngine:
         else:
             self._fields = np.concatenate([spec for spec, _ in blocks]
                                           or [np.zeros((0,) + stored, dtype=complex)])
-        self._wavenumbers = wavenumbers
         # The three component indices of each field in ``moments``; the extra
         # index len(self._fields) stands for the zero field.
         zero = self._fields.shape[0]
@@ -365,10 +367,8 @@ class StatsEngine:
         self._base = None  # field values on the reduced grid, on first use
         self._passes = None  # buffers of the last x pass and xy pass, and the z pass's output
         self._keys = (None, None)  # the l_x and (l_x, l_y) the buffers hold
-        self._series = None  # sine-series mode tables, on first use
-        self._band = None  # band-limited fields, while pair products are built
         self._products = {}  # (t, u) -> pair-product coefficients, as built
-        self._coeffs = None  # the G rows built so far, (rows, K)
+        self._coeffs = np.empty((0, self.modes))  # the G rows built so far, (rows, K)
         # Row of G that each (p, q, r) reads in ``moments``: -1 for a row not
         # built yet (it reads NaN), -2 for a triple touching the zero field.
         self._row_index = np.full((zero + 1,) * 3, -2)
@@ -389,7 +389,7 @@ class StatsEngine:
             "modes": self.modes,
             "separations": self.separations,
             "inverse_passes": dict(self.inverse_passes),
-            "series_rows": 0 if self._coeffs is None else self._coeffs.shape[0],
+            "series_rows": self._coeffs.shape[0],
             "pair_products": len(self._products),
             "transform_calls": self.transform_calls,
             "sine_passes": self.sine_passes,
@@ -444,13 +444,6 @@ class StatsEngine:
                 self.inverse_passes[axis] += done
         return out.reshape(out.shape[0], -1)
 
-    def _series_modes(self) -> tuple:
-        """(wavevectors (K, 3), pair weights (K,), spectral coefficients (C, K))
-        of the K stored modes."""
-        kx, ky, kz = self._wavenumbers
-        pair = np.where(kz == 0.0, -2.0, -4.0)
-        return np.stack([kx, ky, kz], axis=1), pair, self._fields / self.m**3
-
     def _band_fields(self) -> np.ndarray:
         """The band-limited fields (C, m, m, m) on the reduced grid, inverted in
         batches of components through one reused band box."""
@@ -466,24 +459,13 @@ class StatsEngine:
             self.transform_calls += 1
         return band
 
-    def _build_products(self, pairs) -> None:
-        """Store conj((tu)^) / m**3 at the stored modes for the component pairs
-        (t, u), t <= u, a batch of pairs per transform; the band-limited
-        fields are dropped once all exist."""
-        self._band = self._band_fields()
-        step = max(1, _BATCH // self.m**3)
-        for s in range(0, len(pairs), step):
-            batch = pairs[s : s + step]
-            self._products.update(zip(batch, self._product_batch(batch)))
-        self._band = None
-
-    def _product_batch(self, batch) -> np.ndarray:
+    def _product_batch(self, band, batch) -> np.ndarray:
         """conj((tu)^) / m**3 at the stored modes, (len(batch), K), from one
-        band-box forward transform of the stacked products.  Its grids are
-        freed on return, before the next batch is built; freeing the stack
-        before the gather instead raised the peak resident memory of an n=64
-        sweep."""
-        m, band = self.m, self._band
+        band-box forward transform of the stacked products of the band-limited
+        fields ``band``.  Its grids are freed on return, before the next batch
+        is built; freeing the stack before the gather instead raised the peak
+        resident memory of an n=64 sweep."""
+        m = self.m
         stack = np.empty((len(batch), m, m, m))
         for out, (t, u) in zip(stack, batch):
             np.multiply(band[t], band[u], out=out)
@@ -505,31 +487,34 @@ class StatsEngine:
         exactly; then M = O(l^3), the linear part sum_k G_k k.l vanishes, and
         dropping it keeps full relative precision at small separations, where
         the sine terms would cancel.  Every permutation of (p, q, r) reads the
-        same row, so permuted moments are bitwise equal.  The pair products
-        the new rows need and do not have yet are built first, in batches.
+        same row, so permuted moments are bitwise equal.  The missing pair
+        products come first, from band-limited fields inverted once per call.
         """
-        if self._series is None:
-            self._series = self._series_modes()
-            self._coeffs = np.empty((0, self._series[0].shape[0]))
-        _, pair, coeff = self._series
         index = self._row_index
         new = sorted(t for t in {tuple(sorted(map(int, t))) for t in triples} if index[t] == -1)
-        pairs = {pq for p, q, r in new for pq in ((q, r), (p, r), (p, q))}
-        if pairs - self._products.keys():
-            self._build_products(sorted(pairs - self._products.keys()))
-        products = self._products
+        if not new:
+            return
+        pairs = sorted({pq for p, q, r in new for pq in ((q, r), (p, r), (p, q))}
+                       - self._products.keys())
+        if pairs:
+            band = self._band_fields()
+            step = max(1, _BATCH // self.m**3)
+            for s in range(0, len(pairs), step):
+                batch = pairs[s : s + step]
+                self._products.update(zip(batch, self._product_batch(band, batch)))
+            del band
+        coeff, products, built = self._fields / self.m**3, self._products, self._coeffs.shape[0]
         rows = []
-        for p, q, r in new:
+        for i, (p, q, r) in enumerate(new):
             split = (
                 np.imag(coeff[p] * products[q, r])
                 + np.imag(coeff[q] * products[p, r])
                 + np.imag(coeff[r] * products[p, q])
             )
             for perm in itertools.permutations((p, q, r)):
-                index[perm] = self._coeffs.shape[0] + len(rows)
-            rows.append(pair * split)
-        if rows:
-            self._coeffs = np.concatenate([self._coeffs, rows])
+                index[perm] = built + i
+            rows.append(self._pair * split)
+        self._coeffs = np.concatenate([self._coeffs, rows])
 
     def moments(self, ells, triples=None) -> np.ndarray:
         """Increment third moments M[p, q, r, ...] = <dp dq dr> at separations ells[...].
@@ -549,9 +534,9 @@ class StatsEngine:
             raise ValueError("the sine series needs an alias-free grid (m > 3*kmax)")
         if triples is None:
             triples = itertools.combinations_with_replacement(range(self._fields.shape[0]), 3)
-        if triples or self._series is None:
+        if triples:
             self._build_rows(triples)
-        kvec = self._series[0]
+        kvec = self._kvec
         ells = np.asarray(ells, dtype=float)
         rungs = ells if ells.ndim == 3 else ells.reshape(1, -1, 3)
         count, size = rungs.shape[:2]
@@ -622,7 +607,7 @@ def _cube(mom, n3, x, y, z) -> np.ndarray:
     """Per direction, sum_ijk n_i n_j n_k M[x_i, y_j, z_k], the 27 terms added
     in order, so a column's bits do not depend on how many columns there are
     (numpy's ``sum`` would add one column's terms pairwise)."""
-    terms = (n3 * mom[np.ix_(x, y, z)]).reshape(27, -1)
+    terms = (n3 * mom[np.ix_(x, y, z)]).reshape((27,) + mom.shape[3:])
     out = terms[0].copy()
     for term in terms[1:]:
         out += term
@@ -682,16 +667,14 @@ def angular_term_sums(engine: StatsEngine, requests, radii, dirs) -> dict[str, n
         radii = np.asarray(radii, dtype=float)
         # Whole radii share one pass while modes x directions x radii fit in _BATCH.
         per = max(1, _BATCH // max(1, engine.modes * len(nhat)))
-        nt = np.tile(nhat.T, min(per, len(radii)))
+        nt = nhat.T[:, None]  # (3, 1, directions): one radius axis, broadcast
         n3 = nt[:, None, None] * nt[None, :, None] * nt[None, None, :]
         for i in range(0, len(radii), per):
             r = radii[i : i + per]
             mom = engine.moments(r[:, None, None] * nhat, ())
-            mom = mom.reshape(mom.shape[:3] + (-1,))
-            cols = mom.shape[-1]
             for label, read in reads.items():
-                terms = np.stack(_moment_terms(*read, mom, n3[..., :cols], nt[:, :cols]))
-                sums[label][i : i + len(r)] = (terms.reshape(5, len(r), -1) * weights).sum(axis=2).T
+                terms = np.stack(_moment_terms(*read, mom, n3, nt))
+                sums[label][i : i + len(r)] = (terms * weights).sum(axis=2).T
         return sums
     for i, r in enumerate(radii):
         ells = r * dirs.directions

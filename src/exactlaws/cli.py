@@ -22,7 +22,6 @@ import argparse
 import functools
 import hashlib
 import json
-import shutil
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -584,20 +583,12 @@ def cmd_selftest(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # argparse builds a formatter for every argument it adds and sizes each one
-    # from the terminal; this is the width each would find, looked up once.
-    formatter = functools.partial(
-        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
-    )
     parser = argparse.ArgumentParser(
         prog="exactlaws",
         description="Structure-function and dissipation-functional diagnostics "
         "on periodic 3D fields.",
-        formatter_class=formatter,
     )
-    add_parser = functools.partial(
-        parser.add_subparsers(dest="command", required=True).add_parser, formatter_class=formatter
-    )
+    add_parser = parser.add_subparsers(dest="command", required=True).add_parser
 
     def common(p, seed_help):
         p.set_defaults(parser=p)
@@ -666,9 +657,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reads, built on its first call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _apply_config_file(args.parser, args)
         return args.func(args)

@@ -40,6 +40,8 @@ class DirectionSet:
         w = np.ascontiguousarray(self.weights, dtype=np.float64)
         if d.ndim != 2 or d.shape[1] != 3 or w.shape != (d.shape[0],):
             raise ValueError("directions must be (m, 3) with matching weights")
+        if not (np.isfinite(d).all() and np.isfinite(w).all()):
+            raise ValueError("directions and weights must be finite")
         norms = np.linalg.norm(d, axis=1)
         if np.max(np.abs(norms - 1.0)) > 1e-14:
             raise ValueError("directions must be unit vectors")

@@ -213,13 +213,6 @@ def _band_irfftn(box: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _curl_spectrum(length: float, vh: np.ndarray) -> np.ndarray:
-    """i k x vh for a (3, m, m, m//2 + 1) rfftn spectrum of a grid over the
-    period ``length``, with the Nyquist wavenumbers zeroed: the spectrum
-    ``curl`` transforms back."""
-    return _curl_modes(*_derivative_wavenumbers(length, vh.shape[1]), vh)
-
-
 def _curl_modes(kx, ky, kz, vh: np.ndarray) -> np.ndarray:
     """i k x vh for the spectrum vh[c] of each component at modes with the
     wavenumbers kx, ky, kz (broadcasting against vh[0]): a box or a mode list."""
@@ -231,8 +224,9 @@ def _curl_modes(kx, ky, kz, vh: np.ndarray) -> np.ndarray:
 
 
 def curl(v: VectorField3) -> VectorField3:
-    """Spectral curl; the output divergence vanishes to round-off."""
-    return VectorField3(v.grid, _irfftn(_curl_spectrum(v.grid.length, _rfftn(v.values)), v.grid.n))
+    """Spectral curl (Nyquist wavenumbers zeroed); the output divergence vanishes to round-off."""
+    kx, ky, kz = _derivative_wavenumbers(v.grid.length, v.grid.n)
+    return VectorField3(v.grid, _irfftn(_curl_modes(kx, ky, kz, _rfftn(v.values)), v.grid.n))
 
 
 def divergence(v: VectorField3) -> ScalarField:

@@ -1,10 +1,7 @@
 """End-to-end command-line tests (in-process)."""
 
-import argparse
 import dataclasses
 import json
-import os
-import shutil
 
 import numpy as np
 import pytest
@@ -510,19 +507,21 @@ class TestSelftest:
         assert all("measured" in c for c in payload["verdict"]["checks"])
 
 
-def test_parser_reads_the_terminal_width_once(monkeypatch):
-    # Every formatter argparse builds gets the width it would have looked up
-    # itself, the terminal's columns less 2, from one lookup.
-    calls = []
+def test_main_builds_one_parser_per_process(monkeypatch, tmp_path):
+    # Every main call in a process parses with the parser the first one built.
+    build_parser, built = cli.build_parser, []
 
-    def terminal_size(*args):
-        calls.append(args)
-        return os.terminal_size((57, 24))
+    def counting():
+        built.append(build_parser())
+        return built[-1]
 
-    monkeypatch.setattr(shutil, "get_terminal_size", terminal_size)
-    parser = cli.build_parser()
-    assert len(calls) == 1
-    subparsers = next(a for a in parser._actions if a.dest == "command").choices
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        assert run(["selftest", "--out", tmp_path / "a"]) == 0
+        assert run(["selftest", "--out", tmp_path / "b"]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    subparsers = next(a for a in built[0]._actions if a.dest == "command").choices
     assert set(subparsers) == {"gen", "analyze", "dissipation", "verify", "selftest"}
-    for p in (parser, *subparsers.values()):
-        assert p._get_formatter()._width == argparse.HelpFormatter(p.prog)._width == 55

@@ -67,6 +67,17 @@ class TestDirectionSets:
         with pytest.raises(ValueError, match="antipodal"):
             DirectionSet(d, np.array([0.5, 0.5]))
 
+    def test_non_finite_directions_and_weights_rejected(self):
+        # Every comparison with NaN is false, so NaN weights would pass the
+        # positivity and unit-sum checks and make every sum over the set NaN.
+        d = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0]])
+        with pytest.raises(ValueError, match="finite"):
+            DirectionSet(d, np.array([np.nan, np.nan, 0.5, 0.5]))
+        bad = d.copy()
+        bad[0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            DirectionSet(bad, np.full(4, 0.25))
+
     @pytest.mark.parametrize("spec", ["icosa:0", "icosa:1", "icosa:2", "icosa:3", "random:40:3"])
     def test_antipodal_half_matches_loop(self, spec):
         # The pairing is computed once per set; it must keep the loop's order,

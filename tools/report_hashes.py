@@ -1,0 +1,170 @@
+"""Report hashes of a fixed matrix of ``exactlaws`` runs, for bit-identity checks.
+
+    python tools/report_hashes.py run TREE OUT     # TREE holds src/exactlaws
+    python tools/report_hashes.py compare OUT_A OUT_B
+
+``run`` starts a fresh interpreter on TREE's package, with one OpenMP and
+one OpenBLAS thread and no bytecode written, and runs the matrix below
+in-process through ``exactlaws.cli.main``.  The inputs come from TREE itself:
+its ``gen`` writes the band-limited fields, its ``write_field`` the white
+noise.  Every file goes under OUT: the inputs, the reports, the runs' output
+in ``log.txt`` and ``hashes.json``, which maps each run to its exit code, the
+canonical hash of its report, the SHA-256 of its CSV (``analyze``) and its
+``provenance.engine``; a field file's record holds the SHA-256 of its bytes.
+
+``compare`` prints the runs whose records differ between two outputs, or are
+missing from one, and exits 1 if there are any.
+
+The matrix:
+
+* the n=64 field, ``gen --kind random --n 64 --kmin 2 --kmax 16 --seed 3``,
+  with h from seed 11 at ``--rms 0.7``; white noise at n=48 from Philox keys
+  [3, 48] (v) and [4, 48] (h);
+* ``analyze --scales 0.05:0.8:6`` for the four laws at ``--dirs icosa:2`` and
+  ``--dirs random:2:5``, and ``dissipation --radial-nodes 8 --eps 0.2:0.8:3``
+  for the four laws, on both inputs;
+* ``verify --suite all`` at (n, seed) = (16, 5), (32, 3) and (16, 18);
+* the benchmark's ``ballshell-multilaw`` command at seed 1, and ``selftest``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+LAWS = ("hydro-energy", "helicity", "mhd-energy", "cross-helicity")
+DIRS = ("icosa:2", "random:2:5")
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _matrix() -> dict[str, list[str]]:
+    """Run name -> argv, with paths relative to the output directory, the
+    working directory; the white-noise inputs are written first.  Reports
+    record their input paths, so relative ones keep two outputs comparable."""
+    import numpy as np
+
+    from exactlaws import VectorField3, make_grid, write_field
+
+    fields = {"band": {}, "white": {}}
+    runs = {}
+    for name, seed, rms in (("v", 3, "1.0"), ("h", 11, "0.7")):
+        path = Path(f"band-{name}.fld")
+        runs[f"gen/band-{name}"] = ["gen", "--kind", "random", "--n", "64", "--kmin", "2",
+                                    "--kmax", "16", "--seed", str(seed), "--rms", rms,
+                                    "--out", str(path)]
+        fields["band"][name] = path
+    for name, key in (("v", 3), ("h", 4)):
+        path = Path(f"white-{name}.fld")
+        rng = np.random.Generator(np.random.Philox(key=[key, 48]))
+        write_field(VectorField3(make_grid(48), rng.standard_normal((3, 48, 48, 48))), path)
+        fields["white"][name] = path
+    for source, paths in fields.items():
+        for law in LAWS:
+            flags = ["--law", law, "--v", str(paths["v"])]
+            if law.startswith(("mhd", "cross")):
+                flags += ["--h", str(paths["h"])]
+            for dirs in DIRS:
+                label = f"analyze/{source}/{law}/{dirs}"
+                runs[label] = ["analyze", *flags, "--scales", "0.05:0.8:6", "--dirs", dirs,
+                               "--out", label.replace("/", "-").replace(":", "_")]
+            label = f"dissipation/{source}/{law}"
+            runs[label] = ["dissipation", *flags, "--radial-nodes", "8", "--eps", "0.2:0.8:3",
+                           "--out", label.replace("/", "-")]
+    for n, seed in ((16, 5), (32, 3), (16, 18)):
+        runs[f"verify/n{n}-seed{seed}"] = ["verify", "--suite", "all", "--n", str(n),
+                                           "--seed", str(seed),
+                                           "--out", f"verify-n{n}-seed{seed}"]
+    runs["ballshell-multilaw"] = ["verify", "--suite", "ballshell", "--n", "32",
+                                  "--dirs", "icosa:1", "--radial-nodes", "6", "--eps", "0.4:0.4:1",
+                                  "--seed", "1", "--out", "ballshell-multilaw"]
+    runs["selftest"] = ["selftest", "--out", "selftest"]
+    return runs
+
+
+def worker(out: Path) -> None:
+    """Run the matrix with the ``exactlaws`` on the path; write hashes.json."""
+    import exactlaws
+    from exactlaws.cli import main
+    from exactlaws.report import canonical_hash
+
+    out.mkdir(parents=True, exist_ok=True)
+    os.chdir(out)
+    runs = _matrix()
+    records = {"package": str(Path(exactlaws.__file__).parent)}
+    with open("log.txt", "w", encoding="utf-8") as log:
+        for label, argv in runs.items():
+            print(f"$ exactlaws {' '.join(argv)}", file=log, flush=True)
+            with contextlib.redirect_stdout(log), contextlib.redirect_stderr(log):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse rejected the command line
+                    code = exc.code
+            path = argv[argv.index("--out") + 1]
+            if argv[0] == "gen":
+                written = Path(path)
+                records[label] = {"exit": code,
+                                  "file": _sha256(written) if written.exists() else None}
+                continue
+            report, csv = Path(path + ".json"), Path(path + ".csv")
+            doc = json.loads(report.read_text(encoding="utf-8")) if report.exists() else None
+            records[label] = {
+                "exit": code,
+                "hash": None if doc is None else canonical_hash(doc),
+                "csv": _sha256(csv) if csv.exists() else None,
+                "engine": None if doc is None else doc.get("provenance", {}).get("engine"),
+            }
+        for path in sorted(Path().glob("white-*.fld")):
+            records[f"file/{path.name}"] = {"file": _sha256(path)}
+    Path("hashes.json").write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
+
+
+def run(tree: Path, out: Path) -> int:
+    env = {**os.environ, "PYTHONPATH": str(tree.resolve() / "src"), "OMP_NUM_THREADS": "1",
+           "OPENBLAS_NUM_THREADS": "1", "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, __file__, "worker", str(out.resolve())], env=env)
+    if proc.returncode == 0:
+        print(f"wrote {out / 'hashes.json'}")
+    return proc.returncode
+
+
+def compare(a: Path, b: Path) -> int:
+    first, second = (json.loads((p / "hashes.json").read_text()) for p in (a, b))
+    labels = (first.keys() | second.keys()) - {"package"}
+    differ = sorted(label for label in labels if first.get(label) != second.get(label))
+    for label in differ:
+        print(f"{label}:\n  {first.get(label)}\n  {second.get(label)}")
+    print(f"{len(differ)} of {len(labels)} records differ")
+    return 1 if differ else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = parser.add_subparsers(dest="mode", required=True)
+    p = sub.add_parser("run", help="run the matrix on a source tree")
+    p.add_argument("tree", type=Path, help="a tree holding src/exactlaws")
+    p.add_argument("out", type=Path, help="output directory")
+    p = sub.add_parser("compare", help="list the records that differ between two outputs")
+    p.add_argument("a", type=Path)
+    p.add_argument("b", type=Path)
+    p = sub.add_parser("worker", help=argparse.SUPPRESS)
+    p.add_argument("out", type=Path)
+    args = parser.parse_args(argv)
+    if args.mode == "run":
+        return run(args.tree, args.out)
+    if args.mode == "compare":
+        return compare(args.a, args.b)
+    worker(args.out)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
