@@ -38,8 +38,9 @@ from .geometry import (
     triple_product_check,
 )
 from .grid import VectorField3, make_grid, read_field, write_field
-from .laws import _check_ladder, power_law_fit, raw_combos, sweep_structure
+from .laws import DEFAULT_DIRECTIONS, _check_ladder, power_law_fit, raw_combos, sweep_structure
 from .mollifier import (
+    RADIAL_NODES,
     bump_mollifier,
     coefficient_oracle,
     dissipation_matrix,
@@ -137,6 +138,24 @@ def _check_tolerance(name: str, value: float) -> float:
     return value
 
 
+def parse_ladder(text: str) -> list[float]:
+    """Parse "lo:hi:count" into a geometric ladder (count >= 1, hi >= lo > 0)."""
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise ValueError(f"ladder must be lo:hi:count, got {text!r}")
+    lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+    if not (0 < lo <= hi) or count < 1:
+        raise ValueError(f"invalid ladder {text!r}")
+    if count == 1:
+        return [lo]
+    return [float(x) for x in np.geomspace(lo, hi, count)]
+
+
+# The defaults of dissipation's --eps and --quad-match-tol, and of verify's.
+EPS_LADDER = "0.2:0.8:3"
+QUAD_MATCH_TOL = 1e-10
+
+
 _EXPECTED_ROWS = {
     LawKind.HELICITY: {"L": (-2.25, 1.5, 1.5), "T": (0.0, -1.875, -0.75)},
     LawKind.MHD_ENERGY: {"L": (-2.25, 1.5, -3.0), "T": (0.0, -1.875, 1.5)},
@@ -195,9 +214,7 @@ _BALL_FLOOR = 1e-12
 
 
 def _ballshell_checks(cfg: VerifyConfig, verdict: Verdict) -> None:
-    grid, dirs = cfg.grid, cfg.directions
-    v = _band_limited(grid, cfg.seed)
-    h = _band_limited(grid, cfg.seed + 9001)
+    grid, dirs, v = cfg.grid, cfg.directions, cfg.v
     floor = _BALL_FLOOR * v.rms() ** 3
     requests = {
         "helicity": (LawKind.HELICITY, "v", "omega"),
@@ -205,7 +222,7 @@ def _ballshell_checks(cfg: VerifyConfig, verdict: Verdict) -> None:
         "cross-helicity": (LawKind.CROSS_HELICITY, "v", "h"),
     }
     matrix = dissipation_matrix(
-        grid, {"v": v, "omega": CurlOf("v"), "h": h}, requests, bump_mollifier(),
+        grid, {"v": v, "omega": CurlOf("v"), "h": cfg.h}, requests, bump_mollifier(),
         list(cfg.eps_ladder), cfg.radial_nodes, dirs,
     )
     for label in requests:
@@ -217,8 +234,7 @@ def _ballshell_checks(cfg: VerifyConfig, verdict: Verdict) -> None:
 
 
 def _degeneracy_checks(cfg: VerifyConfig, verdict: Verdict) -> None:
-    grid, dirs = cfg.grid, cfg.directions
-    v = _band_limited(grid, cfg.seed)
+    grid, dirs, v = cfg.grid, cfg.directions, cfg.v
     eps = min(0.4, grid.length / 8.0)
     rms3 = v.rms() ** 3
     requests = {
@@ -246,16 +262,13 @@ def _smooth_checks(cfg: VerifyConfig, verdict: Verdict) -> None:
     grid, dirs = cfg.grid, cfg.directions
     kmax = min(5, grid.n // 3)
     unit = cfg.length / (2.0 * np.pi)
-    u = _band_limited(grid, cfg.seed)
-    u2 = _band_limited(grid, cfg.seed + 9001)
-    mol = bump_mollifier()
 
     r_hi = 0.35 / kmax * unit
     scales = list(np.geomspace(r_hi / 8.0, r_hi, 8))
     for label, law, second in (
-        ("helicity", LawKind.HELICITY, None), ("mhd-energy", LawKind.MHD_ENERGY, u2)
+        ("helicity", LawKind.HELICITY, None), ("mhd-energy", LawKind.MHD_ENERGY, cfg.h)
     ):
-        rep = sweep_structure(law, (u, second), scales, dirs)
+        rep = sweep_structure(law, (cfg.v, second), scales, dirs)
         try:
             slope = power_law_fit(rep, (scales[0], scales[-1])).slope
         except ValueError:  # a degenerate fit (too few nonzero values) fails the check
@@ -265,12 +278,12 @@ def _smooth_checks(cfg: VerifyConfig, verdict: Verdict) -> None:
     eps_hi = 0.5 / kmax * unit
     ladder = list(np.geomspace(eps_hi / 4.0, eps_hi, 4))
     matrix = dissipation_matrix(
-        grid, {"v": u, "omega": CurlOf("v"), "h": u2},
+        grid, {"v": cfg.v, "omega": CurlOf("v"), "h": cfg.h},
         {
             "helicity": (LawKind.HELICITY, "v", "omega"),
             "mhd-energy": (LawKind.MHD_ENERGY, "v", "h"),
         },
-        mol, ladder, 16, dirs,
+        bump_mollifier(), ladder, 16, dirs,
     )
     for label in ("helicity", "mhd-energy"):
         ball_l = matrix[label]["ball"]["L"]
@@ -318,21 +331,23 @@ class VerifyConfig:
     metadata names a different flag ("flag") or overrides the keywords of
     ``add_argument``.  --seed is every verb's own flag.  The grid and the
     direction set the suites use are built once, when the config is made,
-    and kept as the attributes ``grid`` and ``directions`` (not fields, so
-    they are neither flags nor part of the reported config).
+    and kept as the attributes ``grid`` and ``directions``; the band-limited
+    fields ``v`` and ``h`` (at ``seed`` and ``seed + 9001``) are drawn once,
+    on first use.  None is a field, so none is a flag or in the reported config.
     """
 
     suite: str = field(default="all", metadata={"choices": ("all", *_SUITES)})
     n: int = 32
     length: float = 2.0 * np.pi
     seed: int = 0
-    dirs: str = "icosa:2"
-    radial_nodes: int = 32
+    dirs: str = DEFAULT_DIRECTIONS
+    radial_nodes: int = RADIAL_NODES
     eps_ladder: tuple[float, ...] = field(  # --eps lo:hi:count, see parse_ladder
-        default=(0.2, 0.4, 0.8), metadata={"flag": "eps", "type": str, "default": "0.2:0.8:3"}
+        default=tuple(parse_ladder(EPS_LADDER)),
+        metadata={"flag": "eps", "type": str, "default": EPS_LADDER},
     )
     identity_tol: float = 1e-10
-    quad_match_tol: float = 1e-10
+    quad_match_tol: float = QUAD_MATCH_TOL
     degeneracy_tol: float = 1e-12
     slope_min: float = 1.9
 
@@ -344,6 +359,9 @@ class VerifyConfig:
         _check_ladder(self.length, self.eps_ladder, "epsilons")
         object.__setattr__(self, "directions", parse_direction_spec(self.dirs))
         radial_quadrature(self.eps_ladder[0], self.radial_nodes)
+
+    v = functools.cached_property(lambda self: _band_limited(self.grid, self.seed))
+    h = functools.cached_property(lambda self: _band_limited(self.grid, self.seed + 9001))
 
 
 def run_verify(cfg: VerifyConfig) -> Verdict:
@@ -401,20 +419,7 @@ def run_selftest() -> Verdict:
 
 
 # ----------------------------------------------------------------------------
-# Ladders and shared argument plumbing
-
-
-def parse_ladder(text: str) -> list[float]:
-    """Parse "lo:hi:count" into a geometric ladder (count >= 1, hi >= lo > 0)."""
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"ladder must be lo:hi:count, got {text!r}")
-    lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-    if not (0 < lo <= hi) or count < 1:
-        raise ValueError(f"invalid ladder {text!r}")
-    if count == 1:
-        return [lo]
-    return [float(x) for x in np.geomspace(lo, hi, count)]
+# Shared argument plumbing
 
 
 def _apply_config_file(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
@@ -466,27 +471,21 @@ def _file_sha256(path) -> str:
 # Commands
 
 
+# gen --kind -> (generator, the flags it reads as keywords after the grid);
+# the sidecar records those flags as the field's "parameters".
+_GENERATORS = {
+    "abc": (abc_flow, ("A", "B", "C")),
+    "taylor-green": (taylor_green, ()),
+    "random": (lambda grid, **spec: random_solenoidal(grid, SpectrumSpec(**spec)),
+               ("slope", "kmin", "kmax", "rms", "seed")),
+}
+
+
 def cmd_gen(args) -> int:
     grid = make_grid(args.n, args.length)
-    params: dict = {}
-    if args.kind == "abc":
-        fld = abc_flow(grid, args.A, args.B, args.C)
-        params = {"A": args.A, "B": args.B, "C": args.C}
-    elif args.kind == "taylor-green":
-        fld = taylor_green(grid)
-    elif args.kind == "random":
-        spec = SpectrumSpec(args.slope, args.kmin, args.kmax, args.rms, args.seed)
-        fld = random_solenoidal(grid, spec)
-        params = {
-            "slope": args.slope,
-            "kmin": args.kmin,
-            "kmax": args.kmax,
-            "rms": args.rms,
-            "seed": args.seed,
-        }
-    else:
-        raise ValueError(f"unknown generator kind {args.kind!r}")
-    write_field(fld, args.out)
+    generate, flags = _GENERATORS[args.kind]
+    params = {flag: getattr(args, flag) for flag in flags}
+    write_field(generate(grid, **params), args.out)
     sidecar = {
         "kind": args.kind,
         "parameters": params,
@@ -501,14 +500,16 @@ def cmd_gen(args) -> int:
 
 
 def _load_inputs(args) -> tuple:
-    """(law, (v, w), direction set) from --law, --v, --omega or --h, and --dirs.
+    """(law, (v, w), direction set, {flag: path} of the files read) from
+    --law, --v, --omega or --h, and --dirs.
 
     The second field comes from --omega (helicity) or --h, None if not given;
     the laws module decides what a missing or unused one means."""
     law = LawKind(args.law)
-    path = args.omega if law is LawKind.HELICITY else args.h
-    fields = (_load_vector(args.v), _load_vector(path) if path else None)
-    return law, fields, parse_direction_spec(args.dirs)
+    second = "omega" if law is LawKind.HELICITY else "h"
+    paths = {name: str(getattr(args, name)) for name in ("v", second) if getattr(args, name)}
+    fields = (_load_vector(args.v), _load_vector(paths[second]) if second in paths else None)
+    return law, fields, parse_direction_spec(args.dirs), paths
 
 
 def _write_report(out: str, payload: dict, csv_rows=None, **provenance) -> None:
@@ -526,16 +527,16 @@ def _write_report(out: str, payload: dict, csv_rows=None, **provenance) -> None:
 
 
 def cmd_analyze(args) -> int:
-    law, fields, dirs = _load_inputs(args)
-    files = {name: str(getattr(args, name)) for name in ("v", "omega", "h") if getattr(args, name)}
-    report = sweep_structure(law, fields, parse_ladder(args.scales), dirs, provenance=files)
-    _write_report(args.out, report.to_json_dict(), report.csv_rows(), engine=report.engine)
+    law, fields, dirs, paths = _load_inputs(args)
+    report = sweep_structure(law, fields, parse_ladder(args.scales), dirs)
+    _write_report(args.out, report.to_json_dict(), report.csv_rows(), engine=report.engine,
+                  fields=paths)
     return 0
 
 
 def cmd_dissipation(args) -> int:
     tol = _check_tolerance("quad-match-tol", args.quad_match_tol)
-    law, fields, dirs = _load_inputs(args)
+    law, fields, dirs, paths = _load_inputs(args)
     report = sweep_dissipation(
         law, args.part, fields, bump_mollifier(), parse_ladder(args.eps), args.radial_nodes, dirs
     )
@@ -544,7 +545,8 @@ def cmd_dissipation(args) -> int:
         payload["d_shell" if args.method == "ball" else "d_ball"] = None
     # The eps -> 0 extrapolation assumes the eps^2 regime, kmax * eps << 1.
     kmax = 2.0 * np.pi / fields[0].grid.length * report.engine["kmax"]
-    _write_report(args.out, payload, engine=report.engine, kmax_eps_min=kmax * min(report.epsilons))
+    _write_report(args.out, payload, engine=report.engine, fields=paths,
+                  kmax_eps_min=kmax * min(report.epsilons))
     gap = _ballshell_gap(report.d_ball, report.d_shell) if args.method == "both" else []
     failures = [(eps, rel) for eps, rel in zip(report.epsilons, gap) if rel > tol]
     for eps, rel in failures:
@@ -608,12 +610,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--v", required=True, help="velocity field file (EXL1)")
         p.add_argument("--omega", help="vorticity file; default curl of velocity")
         p.add_argument("--h", help="magnetic field file (EXL1)")
-        p.add_argument("--dirs", default="icosa:2", help="icosa:LEVEL or random:COUNT:SEED")
+        p.add_argument("--dirs", default=DEFAULT_DIRECTIONS,
+                       help="icosa:LEVEL or random:COUNT:SEED")
         report_out(p, out)
 
     p = add_parser("gen", help="generate a solenoidal field file")
     common(p, "seed of the random field (--kind random)")
-    p.add_argument("--kind", required=True, choices=("abc", "taylor-green", "random"))
+    p.add_argument("--kind", required=True, choices=tuple(_GENERATORS))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--length", type=float, default=2.0 * np.pi)
     p.add_argument("--out", required=True)
@@ -635,9 +638,9 @@ def build_parser() -> argparse.ArgumentParser:
     inputs(p, "dissipation")
     p.add_argument("--part", default="L", choices=("L", "T"))
     p.add_argument("--method", default="both", choices=("ball", "shell", "both"))
-    p.add_argument("--eps", default="0.2:0.8:3", help="geometric ladder lo:hi:count")
-    p.add_argument("--radial-nodes", type=int, default=32)
-    p.add_argument("--quad-match-tol", type=float, default=1e-10)
+    p.add_argument("--eps", default=EPS_LADDER, help="geometric ladder lo:hi:count")
+    p.add_argument("--radial-nodes", type=int, default=RADIAL_NODES)
+    p.add_argument("--quad-match-tol", type=float, default=QUAD_MATCH_TOL)
     p.set_defaults(func=cmd_dissipation)
 
     p = add_parser("verify", help="run the exact-law verification suite")

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import COMBINE_COEFFS, CurlOf, LawKind, StatsEngine
-from .geometry import DirectionSet, direction_set_icosa
+from .geometry import DirectionSet, parse_direction_spec
 from .grid import VectorField3, _require_same_grid, curl
 
 __all__ = [
@@ -39,9 +39,13 @@ __all__ = [
 ]
 
 
+# The direction set of every sweep, functional and verb unless overridden.
+DEFAULT_DIRECTIONS = "icosa:2"
+
+
 def default_directions() -> DirectionSet:
-    """Direction set used by sweeps unless overridden (162 icosahedral nodes)."""
-    return direction_set_icosa(2)
+    """The ``DEFAULT_DIRECTIONS`` set (162 icosahedral nodes)."""
+    return parse_direction_spec(DEFAULT_DIRECTIONS)
 
 
 @dataclass(frozen=True)
@@ -180,7 +184,6 @@ def sweep_structure(
     fields,
     scales,
     dirs: DirectionSet | None = None,
-    provenance: dict | None = None,
 ) -> StructureReport:
     """Evaluate raw and combined values over an ascending ladder of scales.
 
@@ -203,8 +206,6 @@ def sweep_structure(
         # both so reports are unambiguous.
         c_l, c_t = COMBINE_COEFFS[law]
         metadata["alternate_flux_coefficients"] = [-c_l, -c_t]
-    if provenance:
-        metadata["fields"] = provenance
     if law is LawKind.HELICITY and explicit_w:
         ref = curl(v)
         rms = ref.rms()

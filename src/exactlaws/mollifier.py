@@ -54,28 +54,21 @@ class Mollifier:
     amplitude: float
     name: str = "bump"
 
-    def phi(self, r):
-        r = np.asarray(r, dtype=float)
-        out = np.zeros_like(r)
-        inside = np.abs(r) < 1.0
-        ri = r[inside]
-        out[inside] = self.amplitude * np.exp(-1.0 / (1.0 - ri * ri))
-        return out if out.ndim else float(out)
-
-    def dphi(self, r):
+    def _on_support(self, r, factor):
+        """amplitude * exp(-1/(1 - r^2)) * factor(r, 1 - r^2) for |r| < 1, zero outside."""
         r = np.asarray(r, dtype=float)
         out = np.zeros_like(r)
         inside = np.abs(r) < 1.0
         ri = r[inside]
         one = 1.0 - ri * ri
-        out[inside] = self.amplitude * np.exp(-1.0 / one) * (-2.0 * ri / (one * one))
+        out[inside] = self.amplitude * np.exp(-1.0 / one) * factor(ri, one)
         return out if out.ndim else float(out)
 
-    def phi_scaled(self, r, eps: float):
-        return self.phi(np.asarray(r, dtype=float) / eps) / eps**3
+    def phi(self, r):
+        return self._on_support(r, lambda ri, one: 1.0)
 
-    def dphi_scaled(self, r, eps: float):
-        return self.dphi(np.asarray(r, dtype=float) / eps) / eps**4
+    def dphi(self, r):
+        return self._on_support(r, lambda ri, one: -2.0 * ri / (one * one))
 
 
 # integral_0^1 r^2 exp(-1/(1 - r^2)) dr, as adaptive quadrature gives it
@@ -114,6 +107,10 @@ def phi_L(m: Mollifier, r: float) -> float:
     return float(m.phi(r)) - phi_T(m, r)
 
 
+# Radial Gauss-Legendre nodes of every dissipation functional unless overridden.
+RADIAL_NODES = 32
+
+
 def radial_quadrature(eps: float, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on (0, eps]; the open rule avoids r = 0."""
     if count < 2:
@@ -127,7 +124,7 @@ def radial_quadrature(eps: float, count: int) -> tuple[np.ndarray, np.ndarray]:
 def _radial_nodes(m: Mollifier, eps: float, count: int) -> tuple[np.ndarray, ...]:
     """Arrays (r, weight, phi_eps(r), phi_eps'(r)) over the radial nodes in (0, eps]."""
     r, w = radial_quadrature(eps, count)
-    return r, w, m.phi_scaled(r, eps), m.dphi_scaled(r, eps)
+    return r, w, m.phi(r / eps) / eps**3, m.dphi(r / eps) / eps**4
 
 
 def _node_sum(x):
@@ -165,7 +162,7 @@ def d_ball(
     w,
     m: Mollifier,
     eps: float,
-    radial_nodes: int = 32,
+    radial_nodes: int = RADIAL_NODES,
     dirs: DirectionSet | None = None,
 ) -> float:
     """Ball quadrature of the dissipation functional over |l| <= eps.
@@ -183,7 +180,7 @@ def d_shell(
     profiles,
     m: Mollifier,
     eps: float,
-    radial_nodes: int = 32,
+    radial_nodes: int = RADIAL_NODES,
 ) -> float:
     """Radial shell form of the dissipation functional.
 
@@ -203,12 +200,9 @@ def _raw_triple(p) -> tuple[float, float, float]:
     return (p.raw_L, p.raw_T, p.raw_flux) if isinstance(p, RawCombos) else tuple(map(float, p))
 
 
-def coefficient_oracle(
-    law: LawKind,
-    m: Mollifier | None = None,
-    radial_nodes: int = 64,
-) -> dict:
-    """Shell values on constant unit profiles and the solved combined relation.
+def coefficient_oracle(law: LawKind) -> dict:
+    """Shell values on constant unit profiles and the solved combined relation,
+    for the bump mollifier at 64 radial nodes.
 
     Evaluating the shell form on the profile basis vectors reproduces the
     coefficient rows of the two radial reductions; eliminating the
@@ -219,7 +213,7 @@ def coefficient_oracle(
     of -4/5 and -8/15, with the flux coefficients matching ``combine``.
     """
     law = LawKind(law)
-    nodes = _radial_nodes(m if m is not None else bump_mollifier(), 1.0, radial_nodes)
+    nodes = _radial_nodes(bump_mollifier(), 1.0, 64)
     basis = np.eye(3)[:, :, None]  # (raw_L, raw_T, raw_flux) of each unit profile
     rows = {
         part: dict(zip(("raw_L", "raw_T", "flux"), _shell(law, part, nodes, basis).tolist()))
@@ -251,7 +245,7 @@ def dr_dissipation(
     m: Mollifier,
     eps: float,
     kernel: str = "long",
-    radial_nodes: int = 32,
+    radial_nodes: int = RADIAL_NODES,
     dirs: DirectionSet | None = None,
 ) -> float:
     """Mollified third-order energy functional (1/4) int grad(phi_eps).dv K dl.
@@ -271,7 +265,7 @@ def dr_dissipation_profile(
     profile,
     m: Mollifier,
     eps: float,
-    radial_nodes: int = 32,
+    radial_nodes: int = RADIAL_NODES,
 ) -> float:
     """Shell form of the third-order energy functional for a given radial profile.
 
@@ -333,7 +327,7 @@ def dissipation_matrix(
     requests: dict,
     m: Mollifier,
     epsilons,
-    radial_nodes: int = 32,
+    radial_nodes: int = RADIAL_NODES,
     dirs: DirectionSet | None = None,
 ) -> dict:
     """Ball and shell values for several laws over an epsilon ladder, sharing
@@ -372,7 +366,7 @@ def sweep_dissipation(
     fields,
     m: Mollifier,
     epsilons,
-    radial_nodes: int = 32,
+    radial_nodes: int = RADIAL_NODES,
     dirs: DirectionSet | None = None,
 ) -> DissipationReport:
     """Ball and shell dissipation values over an ascending epsilon ladder.

@@ -1,21 +1,28 @@
 """End-to-end command-line tests (in-process)."""
 
 import dataclasses
+import inspect
 import json
 
 import numpy as np
 import pytest
 
-from exactlaws import _kernels, cli
+from exactlaws import _kernels, cli, mollifier
 from exactlaws.cli import combine_consistency_checks, main, parse_ladder
+from exactlaws.geometry import parse_direction_spec
 from exactlaws.grid import VectorField3, make_grid, read_field, write_field
-from exactlaws.laws import LawKind
+from exactlaws.laws import DEFAULT_DIRECTIONS, LawKind, default_directions
 from exactlaws.report import canonical_hash
 from exactlaws.synth import abc_flow
 
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def subparser(verb):
+    parser = cli.build_parser()
+    return next(a for a in parser._actions if a.dest == "command").choices[verb]
 
 
 class TestLadders:
@@ -60,6 +67,31 @@ class TestGen:
         assert run(base + ["--out", b]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_kind_choices_are_the_generator_table(self):
+        kind = next(a for a in subparser("gen")._actions if a.dest == "kind")
+        assert tuple(kind.choices) == tuple(cli._GENERATORS)
+
+    # A value other than the default for each generator flag of gen.
+    OTHER = {"A": 2.0, "B": 0.5, "C": 3.0, "slope": -1.0, "kmin": 1, "kmax": 6, "rms": 2.0,
+             "seed": 5}
+
+    @pytest.mark.parametrize("kind", list(cli._GENERATORS))
+    def test_sidecar_names_exactly_the_flags_the_generator_reads(self, tmp_path, kind):
+        # A flag is read when changing it alone changes the field's bytes.
+        flags = {a.dest for a in subparser("gen")._actions if a.option_strings}
+        assert flags - {"help", "config", "kind", "n", "length", "out"} == set(self.OTHER)
+        base = ["gen", "--kind", kind, "--n", 24]
+        assert run(base + ["--out", tmp_path / "base.fld"]) == 0
+        reference = (tmp_path / "base.fld").read_bytes()
+        read = set()
+        for flag, value in self.OTHER.items():
+            out = tmp_path / f"{flag}.fld"
+            assert run(base + [f"--{flag}", value, "--out", out]) == 0
+            if out.read_bytes() != reference:
+                read.add(flag)
+        sidecar = json.loads((tmp_path / "base.fld.json").read_text())
+        assert set(sidecar["parameters"]) == read
+
 
 @pytest.fixture
 def field_files(tmp_path):
@@ -102,6 +134,28 @@ class TestAnalyze:
         p2 = json.loads((tmp_path / "r2.json").read_text())
         assert p1["provenance"]["timestamp"] != "" and "timestamp" in p2["provenance"]
         assert canonical_hash(p1) == canonical_hash(p2)
+
+    def test_hash_does_not_depend_on_how_the_paths_are_spelled(
+        self, tmp_path, field_files, monkeypatch
+    ):
+        # The paths read go under provenance.fields, as given, outside the hash.
+        v, h = field_files
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        spellings = (v, "v.fld", "./sub/../v.fld")
+        payloads = []
+        for name, spelled in zip("abc", spellings):
+            assert run(["analyze", "--law", "helicity", "--v", spelled, "--h", h,
+                        "--scales", "0.1:0.4:2", "--dirs", "icosa:0", "--out", name]) == 0
+            payloads.append(json.loads((tmp_path / f"{name}.json").read_text()))
+        assert len({canonical_hash(payload) for payload in payloads}) == 1
+        for payload, spelled in zip(payloads, spellings):
+            assert payload["provenance"]["fields"] == {"v": str(spelled)}
+        assert run(["dissipation", "--law", "mhd-energy", "--v", "v.fld", "--h", h,
+                    "--eps", "0.3:0.3:1", "--radial-nodes", 4, "--dirs", "icosa:0",
+                    "--out", "d"]) == 0
+        provenance = json.loads((tmp_path / "d.json").read_text())["provenance"]
+        assert provenance["fields"] == {"v": "v.fld", "h": str(h)}
 
     def test_engine_provenance_outside_hash(self, tmp_path, field_files):
         v, _ = field_files
@@ -362,6 +416,23 @@ class TestVerify:
         assert rc == 0
         assert len(built) == 2
 
+    def test_fields_drawn_once_and_only_when_read(self, tmp_path, monkeypatch):
+        # v and h belong to the config: --suite all draws each once for the
+        # ballshell, degeneracy and smooth suites; identity reads neither.
+        seeds = []
+
+        def counting(grid, seed, _real=cli._band_limited):
+            seeds.append(seed)
+            return _real(grid, seed)
+
+        monkeypatch.setattr(cli, "_band_limited", counting)
+        assert run(["verify", "--suite", "all", "--n", 32, "--seed", 4,
+                    "--out", tmp_path / "all"]) == 0
+        assert sorted(seeds) == [4, 4 + 9001]
+        seeds.clear()
+        assert run(["verify", "--suite", "identity", "--out", tmp_path / "identity"]) == 0
+        assert seeds == []
+
     def test_suite_choices_are_the_suite_table(self):
         parser = cli.build_parser()
         suite = next(f for f in dataclasses.fields(cli.VerifyConfig) if f.name == "suite")
@@ -525,3 +596,24 @@ def test_main_builds_one_parser_per_process(monkeypatch, tmp_path):
     assert len(built) == 1
     subparsers = next(a for a in built[0]._actions if a.dest == "command").choices
     assert set(subparsers) == {"gen", "analyze", "dissipation", "verify", "selftest"}
+
+
+def test_defaults_agree_across_library_cli_and_config():
+    # Each default has one home, which the library, the flags and
+    # VerifyConfig read: laws (directions), mollifier (radial nodes) and cli
+    # (the epsilon ladder and the ball/shell tolerance).
+    analyze, dissipation, verify = map(subparser, ("analyze", "dissipation", "verify"))
+    config = cli.VerifyConfig()
+    assert analyze.get_default("dirs") == dissipation.get_default("dirs") == DEFAULT_DIRECTIONS
+    assert verify.get_default("dirs") == config.dirs == DEFAULT_DIRECTIONS
+    assert default_directions() == parse_direction_spec(DEFAULT_DIRECTIONS)
+    for fn in (mollifier.d_ball, mollifier.d_shell, mollifier.dr_dissipation,
+               mollifier.dr_dissipation_profile, mollifier.dissipation_matrix,
+               mollifier.sweep_dissipation):
+        assert inspect.signature(fn).parameters["radial_nodes"].default == mollifier.RADIAL_NODES
+    assert dissipation.get_default("radial_nodes") == verify.get_default("radial_nodes")
+    assert config.radial_nodes == dissipation.get_default("radial_nodes") == mollifier.RADIAL_NODES
+    assert dissipation.get_default("eps") == verify.get_default("eps") == cli.EPS_LADDER
+    assert config.eps_ladder == tuple(parse_ladder(cli.EPS_LADDER))
+    assert dissipation.get_default("quad_match_tol") == verify.get_default("quad_match_tol")
+    assert config.quad_match_tol == verify.get_default("quad_match_tol") == cli.QUAD_MATCH_TOL

@@ -10,7 +10,8 @@ its ``gen`` writes the band-limited fields, its ``write_field`` the white
 noise.  Every file goes under OUT: the inputs, the reports, the runs' output
 in ``log.txt`` and ``hashes.json``, which maps each run to its exit code, the
 canonical hash of its report, the SHA-256 of its CSV (``analyze``) and its
-``provenance.engine``; a field file's record holds the SHA-256 of its bytes.
+``provenance.engine``; a field file's record holds the SHA-256 of its bytes
+and, for ``gen``, the canonical hash of its sidecar.
 
 ``compare`` prints the runs whose records differ between two outputs, or are
 missing from one, and exits 1 if there are any.
@@ -23,7 +24,10 @@ The matrix:
 * ``analyze --scales 0.05:0.8:6`` for the four laws at ``--dirs icosa:2`` and
   ``--dirs random:2:5``, and ``dissipation --radial-nodes 8 --eps 0.2:0.8:3``
   for the four laws, on both inputs;
-* ``verify --suite all`` at (n, seed) = (16, 5), (32, 3) and (16, 18);
+* ``gen --kind abc`` at A, B, C = 0.5, 2, 1.5 and ``gen --kind taylor-green``,
+  both at n=32;
+* ``verify --suite all`` at (n, seed) = (16, 5), (32, 3) and (16, 18), and
+  one ``verify`` whose flags all come from a ``--config`` file;
 * the benchmark's ``ballshell-multilaw`` command at seed 1, and ``selftest``.
 """
 
@@ -40,16 +44,26 @@ from pathlib import Path
 
 LAWS = ("hydro-energy", "helicity", "mhd-energy", "cross-helicity")
 DIRS = ("icosa:2", "random:2:5")
+# The flags of the --config run: strings, integers and floats, as verify reads them.
+CONFIG = {"suite": "all", "n": 16, "seed": 7, "dirs": "icosa:1", "radial-nodes": 12,
+          "eps": "0.3:0.6:2", "quad-match-tol": 1e-9, "slope-min": 1.8}
 
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _read(path: Path):
+    """The JSON document at ``path``, None if there is none."""
+    return json.loads(path.read_text(encoding="utf-8")) if path.exists() else None
+
+
 def _matrix() -> dict[str, list[str]]:
     """Run name -> argv, with paths relative to the output directory, the
-    working directory; the white-noise inputs are written first.  Reports
-    record their input paths, so relative ones keep two outputs comparable."""
+    working directory; the white-noise inputs and the config file are
+    written first.  Reports record their input paths only under provenance,
+    outside the canonical hash, but ``gen`` sidecars record the output path,
+    so relative ones keep two outputs comparable."""
     import numpy as np
 
     from exactlaws import VectorField3, make_grid, write_field
@@ -62,6 +76,10 @@ def _matrix() -> dict[str, list[str]]:
                                     "--kmax", "16", "--seed", str(seed), "--rms", rms,
                                     "--out", str(path)]
         fields["band"][name] = path
+    runs["gen/abc"] = ["gen", "--kind", "abc", "--n", "32", "--A", "0.5", "--B", "2",
+                       "--C", "1.5", "--out", "abc.fld"]
+    runs["gen/taylor-green"] = ["gen", "--kind", "taylor-green", "--n", "32",
+                                "--out", "taylor-green.fld"]
     for name, key in (("v", 3), ("h", 4)):
         path = Path(f"white-{name}.fld")
         rng = np.random.Generator(np.random.Philox(key=[key, 48]))
@@ -83,6 +101,8 @@ def _matrix() -> dict[str, list[str]]:
         runs[f"verify/n{n}-seed{seed}"] = ["verify", "--suite", "all", "--n", str(n),
                                            "--seed", str(seed),
                                            "--out", f"verify-n{n}-seed{seed}"]
+    Path("verify-flags.json").write_text(json.dumps(CONFIG))
+    runs["verify/config"] = ["verify", "--config", "verify-flags.json", "--out", "verify-config"]
     runs["ballshell-multilaw"] = ["verify", "--suite", "ballshell", "--n", "32",
                                   "--dirs", "icosa:1", "--radial-nodes", "6", "--eps", "0.4:0.4:1",
                                   "--seed", "1", "--out", "ballshell-multilaw"]
@@ -110,12 +130,12 @@ def worker(out: Path) -> None:
                     code = exc.code
             path = argv[argv.index("--out") + 1]
             if argv[0] == "gen":
-                written = Path(path)
+                written, sidecar = Path(path), _read(Path(path + ".json"))
                 records[label] = {"exit": code,
-                                  "file": _sha256(written) if written.exists() else None}
+                                  "file": _sha256(written) if written.exists() else None,
+                                  "sidecar": None if sidecar is None else canonical_hash(sidecar)}
                 continue
-            report, csv = Path(path + ".json"), Path(path + ".csv")
-            doc = json.loads(report.read_text(encoding="utf-8")) if report.exists() else None
+            csv, doc = Path(path + ".csv"), _read(Path(path + ".json"))
             records[label] = {
                 "exit": code,
                 "hash": None if doc is None else canonical_hash(doc),
