@@ -35,6 +35,17 @@ Two evaluation paths share that reduced grid:
   whole radii of a ladder share one pass of phases, sine table and
   contractions, and each radius keeps its own matrix product, which leaves
   its values bitwise those of a ladder of its own.
+  A radius may instead sum its modes by column (kx, ky), because
+  exp(i k.l) factors per axis: the columns with |k_perp| r >= 1 at the
+  rung's smallest |l| = r take one matrix product per kz plane of their
+  coefficients with per-column sines, so they cost (columns + kz planes)
+  x directions sines instead of modes x directions.  The inner
+  columns, which hold every mode with |k| r < 1, keep the sine table.  The
+  sum is arranged so that every term is cubic in small arguments, as
+  sin(x) - x is, and it agrees with the table to round-off at any radius.
+  ``_columns_pay`` picks the path per radius from the outer modes, columns,
+  rows, kz planes and directions; the only state it keeps is each mode's
+  column, built on first use.
   A row, and the pair-product transforms it needs, is built the first time
   a request reads it and kept for the rest of the engine's life, so a
   radius or epsilon ladder builds each row once and a law never pays for
@@ -210,22 +221,52 @@ def _reduced_size(kmax: int, n: int) -> int:
     return 2 * half if 2 * half < n else n
 
 
-# (-1)^j / (2j + 1)! for j = 1..9: the Taylor series of sin(x) - x in powers
-# of x^2; at |x| = 1 the first omitted term is 1.2e-19 of the leading one.
+# (-1)^j / (2j + 1)! and (-1)^j / (2j)! for j = 1..9: the Taylor series of
+# sin(x) - x and of cos(x) - 1 in powers of x^2; at |x| = 1 the first omitted
+# terms are 1.2e-19 and 8.2e-19 of the leading ones.
 _SIN_SERIES = tuple((-1.0) ** j / float(np.prod(np.arange(1, 2 * j + 2))) for j in range(1, 10))
+_COS_SERIES = tuple((-1.0) ** j / float(np.prod(np.arange(1, 2 * j + 1))) for j in range(1, 10))
+
+
+def _below_one(x: np.ndarray, out: np.ndarray, series, odd: bool) -> np.ndarray:
+    """``out`` with its entries at |x| < 1 set to the Taylor series ``series``
+    in x^2, times x^2 and, when ``odd``, x."""
+    small = np.abs(x) < 1.0
+    xs = x[small]
+    x2 = xs * xs
+    acc = np.full_like(xs, series[-1])
+    for c in series[-2::-1]:
+        acc = acc * x2 + c
+    out[small] = acc * x2 * xs if odd else acc * x2
+    return out
 
 
 def _sin_minus_x(x: np.ndarray) -> np.ndarray:
     """sin(x) - x to full relative precision, by its Taylor series for |x| < 1."""
-    out = np.sin(x) - x
-    small = np.abs(x) < 1.0
-    xs = x[small]
-    x2 = xs * xs
-    acc = np.full_like(xs, _SIN_SERIES[-1])
-    for c in _SIN_SERIES[-2::-1]:
-        acc = acc * x2 + c
-    out[small] = acc * x2 * xs
-    return out
+    return _below_one(x, np.sin(x) - x, _SIN_SERIES, True)
+
+
+def _cos_minus_one(x: np.ndarray) -> np.ndarray:
+    """cos(x) - 1 to full relative precision, by its Taylor series for |x| < 1."""
+    return _below_one(x, np.cos(x) - 1.0, _COS_SERIES, False)
+
+
+def _columns_pay(outer: int, columns: int, rows: int, planes: int, directions: int) -> bool:
+    """Whether summing ``outer`` modes in ``columns`` columns of ``planes`` kz
+    planes by plane is cheaper than their sine table, for ``rows`` rows of G
+    at ``directions`` separations.
+
+    Costs are counted in sines of the table (one element of ``_sin_minus_x``).
+    The column sums save (outer - columns) sines per separation; they pay
+    about 1/6 sine per coefficient scattered into the (planes x columns)
+    table, 1/600 per table entry and separation in its matrix products, and
+    about 8000 for their fixed steps.  The weights were fitted to 375 timed
+    (engine, rows, directions, radius) cases with one BLAS thread; on 350 of
+    them the rule picks the faster path, and on none is its pick slower than
+    1.5 times the faster path.
+    """
+    saved = (outer - columns) * directions
+    return saved > rows * outer / 6 + rows * planes * columns * directions / 600 + 8000
 
 
 @dataclass(frozen=True)
@@ -263,7 +304,8 @@ class StatsEngine:
     separations evaluated, ``inverse_passes`` the inverse passes per axis,
     ``transform_calls`` the 3-D transforms (one per distinct given field and
     one per batch of band components or pair products), ``sine_passes`` the
-    sine-table evaluations; ``describe`` also gives the modes kept and the
+    sine-table evaluations, ``column_passes`` the radii whose outer columns
+    were summed by kz plane; ``describe`` also gives the modes kept and the
     series rows and pair products built.
     """
 
@@ -373,9 +415,11 @@ class StatsEngine:
         # built yet (it reads NaN), -2 for a triple touching the zero field.
         self._row_index = np.full((zero + 1,) * 3, -2)
         self._row_index[:zero, :zero, :zero] = -1
+        self._columns = None  # each mode's column (kx, ky), on first use
         self.separations = 0
         self.inverse_passes = {"x": 0, "xy": 0, "z": 0}
         self.sine_passes = 0
+        self.column_passes = 0
 
     def describe(self) -> dict:
         """The grid the engine used, the evaluation path it takes, the modes it
@@ -393,6 +437,7 @@ class StatsEngine:
             "pair_products": len(self._products),
             "transform_calls": self.transform_calls,
             "sine_passes": self.sine_passes,
+            "column_passes": self.column_passes,
         }
 
     def increments(self, ell) -> dict[str, np.ndarray | None]:
@@ -528,7 +573,9 @@ class StatsEngine:
         rung's separations are evaluated in blocks whose modes x separations
         temporaries hold at most ``_MOMENT_BLOCK`` elements, one matrix product
         per block and rung; the phases and the sine table of a block are
-        taken for all rungs in one pass, counted in ``sine_passes``.
+        taken for all rungs in one pass, counted in ``sine_passes``.  A rung
+        for which ``_columns_pay`` holds sums its outer columns by kz plane
+        instead (``_column_moments``), counted in ``column_passes``.
         """
         if not self.alias_free:
             raise ValueError("the sine series needs an alias-free grid (m > 3*kmax)")
@@ -545,17 +592,123 @@ class StatsEngine:
         rows[-2] = 0.0  # the zero field's row
         rows[-1] = np.nan  # the rows not built
         step = max(1, _MOMENT_BLOCK // max(1, kvec.shape[0]))
-        for s in range(0, size, step):
-            block = rungs[:, None, s : s + step]
+        # The column sums' best case: every mode outer, in as few columns as
+        # the kz planes allow.  Engines for which even that does not pay
+        # skip the column geometry.
+        planes, built = self.kmax + 1, self._coeffs.shape[0]
+        best = built and _columns_pay(self.modes, self.modes / planes, built, planes, size)
+        columns = self._column_geometry() if best else None
+        splits = [None] * count if columns is None else self._column_splits(rungs, columns)
+        table_rungs = [i for i, outer in enumerate(splits) if outer is None]
+        self.sine_passes += len(range(0, size, step))
+        for s in range(0, size, step) if table_rungs else ():
+            block = rungs[table_rungs, None, s : s + step]
             table = _sin_minus_x(
                 kvec[:, 0:1] * block[..., 0] + kvec[:, 1:2] * block[..., 1]
                 + kvec[:, 2:3] * block[..., 2]
             )
-            self.sine_passes += 1
-            for i in range(count):
-                rows[:-2, i, s : s + step] = self._coeffs @ table[i]
+            for j, i in enumerate(table_rungs):
+                rows[:-2, i, s : s + step] = self._coeffs @ table[j]
+        for i, outer in enumerate(splits):
+            if outer is not None:
+                rows[:-2, i] = self._column_moments(rungs[i], outer, columns, step)
+                self.column_passes += 1
         out = rows[self._row_index]
         return out if ells.ndim == 3 else out[..., 0, :]
+
+    def _column_geometry(self) -> tuple:
+        """(each mode's column, its kz index, the signed kx and ky indices of
+        each column).  Columns are numbered in raster order of (kx, ky), with
+        no sort (numpy's first sort pages in about 0.5 MB of code, which
+        shows in the peak resident memory); the column map is built on first
+        use and kept, the rest is derived per call."""
+        m, kmax = self.m, self.kmax
+        side = 2 * kmax + 1
+        ix, iy = (np.where(i < m // 2, i, i - m) for i in self._index[:2])
+        if self._columns is None:
+            cell = (ix + kmax) * side + iy + kmax
+            present = np.zeros(side * side, dtype=bool)
+            present[cell] = True
+            self._columns = (np.cumsum(present) - 1)[cell]
+        col = self._columns
+        cx, cy = np.empty((2, int(col.max()) + 1), dtype=int)
+        cx[col], cy[col] = ix, iy
+        return col, self._index[2], cx, cy
+
+    def _column_splits(self, rungs, columns) -> list:
+        """Per rung of separations (R, S, 3), which columns it sums by kz
+        plane (a mask over the columns), or None when the whole rung takes
+        the sine table.
+
+        At a rung's smallest |l| = r, the outer columns are those with
+        |k_perp| r >= 1; every mode with |k| r < 1, whose sine the table takes
+        from its Taylor series, lies in an inner column."""
+        col, _, cx, cy = columns
+        r = np.sqrt(np.min(np.einsum("rsi,rsi->rs", rungs, rungs), axis=1))
+        unit = 2.0 * np.pi / self.grid.length
+        outer = (cx * cx + cy * cy) * ((unit * r) ** 2)[:, None] >= 1.0
+        modes = outer @ np.bincount(col)  # outer modes per rung
+        shape = (self._coeffs.shape[0], self.kmax + 1, rungs.shape[1])
+        return [mask if _columns_pay(int(k), int(c), *shape) else None
+                for mask, k, c in zip(outer, modes, outer.sum(axis=1))]
+
+    def _column_moments(self, ells, outer_columns, columns, step) -> np.ndarray:
+        """M over the built rows at one rung's separations ``ells`` (S, 3),
+        (rows, S), with the modes of the columns ``outer_columns`` summed by
+        kz plane.
+
+        exp(i k.l) factors per axis: with a = kx l_x + ky l_y, b = kz l_z,
+        s(x) = sin(x) - x and c(x) = cos(x) - 1,
+          s(a + b) = s(a) cos(b) + a c(b) + c(a) sin(b) + s(b),
+        where every term is cubic in small arguments, as s is.  So the outer
+        modes sum to one matrix product per kz plane of D, G's outer
+        coefficients per (plane, column), with the columns' s(a), c(a), kx,
+        ky and 1, weighted per plane.  D is scattered here, in blocks of rows
+        of at most ``_MOMENT_BLOCK`` elements, and dropped on return.  The
+        inner modes take the sine table."""
+        col, plane, cx, cy = columns
+        coeffs, kvec, kmax = self._coeffs, self._kvec, self.kmax
+        in_outer = outer_columns[col]
+        inner, outer = ~in_outer, np.flatnonzero(in_outer)
+        out = np.empty((coeffs.shape[0], len(ells)))
+        g_in, k_in = coeffs[:, inner], kvec[inner]
+        for s in range(0, len(ells), step):
+            out[:, s : s + step] = g_in @ _sin_minus_x(k_in @ ells[s : s + step].T)
+        k, kz = _wavenumbers(self.grid.length, self.m)
+        axis, planes = k[np.arange(-kmax, kmax + 1)], kz[: kmax + 1]
+        # Each outer column's kx and ky as indices into ``axis``.
+        ox, oy = cx[outer_columns] + kmax, cy[outer_columns] + kmax
+        kx, ky = axis[ox], axis[oy]
+        flat = plane[outer] * len(kx) + (np.cumsum(outer_columns) - 1)[col[outer]]
+        per = max(1, _MOMENT_BLOCK // (len(kx) * (kmax + 1)))
+        for r in range(0, coeffs.shape[0], per):
+            g = coeffs[r : r + per]
+            table = np.zeros(((kmax + 1) * len(kx), len(g)))
+            table[flat] = g.T[outer]
+            table = table.reshape(kmax + 1, len(kx), len(g))  # (planes, columns, rows)
+            for s in range(0, len(ells), step):
+                block = ells[s : s + step]
+                # sin a and cos a from the per-axis phases, their series below |a| = 1.
+                a = kx[:, None] * block[:, 0] + ky[:, None] * block[:, 1]
+                phase = np.exp(1j * axis[:, None] * block[:, 0])[ox]
+                phase *= np.exp(1j * axis[:, None] * block[:, 1])[oy]
+                # a is linear in (l_x, l_y), so D @ a is l_x (D @ kx) + l_y (D @ ky).
+                trig = np.concatenate([_below_one(a, phase.imag - a, _SIN_SERIES, True),
+                                       _below_one(a, phase.real - 1.0, _COS_SERIES, False),
+                                       kx[:, None], ky[:, None], np.ones((len(kx), 1))], axis=1)
+                # One product per plane: a single (planes x rows) product
+                # touched more of the BLAS buffers, and so of the peak
+                # resident memory, than the sine table did.
+                sums = trig.T @ table  # (planes, 2S + 3, rows)
+                b = planes[:, None] * block[:, 2]  # (planes, S)
+                by_plane = sums[:, : 2 * len(block)].reshape(kmax + 1, 2, len(block), len(g))
+                cb = _cos_minus_one(b)
+                out[r : r + per, s : s + step] += (
+                    np.einsum("pjsr,jps->sr", by_plane, np.stack([np.cos(b), np.sin(b)]))
+                    + block[:, 0:1] * (cb.T @ sums[:, -3]) + block[:, 1:2] * (cb.T @ sums[:, -2])
+                    + _sin_minus_x(b).T @ sums[:, -1]
+                ).T
+        return out
 
 
 def _law_terms(law: LawKind, cube, trace) -> tuple:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import inspect
 import json
 import sys
 import time
@@ -194,12 +195,17 @@ def _oracle_checks(cfg: VerifyConfig, verdict: Verdict) -> None:
         verdict.add(f"oracle/{law.value}", worst, 1e-8)
 
 
+def _band(grid) -> tuple[int, int]:
+    """The shells (kmin, kmax) of the suites' band-limited fields: 2..min(5, n//3)."""
+    return 2, min(5, grid.n // 3)
+
+
 def _band_limited(grid, seed: int) -> VectorField3:
     """The smooth field of the ballshell, degeneracy and smooth suites: slope
-    -5/3 over shells 2..min(5, n//3).  Single-wavenumber flows such as ABC
+    -5/3 over the shells ``_band(grid)``.  Single-wavenumber flows such as ABC
     have no wavevector triads, so all their third-order averages vanish and
     no wrong coefficient, degeneracy or vanishing order could show on them."""
-    return random_solenoidal(grid, SpectrumSpec(-5.0 / 3.0, 2, min(5, grid.n // 3), 1.0, seed))
+    return random_solenoidal(grid, SpectrumSpec(-5.0 / 3.0, *_band(grid), 1.0, seed))
 
 
 def _ballshell_gap(ball, shell) -> np.ndarray:
@@ -260,7 +266,7 @@ def _degeneracy_checks(cfg: VerifyConfig, verdict: Verdict) -> None:
 
 def _smooth_checks(cfg: VerifyConfig, verdict: Verdict) -> None:
     grid, dirs = cfg.grid, cfg.directions
-    kmax = min(5, grid.n // 3)
+    kmax = _band(grid)[1]
     unit = cfg.length / (2.0 * np.pi)
 
     r_hi = 0.35 / kmax * unit
@@ -311,6 +317,12 @@ def combine_consistency_checks(combine_coeffs=None) -> Verdict:
     return verdict
 
 
+def _default(func, name: str):
+    """The default of the parameter ``name`` of ``func``, for a flag that
+    restates a library default."""
+    return inspect.signature(func).parameters[name].default
+
+
 # Suite name -> checks; "all" runs every suite in this order.
 _SUITES = {
     "identity": _identity_checks,
@@ -338,7 +350,7 @@ class VerifyConfig:
 
     suite: str = field(default="all", metadata={"choices": ("all", *_SUITES)})
     n: int = 32
-    length: float = 2.0 * np.pi
+    length: float = _default(make_grid, "length")
     seed: int = 0
     dirs: str = DEFAULT_DIRECTIONS
     radial_nodes: int = RADIAL_NODES
@@ -618,15 +630,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, "seed of the random field (--kind random)")
     p.add_argument("--kind", required=True, choices=tuple(_GENERATORS))
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--length", type=float, default=2.0 * np.pi)
+    p.add_argument("--length", type=float, default=_default(make_grid, "length"))
     p.add_argument("--out", required=True)
-    p.add_argument("--A", type=float, default=1.0)
-    p.add_argument("--B", type=float, default=1.0)
-    p.add_argument("--C", type=float, default=1.0)
+    for flag in ("A", "B", "C"):
+        p.add_argument("--" + flag, type=float, default=_default(abc_flow, flag))
     p.add_argument("--slope", type=float, default=-5.0 / 3.0)
     p.add_argument("--kmin", type=int, default=2)
     p.add_argument("--kmax", type=int, default=8)
-    p.add_argument("--rms", type=float, default=1.0)
+    p.add_argument("--rms", type=float, default=_default(SpectrumSpec, "rms"))
     p.set_defaults(func=cmd_gen)
 
     p = add_parser("analyze", help="structure-function sweep -> PREFIX.json + PREFIX.csv")

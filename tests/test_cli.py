@@ -13,7 +13,7 @@ from exactlaws.geometry import parse_direction_spec
 from exactlaws.grid import VectorField3, make_grid, read_field, write_field
 from exactlaws.laws import DEFAULT_DIRECTIONS, LawKind, default_directions
 from exactlaws.report import canonical_hash
-from exactlaws.synth import abc_flow
+from exactlaws.synth import SpectrumSpec, abc_flow
 
 
 def run(args):
@@ -66,6 +66,18 @@ class TestGen:
         assert run(base + ["--out", a]) == 0
         assert run(base + ["--out", b]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_flag_defaults_are_the_library_defaults(self):
+        # gen's flags that restate a library default read it from the
+        # library's signature, and so does VerifyConfig's length.
+        gen = subparser("gen")
+        library = {"length": make_grid, "A": abc_flow, "B": abc_flow, "C": abc_flow,
+                   "rms": SpectrumSpec}
+        for flag, source in library.items():
+            default = inspect.signature(source).parameters[flag].default
+            assert gen.get_default(flag) == default, flag
+        length = inspect.signature(make_grid).parameters["length"].default
+        assert cli.VerifyConfig().length == subparser("verify").get_default("length") == length
 
     def test_kind_choices_are_the_generator_table(self):
         kind = next(a for a in subparser("gen")._actions if a.dest == "kind")
@@ -173,6 +185,7 @@ class TestAnalyze:
             "n": 16, "m": 16, "kmax": 4, "alias_free": True, "evaluation": "sine-series",
             "modes": 228, "separations": 12, "inverse_passes": {"x": 0, "xy": 0, "z": 0},
             "series_rows": 18, "pair_products": 15, "transform_calls": 3, "sine_passes": 1,
+            "column_passes": 0,
         }
         provenance = {k: x for k, x in payload["provenance"].items() if k != "engine"}
         assert canonical_hash({**payload, "provenance": provenance}) == canonical_hash(payload)
@@ -219,6 +232,7 @@ class TestDissipation:
             "n": 8, "m": 8, "kmax": 4, "alias_free": False, "evaluation": "per-shift-fft",
             "modes": 0, "separations": 48, "inverse_passes": {"x": 20, "xy": 32, "z": 48},
             "series_rows": 0, "pair_products": 0, "transform_calls": 1, "sine_passes": 0,
+            "column_passes": 0,
         }
 
     def test_kmax_eps_min_in_provenance_outside_hash(self, tmp_path, capsys):
@@ -432,6 +446,28 @@ class TestVerify:
         seeds.clear()
         assert run(["verify", "--suite", "identity", "--out", tmp_path / "identity"]) == 0
         assert seeds == []
+
+    @pytest.mark.parametrize("n, length", [(12, 2.0 * np.pi), (32, 4.0)])
+    def test_smooth_windows_follow_the_band_of_the_fields(self, monkeypatch, n, length):
+        # The smooth suite's r window ends at 0.35 and its epsilon window at
+        # 0.5 over the largest active wavenumber of the fields it reads.
+        seen = {}
+
+        def spy(name, real, key):
+            def wrapped(*args, **kwargs):
+                seen[name] = args[key]
+                return real(*args, **kwargs)
+            monkeypatch.setattr(cli, name, wrapped)
+
+        spy("sweep_structure", cli.sweep_structure, 2)
+        spy("dissipation_matrix", cli.dissipation_matrix, 4)
+        cfg = cli.VerifyConfig(n=n, length=length, dirs="icosa:0")
+        cli._smooth_checks(cfg, cli.Verdict())
+        fields = {"v": cfg.v, "h": cfg.h}
+        kmax = _kernels.StatsEngine(cfg.grid, fields).kmax * 2.0 * np.pi / length
+        assert _kernels.StatsEngine(cfg.grid, {"v": cfg.v}).kmax == cli._band(cfg.grid)[1]
+        assert max(seen["sweep_structure"]) * kmax == pytest.approx(0.35, rel=1e-14)
+        assert max(seen["dissipation_matrix"]) * kmax == pytest.approx(0.5, rel=1e-14)
 
     def test_suite_choices_are_the_suite_table(self):
         parser = cli.build_parser()

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exactlaws import _kernels
@@ -104,9 +104,13 @@ def random_dirs(vectors):
 nonzero_vector = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
     lambda p: np.linalg.norm(p) > 1e-3
 )
+# 81 antipodal pairs: on the n = 32 engine of shells up to 10 with all its
+# rows, the moments at r = 0.79 sum their outer columns by kz plane.
+COLUMN_VECTORS = [tuple(v) for v in np.random.default_rng(1).standard_normal((81, 3))]
 
 
 @settings(max_examples=25, deadline=None)
+@example(n=32, seed=7, frac=0.5, vectors=COLUMN_VECTORS, law=LawKind.HELICITY, alpha=1.7)
 @given(
     n=st.sampled_from([8, 12, 16]),
     seed=st.integers(0, 2**16),
@@ -585,15 +589,28 @@ def test_batched_transforms_match_one_at_a_time(monkeypatch):
     assert np.array_equal(batched._coeffs, single._coeffs)
 
 
-@pytest.mark.parametrize("dirs", [DIRS, direction_set_random(2)], ids=["icosa1", "one-pair"])
-def test_grouped_ladder_matches_radius_by_radius(monkeypatch, dirs):
+def column_fields(seed=3):
+    """Fields whose engine sums the outer columns by kz plane at most radii:
+    n = 32, shells 2..10 (K = 2633, 349 columns in 11 kz planes)."""
+    g = make_grid(32)
+    v, h = (random_solenoidal(g, SpectrumSpec(-5.0 / 3.0, 2, 10, 1.0, s)) for s in (seed, seed + 1))
+    return g, {"v": v, "w": curl(v), "h": h, "zero": None}
+
+
+@pytest.mark.parametrize(
+    "make, dirs, passes, columns",
+    [(band_fields, DIRS, (1, 3, 5), False), (band_fields, direction_set_random(2), (1, 3, 5), False),
+     (column_fields, direction_set_icosa(2), (5, 3, 5), True)],
+    ids=["icosa1", "one-pair", "columns"],
+)
+def test_grouped_ladder_matches_radius_by_radius(monkeypatch, make, dirs, passes, columns):
     # Whole radii share one phase, sine-table and contraction pass; each
     # radius keeps its own matrix product, so its sums are bitwise those of a
     # ladder of its own, whether the whole ladder fits in one pass, the group
     # boundary falls mid-ladder (2 + 2 + 1 radii) or each radius is a pass,
     # also for one antipodal pair (the cube contraction adds its 27 terms in
-    # order, whatever the column count).
-    g, fields = band_fields()
+    # order, whatever the column count) and for radii summed by kz plane.
+    g, fields = make()
     radii = np.geomspace(0.05, g.length / 4.0, 5)
     engine = StatsEngine(g, fields)
     single = [_kernels.angular_term_sums(engine, ALL_LAW_REQUESTS, [r], dirs) for r in radii]
@@ -603,11 +620,12 @@ def test_grouped_ladder_matches_radius_by_radius(monkeypatch, dirs):
     for i, r in enumerate(radii):
         assert np.array_equal(mom[..., i, :], engine.moments(r * nhat, ()), equal_nan=True)
     half = len(nhat)
-    for budget, passes in ((_kernels._BATCH, 1), (2 * engine.modes * half, 3), (1, 5)):
+    assert (engine.column_passes > 0) == columns
+    for budget, count in zip((_kernels._BATCH, 2 * engine.modes * half, 1), passes):
         monkeypatch.setattr(_kernels, "_BATCH", budget)
         before = engine.sine_passes
         assert_bitwise(_kernels.angular_term_sums(engine, ALL_LAW_REQUESTS, radii, dirs), alone)
-        assert engine.sine_passes - before == passes
+        assert engine.sine_passes - before == count
 
 
 def test_sine_passes_follow_modes_times_directions():
@@ -615,7 +633,9 @@ def test_sine_passes_follow_modes_times_directions():
     # radial nodes over icosa:1 in one sine-table pass and five transforms:
     # two forward, one for its 9 band components and two for its 30 products.
     # The n = 64 field (K = 9843) has one pass per radius, and its 6 band
-    # components and 15 products at m = 50 have one transform each.
+    # components and 15 products at m = 50 have one transform each.  The
+    # ballshell radii all take the sine table; both radii of the n = 64 field
+    # sum their outer columns by kz plane.
     g = make_grid(32)
     v, h = (random_solenoidal(g, SpectrumSpec(-5.0 / 3.0, 2, 5, 1.0, s)) for s in (2, 9003))
     engine = StatsEngine(g, {"v": v, "omega": CurlOf("v"), "h": h})
@@ -628,6 +648,7 @@ def test_sine_passes_follow_modes_times_directions():
     work = engine.describe()
     assert (work["modes"], work["series_rows"], work["pair_products"]) == (404, 74, 30)
     assert (work["sine_passes"], work["transform_calls"]) == (1, 5)
+    assert work["column_passes"] == 0
 
     g = make_grid(64)
     v = random_solenoidal(g, SpectrumSpec(-5.0 / 3.0, 2, 16, 1.0, 3))
@@ -636,6 +657,37 @@ def test_sine_passes_follow_modes_times_directions():
     work = engine.describe()
     assert (work["m"], work["modes"], work["pair_products"]) == (50, 9843, 15)
     assert (work["sine_passes"], work["transform_calls"]) == (2, 1 + 6 + 15)
+    assert work["column_passes"] == 2
+
+
+@pytest.mark.parametrize("dirs", [direction_set_icosa(2), direction_set_random(40)],
+                         ids=["icosa2", "random40"])
+def test_column_sums_match_the_sine_table(dirs):
+    # Radii whose outer columns (|k_perp| r >= 1) are summed by kz plane give
+    # the all-modes sine table, evaluated here directly, to round-off of each
+    # row's largest value, and the series summed in long double to round-off
+    # of each separation's largest moment.
+    g, fields = column_fields()
+    engine = StatsEngine(g, {"v": fields["v"], "w": CurlOf("v")})
+    taken = []
+    for r in (0.05, 0.2, 0.8):
+        ells = r * dirs.directions
+        before = engine.column_passes
+        mom = engine.moments(ells)
+        taken.append(engine.column_passes - before)
+        coeffs, kvec = engine._coeffs, engine._kvec
+        x = kvec.astype(np.longdouble) @ ells.T.astype(np.longdouble)
+        series = coeffs.astype(np.longdouble) @ (np.sin(x) - x)
+        # Rows in M's layout: past the built rows come the zero field's row
+        # and the row of triples not built (none are here), both zero.
+        expand = lambda rows: np.concatenate([rows, np.zeros((2, len(ells)))])[engine._row_index]
+        table = expand(coeffs @ _kernels._sin_minus_x(kvec @ ells.T))
+        exact = expand(series.astype(float))
+        row_max = np.max(np.abs(table), axis=-1, keepdims=True)
+        assert np.all(np.abs(mom - table) <= 1e-13 * row_max)
+        column_max = np.max(np.abs(exact).reshape(-1, len(ells)), axis=0)
+        assert np.all(np.abs(mom - exact) <= 2e-14 * column_max)
+    assert taken == [0, 1, 1]
 
 
 def test_per_shift_build_keeps_one_spectrum():

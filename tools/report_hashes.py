@@ -11,10 +11,15 @@ noise.  Every file goes under OUT: the inputs, the reports, the runs' output
 in ``log.txt`` and ``hashes.json``, which maps each run to its exit code, the
 canonical hash of its report, the SHA-256 of its CSV (``analyze``) and its
 ``provenance.engine``; a field file's record holds the SHA-256 of its bytes
-and, for ``gen``, the canonical hash of its sidecar.
+and, for ``gen``, the canonical hash of its sidecar.  Its ``reports`` entry
+maps each run with a report to the report's path prefix under OUT.
 
 ``compare`` prints the runs whose records differ between two outputs, or are
-missing from one, and exits 1 if there are any.
+missing from one, and exits 1 if there are any.  For a run whose report or
+CSV bytes differ it also prints the largest difference of its numbers,
+relative to the largest magnitude of their column in the first output: a
+JSON column holds the numbers at one key path (list indices dropped), a CSV
+column the values under one header.
 
 The matrix:
 
@@ -35,8 +40,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -119,7 +126,7 @@ def worker(out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
     os.chdir(out)
     runs = _matrix()
-    records = {"package": str(Path(exactlaws.__file__).parent)}
+    records = {"package": str(Path(exactlaws.__file__).parent), "reports": {}}
     with open("log.txt", "w", encoding="utf-8") as log:
         for label, argv in runs.items():
             print(f"$ exactlaws {' '.join(argv)}", file=log, flush=True)
@@ -135,11 +142,12 @@ def worker(out: Path) -> None:
                                   "file": _sha256(written) if written.exists() else None,
                                   "sidecar": None if sidecar is None else canonical_hash(sidecar)}
                 continue
-            csv, doc = Path(path + ".csv"), _read(Path(path + ".json"))
+            table, doc = Path(path + ".csv"), _read(Path(path + ".json"))
+            records["reports"][label] = path
             records[label] = {
                 "exit": code,
                 "hash": None if doc is None else canonical_hash(doc),
-                "csv": _sha256(csv) if csv.exists() else None,
+                "csv": _sha256(table) if table.exists() else None,
                 "engine": None if doc is None else doc.get("provenance", {}).get("engine"),
             }
         for path in sorted(Path().glob("white-*.fld")):
@@ -156,12 +164,91 @@ def run(tree: Path, out: Path) -> int:
     return proc.returncode
 
 
+def _json_columns(doc, path="", out=None) -> dict:
+    """{column: [leaf, ...]} of a JSON document, a column being the key path
+    of its leaves with list indices dropped; a list entry with a "name" (a
+    verify check) keeps it in the path."""
+    out = {} if out is None else out
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            _json_columns(value, f"{path}.{key}" if path else key, out)
+    elif isinstance(doc, list):
+        for value in doc:
+            named = isinstance(value, dict) and "name" in value
+            _json_columns(value, path + (f"[{value['name']}]" if named else "[]"), out)
+    else:
+        out.setdefault(path, []).append(doc)
+    return out
+
+
+def _csv_columns(path: Path) -> dict:
+    """{header: [value, ...]} of a CSV file, numbers read as floats."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    columns = {name: [] for name in rows[0]} if rows else {}
+    for row in rows[1:]:
+        for name, cell in zip(rows[0], row):
+            try:
+                columns[name].append(float(cell))
+            except ValueError:
+                columns[name].append(cell)
+    return columns
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _largest_difference(first: dict, second: dict):
+    """(relative difference, column) of the column pair that differs most;
+    inf where a column's shape, a non-number or a zero column differs."""
+    worst = (0.0, None)
+    for name in first.keys() | second.keys():
+        a, b = first.get(name), second.get(name)
+        if a is None or b is None or len(a) != len(b):
+            return math.inf, name
+        if a == b:
+            continue
+        if not all(_is_number(x) and _is_number(y) for x, y in zip(a, b)):
+            return math.inf, name
+        scale = max(abs(x) for x in a)
+        diff = max(abs(x - y) for x, y in zip(a, b))
+        worst = max(worst, (diff / scale if scale else math.inf, name), key=lambda w: w[0])
+    return worst
+
+
+def _numeric_report(label: str, a: Path, b: Path, reports: dict) -> str | None:
+    """The largest relative difference of ``label``'s report and CSV between
+    the outputs ``a`` and ``b``, as a line, or None for a run without a report."""
+    prefix = reports.get(label)
+    if prefix is None:
+        return None
+    worst = (0.0, None)
+    docs = [_read(out / (prefix + ".json")) for out in (a, b)]
+    if all(doc is not None for doc in docs):
+        for doc in docs:
+            doc.pop("provenance", None)
+        rel, name = _largest_difference(*(_json_columns(doc) for doc in docs))
+        worst = max(worst, (rel, f"{prefix}.json: {name}"), key=lambda w: w[0])
+    tables = [out / (prefix + ".csv") for out in (a, b)]
+    if all(t.exists() for t in tables):
+        rel, name = _largest_difference(*(_csv_columns(t) for t in tables))
+        worst = max(worst, (rel, f"{prefix}.csv: {name}"), key=lambda w: w[0])
+    return f"  largest difference {worst[0]:.3g} of the column maximum ({worst[1]})"
+
+
 def compare(a: Path, b: Path) -> int:
     first, second = (json.loads((p / "hashes.json").read_text()) for p in (a, b))
-    labels = (first.keys() | second.keys()) - {"package"}
+    labels = (first.keys() | second.keys()) - {"package", "reports"}
     differ = sorted(label for label in labels if first.get(label) != second.get(label))
+    reports = {**first.get("reports", {}), **second.get("reports", {})}
     for label in differ:
         print(f"{label}:\n  {first.get(label)}\n  {second.get(label)}")
+        one, two = first.get(label) or {}, second.get(label) or {}
+        if any(one.get(key) != two.get(key) for key in ("hash", "csv")):
+            line = _numeric_report(label, a, b, reports)
+            if line:
+                print(line)
     print(f"{len(differ)} of {len(labels)} records differ")
     return 1 if differ else 0
 
