@@ -12,40 +12,33 @@ fix.
 On an alias-free grid the engine keeps each field only at the K active
 modes, the union of the fields' active masks: the values are gathered once
 from the full-grid spectrum, the cut to the m-grid and its (m/n)^3 scale
-being an index map.  Curls and the sine-series tables are taken at those
-modes at build, and no operation holds a full-grid box for long: one step
-builds the rows a request lacks, inverting the band-limited fields once, in
-batches of stacked components through one reused band box, transforming
-the missing pair products in batches, each holding at most ``_BATCH`` grid
-points, and dropping the fields before it forms the rows.  Both transforms
+being an index map.  Curls, the pair weights and each mode's place in the
+(kz plane, column) table are fixed at build, and no operation holds a
+full-grid box for long: one step builds the rows a request lacks, inverting
+the band-limited fields once, in batches of stacked components through one
+reused band box, transforming the missing pair products in batches, each
+holding at most ``_BATCH`` grid points, and dropping the fields before it
+forms the rows.  Both transforms
 are ``grid``'s band-box forms, which run their passes only on the lines
 that hold a mode of the box |kx|, |ky|, kz <= kmax and give the whole-grid
 values there bit for bit.
-The directions of one radius are evaluated in blocks whose K x block
+The directions of one radius are evaluated in blocks whose columns x block
 temporaries hold at most ``_MOMENT_BLOCK`` elements.  Otherwise (m = n)
 each field is kept as its whole spectrum.
 
 Two evaluation paths share that reduced grid:
 
 * sine series, when the grid is alias-free (m > 3*kmax).  For real fields
-  M_pqr(l) is a sine series in k.l with one row of real coefficients per
-  sorted component triple, so all directions at one radius cost one matrix
-  product per block of directions and no transform; the law's term means
-  are contractions of M.  While K x directions x radii fit in ``_BATCH``,
-  whole radii of a ladder share one pass of phases, sine table and
-  contractions, and each radius keeps its own matrix product, which leaves
-  its values bitwise those of a ladder of its own.
-  A radius may instead sum its modes by column (kx, ky), because
-  exp(i k.l) factors per axis: the columns with |k_perp| r >= 1 at the
-  rung's smallest |l| = r take one matrix product per kz plane of their
-  coefficients with per-column sines, so they cost (columns + kz planes)
-  x directions sines instead of modes x directions.  The inner
-  columns, which hold every mode with |k| r < 1, keep the sine table.  The
-  sum is arranged so that every term is cubic in small arguments, as
-  sin(x) - x is, and it agrees with the table to round-off at any radius.
-  ``_columns_pay`` picks the path per radius from the outer modes, columns,
-  rows, kz planes and directions; the only state it keeps is each mode's
-  column, built on first use.
+  M_pqr(l) is a sine series in k.l with one row of real coefficients G per
+  sorted component triple, kept as a dense table over (kz plane, column
+  (kx, ky)), zero where no mode lies.  exp(i k.l) factors per axis, so every
+  radius sums its modes by column: all directions at one radius cost one
+  matrix product per kz plane and block of directions, and (columns + kz
+  planes) x directions sines, with no transform.  The law's term means are
+  contractions of M.  While columns x directions x radii fit in ``_BATCH``,
+  whole radii of a ladder share one pass of per-column phases and
+  contractions; each radius keeps its own products, which leaves its values
+  bitwise those of a ladder of its own.
   A row, and the pair-product transforms it needs, is built the first time
   a request reads it and kept for the rest of the engine's life, so a
   radius or epsilon ladder builds each row once and a law never pays for
@@ -55,11 +48,12 @@ Two evaluation paths share that reduced grid:
   the shifted spectra, one axis at a time into buffers the engine keeps,
   and a pointwise kernel pass.  The phase factors are separable, so
   separations with equal x, or equal (x, y), components share the first
-  passes; the directions are visited in that order.  This is the case for full-spectrum input (e.g. white noise,
-  m = n), where the report value is the grid average of the aliased cubic
-  products; the sine series gives the continuous average instead, which
-  differs there.  Zero fields cost nothing on this path: they have no
-  increment array, and the pieces that touch them are exactly 0.0.
+  passes; the directions are visited in that order.  This is the case for
+  full-spectrum input (e.g. white noise, m = n), where the report value is
+  the grid average of the aliased cubic products; the sine series gives the
+  continuous average instead, which differs there.  Zero fields cost
+  nothing on this path: they have no increment array, and the pieces that
+  touch them are exactly 0.0.
 
 A field may be given as ``CurlOf`` another: the engine then takes i k x u^
 from the source's stored spectrum (the spectrum ``grid.curl`` transforms
@@ -177,13 +171,13 @@ LAWS[LawKind.HYDRO_ENERGY] = LAWS[LawKind.MHD_ENERGY]
 COMBINE_COEFFS = {law: row.combine for law, row in LAWS.items()}
 
 _SUPPORT_RTOL = 1e-13  # spectral amplitudes below this (relative) count as empty
-# Elements of each modes x directions temporary in ``StatsEngine.moments``:
+# Elements of each columns x directions temporary in ``StatsEngine.moments``:
 # the directions of one radius are evaluated in blocks of at most this size.
 _MOMENT_BLOCK = 2**20
 # Elements of one batch: the stacked m^3 grids of one batched transform, and
-# the modes x directions x radii of one sine-table pass over a ladder.  At
-# m = 16 a batch of 16 products ran faster than one of all 30 (2^17), and
-# with a lower peak resident memory.
+# the columns x directions x radii of the per-column tables of one pass over
+# a ladder.  At m = 16 a batch of 16 products ran faster than one of all 30
+# (2^17), and with a lower peak resident memory.
 _BATCH = 2**16
 
 
@@ -251,24 +245,6 @@ def _cos_minus_one(x: np.ndarray) -> np.ndarray:
     return _below_one(x, np.cos(x) - 1.0, _COS_SERIES, False)
 
 
-def _columns_pay(outer: int, columns: int, rows: int, planes: int, directions: int) -> bool:
-    """Whether summing ``outer`` modes in ``columns`` columns of ``planes`` kz
-    planes by plane is cheaper than their sine table, for ``rows`` rows of G
-    at ``directions`` separations.
-
-    Costs are counted in sines of the table (one element of ``_sin_minus_x``).
-    The column sums save (outer - columns) sines per separation; they pay
-    about 1/6 sine per coefficient scattered into the (planes x columns)
-    table, 1/600 per table entry and separation in its matrix products, and
-    about 8000 for their fixed steps.  The weights were fitted to 375 timed
-    (engine, rows, directions, radius) cases with one BLAS thread; on 350 of
-    them the rule picks the faster path, and on none is its pick slower than
-    1.5 times the faster path.
-    """
-    saved = (outer - columns) * directions
-    return saved > rows * outer / 6 + rows * planes * columns * directions / 600 + 8000
-
-
 @dataclass(frozen=True)
 class CurlOf:
     """A ``StatsEngine`` field that is the spectral curl of the field ``name``.
@@ -291,22 +267,22 @@ class StatsEngine:
     holding the same values share one set of component rows; raw arrays must
     be finite.  The given fields fix the reduced grid.  On an alias-free grid
     (``alias_free``: m > 3*kmax) each distinct field is kept as its values at
-    the K modes of the union of the active masks, with their sine-series
-    tables, and ``moments`` gives the third moments of the increments at
-    many separations in one matrix product per block of directions; the rows
-    behind it and their pair products are built in one step on first use,
-    only for the component triples asked for, and kept for later calls.
-    Otherwise each field is kept as its whole spectrum on the m-grid, and
-    ``increments`` costs at most one inverse pass per axis and separation
-    vector, fewer when consecutive separations share components.  A curl is taken from its source's stored spectrum, within
-    the source's mask.  ``evaluation`` names the path ``angular_term_sums``
-    takes: "sine-series" or "per-shift-fft".  ``separations`` counts the
-    separations evaluated, ``inverse_passes`` the inverse passes per axis,
-    ``transform_calls`` the 3-D transforms (one per distinct given field and
-    one per batch of band components or pair products), ``sine_passes`` the
-    sine-table evaluations, ``column_passes`` the radii whose outer columns
-    were summed by kz plane; ``describe`` also gives the modes kept and the
-    series rows and pair products built.
+    the K modes of the union of the active masks, and ``moments`` gives the
+    third moments of the increments at many separations by column sums, one
+    matrix product per kz plane and block of directions; the rows of G behind
+    it and their pair products are built in one step on first use, only for
+    the component triples asked for, and kept for later calls in (kz plane,
+    column) layout.  Otherwise each field is kept as its whole spectrum on the
+    m-grid, and ``increments`` costs at most one inverse pass per axis and
+    separation vector, fewer when consecutive separations share components.  A
+    curl is taken from its source's stored spectrum, within the source's mask.
+    ``evaluation`` names the path ``angular_term_sums`` takes: "sine-series"
+    or "per-shift-fft".  ``separations`` counts the separations evaluated,
+    ``inverse_passes`` the inverse passes per axis, ``transform_calls`` the
+    3-D transforms (one per distinct given field and one per batch of band
+    components or pair products), ``column_passes`` the column-sum passes, one
+    per rung and block of directions; ``describe`` also gives the modes kept
+    and the series rows and pair products built.
     """
 
     def __init__(self, grid: Grid3, fields: dict):
@@ -361,14 +337,26 @@ class StatsEngine:
             self._box = tuple(np.where(i < n // 2, i, i + side - n) for i in at[:2]) + at[2:]
             k, kz = _wavenumbers(grid.length, m)
             wavenumbers = (k[self._index[0]], k[self._index[1]], kz[self._index[2]])
-            # The sine-series tables: wavevectors (K, 3) and pair weights (K,).
-            self._kvec = np.stack(wavenumbers, axis=1)
-            self._pair = np.where(wavenumbers[2] == 0.0, -2.0, -4.0)
+            self._pair = np.where(wavenumbers[2] == 0.0, -2.0, -4.0)  # per mode, for G
+            # The columns (kx, ky) that hold a mode, numbered in raster order of
+            # the band box with no sort (numpy's first sort pages in about
+            # 0.5 MB of code, which shows in the peak resident memory).
+            cell = self._box[0] * side + self._box[1]  # (kx mod side, ky mod side)
+            present = np.zeros(side * side, dtype=bool)
+            present[cell] = True
+            # Each column's kx and ky as indices into ``_axis``, the wavenumbers
+            # of the band box's first two axes, and each mode's place in G's
+            # dense (kz plane, column) table; ``_kz`` holds each plane's kz.
+            self._cells = np.divmod(np.flatnonzero(present), side)
+            self._axis = k[np.r_[0 : self.kmax + 1, -self.kmax : 0]]
+            self._kz = kz[: self.kmax + 1]
+            self._slot = at[2] * len(self._cells[0]) + (np.cumsum(present) - 1)[cell]
+            table = (self.kmax + 1, len(self._cells[0]))
             gather = (Ellipsis, *at)
         else:
             self._index = self._box = None
             wavenumbers = _derivative_wavenumbers(grid.length, m)
-            gather = Ellipsis
+            gather, table = Ellipsis, (0, 0)
         blocks = []  # (stored spectrum, active mask) of each distinct field with modes
         block = {None: None}  # index into given, or ("curl", block) -> index into blocks
         owner = {}  # name -> index into blocks, or None for the zero field
@@ -410,15 +398,13 @@ class StatsEngine:
         self._passes = None  # buffers of the last x pass and xy pass, and the z pass's output
         self._keys = (None, None)  # the l_x and (l_x, l_y) the buffers hold
         self._products = {}  # (t, u) -> pair-product coefficients, as built
-        self._coeffs = np.empty((0, self.modes))  # the G rows built so far, (rows, K)
+        self._coeffs = np.zeros(table + (0,))  # the G rows built so far, (planes, columns, rows)
         # Row of G that each (p, q, r) reads in ``moments``: -1 for a row not
         # built yet (it reads NaN), -2 for a triple touching the zero field.
         self._row_index = np.full((zero + 1,) * 3, -2)
         self._row_index[:zero, :zero, :zero] = -1
-        self._columns = None  # each mode's column (kx, ky), on first use
         self.separations = 0
         self.inverse_passes = {"x": 0, "xy": 0, "z": 0}
-        self.sine_passes = 0
         self.column_passes = 0
 
     def describe(self) -> dict:
@@ -433,10 +419,9 @@ class StatsEngine:
             "modes": self.modes,
             "separations": self.separations,
             "inverse_passes": dict(self.inverse_passes),
-            "series_rows": self._coeffs.shape[0],
+            "series_rows": self._coeffs.shape[2],
             "pair_products": len(self._products),
             "transform_calls": self.transform_calls,
-            "sine_passes": self.sine_passes,
             "column_passes": self.column_passes,
         }
 
@@ -548,8 +533,9 @@ class StatsEngine:
                 batch = pairs[s : s + step]
                 self._products.update(zip(batch, self._product_batch(band, batch)))
             del band
-        coeff, products, built = self._fields / self.m**3, self._products, self._coeffs.shape[0]
-        rows = []
+        coeff, products, built = self._fields / self.m**3, self._products, self._coeffs.shape[2]
+        planes, columns = self._coeffs.shape[:2]
+        rows = np.zeros((planes * columns, len(new)))
         for i, (p, q, r) in enumerate(new):
             split = (
                 np.imag(coeff[p] * products[q, r])
@@ -558,8 +544,8 @@ class StatsEngine:
             )
             for perm in itertools.permutations((p, q, r)):
                 index[perm] = built + i
-            rows.append(self._pair * split)
-        self._coeffs = np.concatenate([self._coeffs, rows])
+            rows[self._slot, i] = self._pair * split
+        self._coeffs = np.concatenate([self._coeffs, rows.reshape(planes, columns, -1)], axis=2)
 
     def moments(self, ells, triples=None) -> np.ndarray:
         """Increment third moments M[p, q, r, ...] = <dp dq dr> at separations ells[...].
@@ -569,13 +555,20 @@ class StatsEngine:
         ``triples`` lists the sorted (p, q, r) to build rows for, all of them
         by default; entries whose row was never built read NaN, never 0.0.
         ``ells`` is (S, 3), or (R, S, 3) for R rungs of a ladder of S
-        separations each, and M has the trailing axes (S,) or (R, S).  Each
-        rung's separations are evaluated in blocks whose modes x separations
-        temporaries hold at most ``_MOMENT_BLOCK`` elements, one matrix product
-        per block and rung; the phases and the sine table of a block are
-        taken for all rungs in one pass, counted in ``sine_passes``.  A rung
-        for which ``_columns_pay`` holds sums its outer columns by kz plane
-        instead (``_column_moments``), counted in ``column_passes``.
+        separations each, and M has the trailing axes (S,) or (R, S).
+
+        exp(i k.l) factors per axis: with a = kx l_x + ky l_y, b = kz l_z,
+        s(x) = sin(x) - x and c(x) = cos(x) - 1,
+          s(a + b) = s(a) cos(b) + a c(b) + c(a) sin(b) + s(b),
+        where every term is cubic in small arguments, as s is, so the sum
+        keeps full relative precision at any radius.  The modes therefore sum
+        to one matrix product per kz plane of G's (plane, column) table with
+        the columns' s(a), c(a), kx, ky and 1 (a is linear in l), weighted
+        per plane.  Each rung's separations are taken in blocks whose
+        columns x separations tables hold at most ``_MOMENT_BLOCK`` elements;
+        the per-column phases of a block are taken for all rungs at once, and
+        each rung has its own products, counted in ``column_passes``, so its
+        values do not depend on the other rungs.
         """
         if not self.alias_free:
             raise ValueError("the sine series needs an alias-free grid (m > 3*kmax)")
@@ -583,132 +576,44 @@ class StatsEngine:
             triples = itertools.combinations_with_replacement(range(self._fields.shape[0]), 3)
         if triples:
             self._build_rows(triples)
-        kvec = self._kvec
         ells = np.asarray(ells, dtype=float)
         rungs = ells if ells.ndim == 3 else ells.reshape(1, -1, 3)
         count, size = rungs.shape[:2]
         self.separations += count * size
-        rows = np.empty((self._coeffs.shape[0] + 2, count, size))
+        table, axis, kz, (ox, oy) = self._coeffs, self._axis, self._kz, self._cells
+        rows = np.empty((table.shape[2] + 2, count, size))
         rows[-2] = 0.0  # the zero field's row
         rows[-1] = np.nan  # the rows not built
-        step = max(1, _MOMENT_BLOCK // max(1, kvec.shape[0]))
-        # The column sums' best case: every mode outer, in as few columns as
-        # the kz planes allow.  Engines for which even that does not pay
-        # skip the column geometry.
-        planes, built = self.kmax + 1, self._coeffs.shape[0]
-        best = built and _columns_pay(self.modes, self.modes / planes, built, planes, size)
-        columns = self._column_geometry() if best else None
-        splits = [None] * count if columns is None else self._column_splits(rungs, columns)
-        table_rungs = [i for i, outer in enumerate(splits) if outer is None]
-        self.sine_passes += len(range(0, size, step))
-        for s in range(0, size, step) if table_rungs else ():
-            block = rungs[table_rungs, None, s : s + step]
-            table = _sin_minus_x(
-                kvec[:, 0:1] * block[..., 0] + kvec[:, 1:2] * block[..., 1]
-                + kvec[:, 2:3] * block[..., 2]
-            )
-            for j, i in enumerate(table_rungs):
-                rows[:-2, i, s : s + step] = self._coeffs @ table[j]
-        for i, outer in enumerate(splits):
-            if outer is not None:
-                rows[:-2, i] = self._column_moments(rungs[i], outer, columns, step)
+        kx, ky = axis[ox], axis[oy]
+        # a is linear in (l_x, l_y), so G . a is l_x (G . kx) + l_y (G . ky).
+        linear = np.stack([kx, ky, np.ones_like(kx)], axis=1)
+        step = max(1, _MOMENT_BLOCK // max(1, len(kx)))
+        for s in range(0, size, step):
+            block = rungs[:, s : s + step]  # (R, B, 3)
+            width = block.shape[1]
+            lx, ly = block[:, None, :, 0], block[:, None, :, 1]  # (R, 1, B)
+            # sin a and cos a from the per-axis phases, their series below |a| = 1.
+            a = kx[:, None] * lx + ky[:, None] * ly  # (R, columns, B)
+            phase = np.exp(1j * axis[:, None] * lx)[:, ox] * np.exp(1j * axis[:, None] * ly)[:, oy]
+            sin_a = _below_one(a, phase.imag - a, _SIN_SERIES, True)
+            cos_a = _below_one(a, phase.real - 1.0, _COS_SERIES, False)
+            for i in range(count):
+                # One product per plane, (planes, 2B + 3, rows): a single
+                # (planes x rows) product touched more of the BLAS buffers,
+                # and so of the peak resident memory.
+                sums = np.concatenate([sin_a[i], cos_a[i], linear], axis=1).T @ table
+                b = kz[:, None] * block[i, :, 2]  # (planes, B)
+                by_plane = sums[:, : 2 * width].reshape(len(kz), 2, width, -1)
+                cb = _cos_minus_one(b)
+                rows[:-2, i, s : s + step] = (
+                    np.einsum("pjsr,jps->sr", by_plane, np.stack([np.cos(b), np.sin(b)]))
+                    + block[i, :, 0:1] * (cb.T @ sums[:, -3])
+                    + block[i, :, 1:2] * (cb.T @ sums[:, -2])
+                    + _sin_minus_x(b).T @ sums[:, -1]
+                ).T
                 self.column_passes += 1
         out = rows[self._row_index]
         return out if ells.ndim == 3 else out[..., 0, :]
-
-    def _column_geometry(self) -> tuple:
-        """(each mode's column, its kz index, the signed kx and ky indices of
-        each column).  Columns are numbered in raster order of (kx, ky), with
-        no sort (numpy's first sort pages in about 0.5 MB of code, which
-        shows in the peak resident memory); the column map is built on first
-        use and kept, the rest is derived per call."""
-        m, kmax = self.m, self.kmax
-        side = 2 * kmax + 1
-        ix, iy = (np.where(i < m // 2, i, i - m) for i in self._index[:2])
-        if self._columns is None:
-            cell = (ix + kmax) * side + iy + kmax
-            present = np.zeros(side * side, dtype=bool)
-            present[cell] = True
-            self._columns = (np.cumsum(present) - 1)[cell]
-        col = self._columns
-        cx, cy = np.empty((2, int(col.max()) + 1), dtype=int)
-        cx[col], cy[col] = ix, iy
-        return col, self._index[2], cx, cy
-
-    def _column_splits(self, rungs, columns) -> list:
-        """Per rung of separations (R, S, 3), which columns it sums by kz
-        plane (a mask over the columns), or None when the whole rung takes
-        the sine table.
-
-        At a rung's smallest |l| = r, the outer columns are those with
-        |k_perp| r >= 1; every mode with |k| r < 1, whose sine the table takes
-        from its Taylor series, lies in an inner column."""
-        col, _, cx, cy = columns
-        r = np.sqrt(np.min(np.einsum("rsi,rsi->rs", rungs, rungs), axis=1))
-        unit = 2.0 * np.pi / self.grid.length
-        outer = (cx * cx + cy * cy) * ((unit * r) ** 2)[:, None] >= 1.0
-        modes = outer @ np.bincount(col)  # outer modes per rung
-        shape = (self._coeffs.shape[0], self.kmax + 1, rungs.shape[1])
-        return [mask if _columns_pay(int(k), int(c), *shape) else None
-                for mask, k, c in zip(outer, modes, outer.sum(axis=1))]
-
-    def _column_moments(self, ells, outer_columns, columns, step) -> np.ndarray:
-        """M over the built rows at one rung's separations ``ells`` (S, 3),
-        (rows, S), with the modes of the columns ``outer_columns`` summed by
-        kz plane.
-
-        exp(i k.l) factors per axis: with a = kx l_x + ky l_y, b = kz l_z,
-        s(x) = sin(x) - x and c(x) = cos(x) - 1,
-          s(a + b) = s(a) cos(b) + a c(b) + c(a) sin(b) + s(b),
-        where every term is cubic in small arguments, as s is.  So the outer
-        modes sum to one matrix product per kz plane of D, G's outer
-        coefficients per (plane, column), with the columns' s(a), c(a), kx,
-        ky and 1, weighted per plane.  D is scattered here, in blocks of rows
-        of at most ``_MOMENT_BLOCK`` elements, and dropped on return.  The
-        inner modes take the sine table."""
-        col, plane, cx, cy = columns
-        coeffs, kvec, kmax = self._coeffs, self._kvec, self.kmax
-        in_outer = outer_columns[col]
-        inner, outer = ~in_outer, np.flatnonzero(in_outer)
-        out = np.empty((coeffs.shape[0], len(ells)))
-        g_in, k_in = coeffs[:, inner], kvec[inner]
-        for s in range(0, len(ells), step):
-            out[:, s : s + step] = g_in @ _sin_minus_x(k_in @ ells[s : s + step].T)
-        k, kz = _wavenumbers(self.grid.length, self.m)
-        axis, planes = k[np.arange(-kmax, kmax + 1)], kz[: kmax + 1]
-        # Each outer column's kx and ky as indices into ``axis``.
-        ox, oy = cx[outer_columns] + kmax, cy[outer_columns] + kmax
-        kx, ky = axis[ox], axis[oy]
-        flat = plane[outer] * len(kx) + (np.cumsum(outer_columns) - 1)[col[outer]]
-        per = max(1, _MOMENT_BLOCK // (len(kx) * (kmax + 1)))
-        for r in range(0, coeffs.shape[0], per):
-            g = coeffs[r : r + per]
-            table = np.zeros(((kmax + 1) * len(kx), len(g)))
-            table[flat] = g.T[outer]
-            table = table.reshape(kmax + 1, len(kx), len(g))  # (planes, columns, rows)
-            for s in range(0, len(ells), step):
-                block = ells[s : s + step]
-                # sin a and cos a from the per-axis phases, their series below |a| = 1.
-                a = kx[:, None] * block[:, 0] + ky[:, None] * block[:, 1]
-                phase = np.exp(1j * axis[:, None] * block[:, 0])[ox]
-                phase *= np.exp(1j * axis[:, None] * block[:, 1])[oy]
-                # a is linear in (l_x, l_y), so D @ a is l_x (D @ kx) + l_y (D @ ky).
-                trig = np.concatenate([_below_one(a, phase.imag - a, _SIN_SERIES, True),
-                                       _below_one(a, phase.real - 1.0, _COS_SERIES, False),
-                                       kx[:, None], ky[:, None], np.ones((len(kx), 1))], axis=1)
-                # One product per plane: a single (planes x rows) product
-                # touched more of the BLAS buffers, and so of the peak
-                # resident memory, than the sine table did.
-                sums = trig.T @ table  # (planes, 2S + 3, rows)
-                b = planes[:, None] * block[:, 2]  # (planes, S)
-                by_plane = sums[:, : 2 * len(block)].reshape(kmax + 1, 2, len(block), len(g))
-                cb = _cos_minus_one(b)
-                out[r : r + per, s : s + step] += (
-                    np.einsum("pjsr,jps->sr", by_plane, np.stack([np.cos(b), np.sin(b)]))
-                    + block[:, 0:1] * (cb.T @ sums[:, -3]) + block[:, 1:2] * (cb.T @ sums[:, -2])
-                    + _sin_minus_x(b).T @ sums[:, -1]
-                ).T
-        return out
 
 
 def _law_terms(law: LawKind, cube, trace) -> tuple:
@@ -803,7 +708,7 @@ def angular_term_sums(engine: StatsEngine, requests, radii, dirs) -> dict[str, n
     radius.  The rows each request reads are found and built once per call.
     On an alias-free grid the moments at every direction of one radius come
     from one sine series evaluation and are contracted per law, as many whole
-    radii at once as K x directions x radii fit in ``_BATCH``; otherwise the
+    radii at once as columns x directions x radii fit in ``_BATCH``; otherwise the
     increments are computed once per separation and shared by ``term_means``,
     visiting the directions sorted by (l_x, l_y) so that consecutive
     separations share inverse passes.  Accumulation runs in the direction
@@ -818,8 +723,10 @@ def angular_term_sums(engine: StatsEngine, requests, radii, dirs) -> dict[str, n
                  for label, (law, a, b) in requests.items()}
         engine._build_rows(set().union(*(_law_triples(*read) for read in reads.values())))
         radii = np.asarray(radii, dtype=float)
-        # Whole radii share one pass while modes x directions x radii fit in _BATCH.
-        per = max(1, _BATCH // max(1, engine.modes * len(nhat)))
+        # Whole radii share one pass of per-column phases and contractions
+        # while its per-column tables, columns x directions x radii, fit in
+        # _BATCH; one pass per radius made the ballshell gate a fifth slower.
+        per = max(1, _BATCH // max(1, len(engine._cells[0]) * len(nhat)))
         nt = nhat.T[:, None]  # (3, 1, directions): one radius axis, broadcast
         n3 = nt[:, None, None] * nt[None, :, None] * nt[None, None, :]
         for i in range(0, len(radii), per):

@@ -180,12 +180,11 @@ class TestAnalyze:
         # over 6 components, built from the 9 products ab and the 6 aa'; the
         # series sums over the field's 228 active modes.  Three transforms:
         # the field's forward one, the 6 band components in one batch and the
-        # 15 products in another; both radii share one sine-table pass.
+        # 15 products in another; each radius takes one column-sum pass.
         assert payload["provenance"]["engine"] == {
             "n": 16, "m": 16, "kmax": 4, "alias_free": True, "evaluation": "sine-series",
             "modes": 228, "separations": 12, "inverse_passes": {"x": 0, "xy": 0, "z": 0},
-            "series_rows": 18, "pair_products": 15, "transform_calls": 3, "sine_passes": 1,
-            "column_passes": 0,
+            "series_rows": 18, "pair_products": 15, "transform_calls": 3, "column_passes": 2,
         }
         provenance = {k: x for k, x in payload["provenance"].items() if k != "engine"}
         assert canonical_hash({**payload, "provenance": provenance}) == canonical_hash(payload)
@@ -231,8 +230,7 @@ class TestDissipation:
         assert payload["provenance"]["engine"] == {
             "n": 8, "m": 8, "kmax": 4, "alias_free": False, "evaluation": "per-shift-fft",
             "modes": 0, "separations": 48, "inverse_passes": {"x": 20, "xy": 32, "z": 48},
-            "series_rows": 0, "pair_products": 0, "transform_calls": 1, "sine_passes": 0,
-            "column_passes": 0,
+            "series_rows": 0, "pair_products": 0, "transform_calls": 1, "column_passes": 0,
         }
 
     def test_kmax_eps_min_in_provenance_outside_hash(self, tmp_path, capsys):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from exactlaws import _kernels
 from exactlaws._kernels import CurlOf, LawKind, StatsEngine, term_means
 from exactlaws.geometry import DirectionSet, direction_set_icosa, direction_set_random
-from exactlaws.grid import VectorField3, curl, make_grid
+from exactlaws.grid import VectorField3, _wavenumbers, curl, make_grid
 from exactlaws.laws import sweep_structure
 from exactlaws.mollifier import bump_mollifier, dissipation_matrix
 from exactlaws.report import canonical_hash
@@ -104,8 +104,8 @@ def random_dirs(vectors):
 nonzero_vector = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
     lambda p: np.linalg.norm(p) > 1e-3
 )
-# 81 antipodal pairs: on the n = 32 engine of shells up to 10 with all its
-# rows, the moments at r = 0.79 sum their outer columns by kz plane.
+# 81 antipodal pairs on an engine larger than the drawn ones: n = 32, shells
+# up to 10, all rows, at r = 0.79.
 COLUMN_VECTORS = [tuple(v) for v in np.random.default_rng(1).standard_normal((81, 3))]
 
 
@@ -564,7 +564,8 @@ def test_rows_built_later_match_rows_built_at_once():
     assert later.describe()["series_rows"] == 165
     zero = later.components["zero"][0]
     for t in itertools.combinations_with_replacement(range(zero), 3):
-        assert np.array_equal(later._coeffs[later._row_index[t]], once._coeffs[once._row_index[t]])
+        assert np.array_equal(later._coeffs[..., later._row_index[t]],
+                              once._coeffs[..., once._row_index[t]])
 
 
 def test_batched_transforms_match_one_at_a_time(monkeypatch):
@@ -590,7 +591,7 @@ def test_batched_transforms_match_one_at_a_time(monkeypatch):
 
 
 def column_fields(seed=3):
-    """Fields whose engine sums the outer columns by kz plane at most radii:
+    """Fields of an engine with more columns than radii fit in one pass:
     n = 32, shells 2..10 (K = 2633, 349 columns in 11 kz planes)."""
     g = make_grid(32)
     v, h = (random_solenoidal(g, SpectrumSpec(-5.0 / 3.0, 2, 10, 1.0, s)) for s in (seed, seed + 1))
@@ -598,18 +599,18 @@ def column_fields(seed=3):
 
 
 @pytest.mark.parametrize(
-    "make, dirs, passes, columns",
-    [(band_fields, DIRS, (1, 3, 5), False), (band_fields, direction_set_random(2), (1, 3, 5), False),
-     (column_fields, direction_set_icosa(2), (5, 3, 5), True)],
+    "make, dirs, passes",
+    [(band_fields, DIRS, (1, 3, 5)), (band_fields, direction_set_random(2), (1, 3, 5)),
+     (column_fields, direction_set_icosa(2), (3, 3, 5))],
     ids=["icosa1", "one-pair", "columns"],
 )
-def test_grouped_ladder_matches_radius_by_radius(monkeypatch, make, dirs, passes, columns):
-    # Whole radii share one phase, sine-table and contraction pass; each
-    # radius keeps its own matrix product, so its sums are bitwise those of a
-    # ladder of its own, whether the whole ladder fits in one pass, the group
-    # boundary falls mid-ladder (2 + 2 + 1 radii) or each radius is a pass,
-    # also for one antipodal pair (the cube contraction adds its 27 terms in
-    # order, whatever the column count) and for radii summed by kz plane.
+def test_grouped_ladder_matches_radius_by_radius(monkeypatch, make, dirs, passes):
+    # Whole radii share one pass of per-column phases and contractions; each
+    # radius keeps its own matrix products, so its sums are bitwise those of
+    # a ladder of its own, whether the whole ladder fits in one pass, the
+    # group boundary falls mid-ladder (2 + 2 + 1 radii) or each radius is a
+    # pass, also for one antipodal pair (the cube contraction adds its 27
+    # terms in order, whatever the column count).
     g, fields = make()
     radii = np.geomspace(0.05, g.length / 4.0, 5)
     engine = StatsEngine(g, fields)
@@ -619,23 +620,22 @@ def test_grouped_ladder_matches_radius_by_radius(monkeypatch, make, dirs, passes
     mom = engine.moments(radii[:, None, None] * nhat, ())
     for i, r in enumerate(radii):
         assert np.array_equal(mom[..., i, :], engine.moments(r * nhat, ()), equal_nan=True)
-    half = len(nhat)
-    assert (engine.column_passes > 0) == columns
-    for budget, count in zip((_kernels._BATCH, 2 * engine.modes * half, 1), passes):
+    calls, moments = [], engine.moments
+    monkeypatch.setattr(engine, "moments", lambda *args: calls.append(1) or moments(*args))
+    columns = engine._coeffs.shape[1]
+    for budget, count in zip((_kernels._BATCH, 2 * columns * len(nhat), 1), passes):
         monkeypatch.setattr(_kernels, "_BATCH", budget)
-        before = engine.sine_passes
+        before, calls[:] = engine.column_passes, []
         assert_bitwise(_kernels.angular_term_sums(engine, ALL_LAW_REQUESTS, radii, dirs), alone)
-        assert engine.sine_passes - before == count
+        assert (len(calls), engine.column_passes - before) == (count, len(radii))
 
 
-def test_sine_passes_follow_modes_times_directions():
+def test_column_passes_follow_rungs_and_direction_blocks(monkeypatch):
     # The ballshell gate's engine (n = 32, shells 2..5, K = 404) takes its six
-    # radial nodes over icosa:1 in one sine-table pass and five transforms:
-    # two forward, one for its 9 band components and two for its 30 products.
-    # The n = 64 field (K = 9843) has one pass per radius, and its 6 band
-    # components and 15 products at m = 50 have one transform each.  The
-    # ballshell radii all take the sine table; both radii of the n = 64 field
-    # sum their outer columns by kz plane.
+    # radial nodes over icosa:1 in one column-sum pass each and five
+    # transforms: two forward, one for its 9 band components and two for its
+    # 30 products.  The n = 64 field (K = 9843) has one pass per radius, and
+    # its 6 band components and 15 products at m = 50 have one transform each.
     g = make_grid(32)
     v, h = (random_solenoidal(g, SpectrumSpec(-5.0 / 3.0, 2, 5, 1.0, s)) for s in (2, 9003))
     engine = StatsEngine(g, {"v": v, "omega": CurlOf("v"), "h": h})
@@ -647,8 +647,7 @@ def test_sine_passes_follow_modes_times_directions():
     _kernels.angular_term_sums(engine, requests, np.linspace(0.05, 0.4, 6), DIRS)
     work = engine.describe()
     assert (work["modes"], work["series_rows"], work["pair_products"]) == (404, 74, 30)
-    assert (work["sine_passes"], work["transform_calls"]) == (1, 5)
-    assert work["column_passes"] == 0
+    assert (work["column_passes"], work["transform_calls"]) == (6, 5)
 
     g = make_grid(64)
     v = random_solenoidal(g, SpectrumSpec(-5.0 / 3.0, 2, 16, 1.0, 3))
@@ -656,26 +655,35 @@ def test_sine_passes_follow_modes_times_directions():
     _kernels.angular_term_sums(engine, {"x": (LawKind.HELICITY, "v", "omega")}, [0.2, 0.8], DIRS)
     work = engine.describe()
     assert (work["m"], work["modes"], work["pair_products"]) == (50, 9843, 15)
-    assert (work["sine_passes"], work["transform_calls"]) == (2, 1 + 6 + 15)
-    assert work["column_passes"] == 2
+    assert (work["column_passes"], work["transform_calls"]) == (2, 1 + 6 + 15)
+    # With room for one separation per block, a rung has a pass per direction.
+    monkeypatch.setattr(_kernels, "_MOMENT_BLOCK", 1)
+    engine.moments(0.2 * DIRS.directions, ())
+    assert engine.describe()["column_passes"] == 2 + len(DIRS.directions)
 
 
 @pytest.mark.parametrize("dirs", [direction_set_icosa(2), direction_set_random(40)],
                          ids=["icosa2", "random40"])
 def test_column_sums_match_the_sine_table(dirs):
-    # Radii whose outer columns (|k_perp| r >= 1) are summed by kz plane give
-    # the all-modes sine table, evaluated here directly, to round-off of each
-    # row's largest value, and the series summed in long double to round-off
-    # of each separation's largest moment.
+    # The column sums give the all-modes sine table, evaluated here from the
+    # modes' wavevectors and G per mode, to round-off of each row's largest
+    # value, and the series summed in long double to round-off of each
+    # separation's largest moment, at every radius and on a rung that mixes
+    # |l| = 0.01 and 0.8.
     g, fields = column_fields()
     engine = StatsEngine(g, {"v": fields["v"], "w": CurlOf("v")})
-    taken = []
-    for r in (0.05, 0.2, 0.8):
-        ells = r * dirs.directions
-        before = engine.column_passes
+    k, kz = _wavenumbers(g.length, engine.m)
+    index = engine._index
+    kvec = np.stack([k[index[0]], k[index[1]], kz[index[2]]], axis=1)
+    # G per mode, read from its (kz plane, column) table once every row is
+    # built: the columns (kx, ky) that hold a mode, in raster order of the
+    # band box.
+    engine.moments(np.zeros((1, 3)))
+    cells = engine._box[0] * (2 * engine.kmax + 1) + engine._box[1]
+    coeffs = engine._coeffs[index[2], np.searchsorted(np.unique(cells), cells)].T
+    mixed = np.where(np.arange(len(dirs.directions))[:, None] % 2 == 0, 0.01, 0.8)
+    for ells in [r * dirs.directions for r in (0.01, 0.05, 0.2, 0.8)] + [mixed * dirs.directions]:
         mom = engine.moments(ells)
-        taken.append(engine.column_passes - before)
-        coeffs, kvec = engine._coeffs, engine._kvec
         x = kvec.astype(np.longdouble) @ ells.T.astype(np.longdouble)
         series = coeffs.astype(np.longdouble) @ (np.sin(x) - x)
         # Rows in M's layout: past the built rows come the zero field's row
@@ -687,7 +695,6 @@ def test_column_sums_match_the_sine_table(dirs):
         assert np.all(np.abs(mom - table) <= 1e-13 * row_max)
         column_max = np.max(np.abs(exact).reshape(-1, len(ells)), axis=0)
         assert np.all(np.abs(mom - exact) <= 2e-14 * column_max)
-    assert taken == [0, 1, 1]
 
 
 def test_per_shift_build_keeps_one_spectrum():

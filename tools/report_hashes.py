@@ -28,7 +28,8 @@ The matrix:
   [3, 48] (v) and [4, 48] (h);
 * ``analyze --scales 0.05:0.8:6`` for the four laws at ``--dirs icosa:2`` and
   ``--dirs random:2:5``, and ``dissipation --radial-nodes 8 --eps 0.2:0.8:3``
-  for the four laws, on both inputs;
+  for the four laws, on both inputs, and ``dissipation --law helicity`` at its
+  defaults (32 radial nodes, ``--dirs icosa:2``) on the n=64 field;
 * ``gen --kind abc`` at A, B, C = 0.5, 2, 1.5 and ``gen --kind taylor-green``,
   both at n=32;
 * ``verify --suite all`` at (n, seed) = (16, 5), (32, 3) and (16, 18), and
@@ -104,6 +105,9 @@ def _matrix() -> dict[str, list[str]]:
             label = f"dissipation/{source}/{law}"
             runs[label] = ["dissipation", *flags, "--radial-nodes", "8", "--eps", "0.2:0.8:3",
                            "--out", label.replace("/", "-")]
+    runs["dissipation/band/helicity-defaults"] = ["dissipation", "--law", "helicity", "--v",
+                                                  str(fields["band"]["v"]),
+                                                  "--out", "dissipation-band-helicity-defaults"]
     for n, seed in ((16, 5), (32, 3), (16, 18)):
         runs[f"verify/n{n}-seed{seed}"] = ["verify", "--suite", "all", "--n", str(n),
                                            "--seed", str(seed),
