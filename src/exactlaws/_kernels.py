@@ -11,17 +11,19 @@ fix.
 
 On an alias-free grid the engine keeps each field only at the K active
 modes, the union of the fields' active masks: the values are gathered once
-from the full-grid spectrum, the cut to the m-grid and its (m/n)^3 scale
-being an index map.  Curls, the pair weights and each mode's place in the
-(kz plane, column) table are fixed at build, and no operation holds a
-full-grid box for long: one step builds the rows a request lacks, inverting
-the band-limited fields once, in batches of stacked components through one
-reused band box, transforming the missing pair products in batches, each
-holding at most ``_BATCH`` grid points, and dropping the fields before it
-forms the rows.  Both transforms
-are ``grid``'s band-box forms, which run their passes only on the lines
-that hold a mode of the box |kx|, |ky|, kz <= kmax and give the whole-grid
-values there bit for bit.
+from the field's spectrum, the cut to the m-grid and its (m/n)^3 scale
+being an index map.  That spectrum is taken one component at a time, and
+only on the lines that can hold an active mode, so no whole-grid spectrum
+of a field exists.  Curls, the pair weights and each mode's place in the
+(kz plane, column) table are fixed at build, and no whole-grid array
+outlives the step that reads it: one step builds the rows a request lacks,
+inverting each band-limited component once, in batches of consecutive
+components through one band box, when a pair product first reads it and
+dropping it after the last, transforming the pair products in batches,
+each holding at most ``_BATCH`` grid points, and dropping them once the
+rows exist.  Both transforms are ``grid``'s band-box forms, which run
+their passes only on the lines that hold a mode of the box |kx|, |ky|,
+kz <= kmax and give the whole-grid values there bit for bit.
 The directions of one radius are evaluated in blocks whose columns x block
 temporaries hold at most ``_MOMENT_BLOCK`` elements.  Otherwise (m = n)
 each field is kept as its whole spectrum.
@@ -39,11 +41,11 @@ Two evaluation paths share that reduced grid:
   whole radii of a ladder share one pass of per-column phases and
   contractions; each radius keeps its own products, which leaves its values
   bitwise those of a ladder of its own.
-  A row, and the pair-product transforms it needs, is built the first time
-  a request reads it and kept for the rest of the engine's life, so a
-  radius or epsilon ladder builds each row once and a law never pays for
-  the rows of the others (helicity reads 18 of the 56 rows of its two
-  fields).
+  A row is built the first time a request reads it and kept for the rest
+  of the engine's life, so a radius or epsilon ladder builds each row once
+  and a law never pays for the rows of the others (helicity reads 18 of the
+  56 rows of its two fields); the pair products it needs are transformed
+  for its build alone.
 * per-shift FFT, otherwise.  Each separation costs an inverse transform of
   the shifted spectra, one axis at a time into buffers the engine keeps,
   and a pointwise kernel pass.  The phase factors are separable, so
@@ -73,7 +75,10 @@ last bit on both paths.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import itertools
+import time
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
@@ -94,6 +99,7 @@ __all__ = [
     "shell_node",
     "COMBINE_COEFFS",
     "LAWS",
+    "stage_clock",
 ]
 
 
@@ -170,6 +176,62 @@ LAWS[LawKind.HYDRO_ENERGY] = LAWS[LawKind.MHD_ENERGY]
 # Flux coefficients (c_L, c_T) entering the combined values.
 COMBINE_COEFFS = {law: row.combine for law, row in LAWS.items()}
 
+
+class _StageClock:
+    """Seconds per named stage, each stage counting its own time: a stage
+    entered inside another stops the other's count until it is left."""
+
+    def __init__(self):
+        self.seconds = {}
+        self.open = []  # the stages entered and not left, innermost last
+        self.since = time.perf_counter()
+
+    def switch(self, name=None) -> None:
+        """Charge the time since the last switch to the innermost open stage,
+        then enter the stage ``name`` or, if None, leave that one."""
+        now = time.perf_counter()
+        if self.open:
+            self.seconds[self.open[-1]] = self.seconds.get(self.open[-1], 0.0) + now - self.since
+        self.since = now
+        if name is None:
+            self.open.pop()
+        else:
+            self.open.append(name)
+
+
+# The clock of the innermost ``stage_clock`` block, if any: the stages run
+# below public functions whose signatures do not carry one.
+_CLOCK = contextvars.ContextVar("exactlaws_stage_clock", default=None)
+
+
+@contextlib.contextmanager
+def stage_clock():
+    """Time the stages that run inside the block: engine build, row build,
+    evaluation and radial assembly.  Yields {stage: seconds}, filled as
+    they run."""
+    clock = _StageClock()
+    token = _CLOCK.set(clock)
+    try:
+        yield clock.seconds
+    finally:
+        _CLOCK.reset(token)
+
+
+@contextlib.contextmanager
+def _stage(name: str):
+    """Count the block, or the decorated function, as the stage ``name`` of
+    the ``stage_clock`` running, if any."""
+    clock = _CLOCK.get()
+    if clock is None:
+        yield
+        return
+    clock.switch(name)
+    try:
+        yield
+    finally:
+        clock.switch()
+
+
 _SUPPORT_RTOL = 1e-13  # spectral amplitudes below this (relative) count as empty
 # Elements of each columns x directions temporary in ``StatsEngine.moments``:
 # the directions of one radius are evaluated in blocks of at most this size.
@@ -188,6 +250,87 @@ def _active_modes(spec: np.ndarray) -> np.ndarray:
     for comp in spec[1:]:
         np.maximum(amp, np.abs(comp), out=amp)
     return amp > _SUPPORT_RTOL * amp.max()
+
+
+def _power(spec: np.ndarray) -> np.ndarray:
+    """The sum of |spec|^2 over axis 1 of a C-contiguous complex (a, b, c)
+    array, (a, c), read through its real view without a temporary."""
+    flat = spec.view(float)
+    power = np.einsum("abz,abz->az", flat, flat)
+    return power[:, 0::2] + power[:, 1::2]
+
+
+def _input_transform(values: np.ndarray) -> tuple:
+    """``_rfftn(values)`` of one (3, n, n, n) field on the lines that can hold
+    an active mode, one component at a time, and the field's active modes.
+
+    The z pass runs on every line.  The x pass runs only on the kz planes,
+    and the y pass only on the (kx, kz) lines, whose Parseval bound can exceed
+    _SUPPORT_RTOL of the field's peak amplitude, or that an earlier component
+    transformed: its active modes need every component's values (a
+    solenoidal field's y component vanishes on the whole ky axis).  By
+    Parseval, the passes left to run take a kz plane of power P (its sum of
+    |.|^2) to n^2 modes of amplitude at most n sqrt(P), and a line to n modes
+    of at most sqrt(n P).  The largest amplitude of the first component's
+    strongest plane, and the root of each line's power, which one of its
+    modes reaches, bound the peak from below.  A plane or line is skipped only
+    when twice its bound is still below _SUPPORT_RTOL of that floor, so no
+    amplitude it would give is active: the mask and the peak are those of
+    ``_active_modes(_rfftn(values))`` bit for bit, each line being
+    transformed as among the whole grid's.  Returns, per component, the
+    transformed lines (kx, kz, values over ky), and the mask (the mean not
+    yet excluded).  Full-spectrum input, whose first component keeps every
+    kz plane, is transformed whole instead, as its lines would hold the
+    whole spectrum: the spectrum then takes the lines' place.
+    """
+    n = values.shape[-1]
+    amp = np.zeros((n, n, n // 2 + 1))  # each mode's largest amplitude over the components
+    done = np.zeros((n, n // 2 + 1), dtype=bool)  # the (kx, kz) lines transformed so far
+    floor = 0.0  # a lower bound on amp.max()
+    lines = []
+    for comp in values:
+        spec = np.fft.rfft(comp, axis=-1)  # the z pass, on every line
+        power = _power(spec.reshape(1, n * n, -1))[0]  # per kz plane
+        if not lines:  # the first component's strongest plane sets the floor
+            floor = np.abs(np.fft.fft2(spec[:, :, np.argmax(power)], axes=(0, 1))).max()
+        kz = np.flatnonzero((2.0 * n * np.sqrt(power) > _SUPPORT_RTOL * floor) | done.any(axis=0))
+        if not lines and len(kz) == len(power):
+            del spec, amp
+            spec = _rfftn(values)
+            return spec, _active_modes(spec)
+        planes = np.take(spec, kz, axis=2)
+        del spec
+        np.fft.fft(planes, axis=0, out=planes)  # the x pass, (kx, y, plane)
+        power = _power(planes)  # per (kx, plane) line
+        floor = max(floor, np.sqrt(power.max(initial=0.0)))
+        kx, plane = np.nonzero((2.0 * np.sqrt(n * power) > _SUPPORT_RTOL * floor) | done[:, kz])
+        rows = np.fft.fft(planes[kx, :, plane], axis=-1)  # the y pass, (line, ky)
+        del planes
+        kz = kz[plane]
+        done[kx, kz] = True
+        amp[kx, :, kz] = np.maximum(amp[kx, :, kz], np.abs(rows))
+        lines.append((kx, kz, rows))
+    return lines, amp > _SUPPORT_RTOL * amp.max()
+
+
+def _lines_spectrum(values: np.ndarray, lines, at) -> np.ndarray:
+    """A field's spectrum from its ``_input_transform`` lines: (3, K) at the
+    modes ``at`` (ix, iy, iz), or whole (3, n, n, n // 2 + 1) when ``at`` is
+    None, transformed again.  A component with a wanted mode on a line it did
+    not transform, a value below the field's active threshold but not zero,
+    is transformed again whole, one component at a time."""
+    if isinstance(lines, np.ndarray):  # the whole spectrum
+        return lines if at is None else lines[(Ellipsis, *at)]
+    if at is None:
+        return _rfftn(values)
+    n = values.shape[-1]
+    out = np.empty((3,) + at[0].shape, dtype=complex)
+    for comp, (kx, kz, rows), dest in zip(values, lines, out):
+        line = np.full((n, n // 2 + 1), -1)
+        line[kx, kz] = np.arange(len(kx))
+        wanted = line[at[0], at[2]]
+        dest[...] = _rfftn(comp)[at] if wanted.min(initial=0) < 0 else rows[wanted, at[1]]
+    return out
 
 
 def _support_radius(active: np.ndarray, n: int) -> int:
@@ -270,12 +413,13 @@ class StatsEngine:
     the K modes of the union of the active masks, and ``moments`` gives the
     third moments of the increments at many separations by column sums, one
     matrix product per kz plane and block of directions; the rows of G behind
-    it and their pair products are built in one step on first use, only for
+    it are built from their pair products in one step on first use, only for
     the component triples asked for, and kept for later calls in (kz plane,
-    column) layout.  Otherwise each field is kept as its whole spectrum on the
-    m-grid, and ``increments`` costs at most one inverse pass per axis and
-    separation vector, fewer when consecutive separations share components.  A
-    curl is taken from its source's stored spectrum, within the source's mask.
+    column) layout, the products dropped.  Otherwise each field is kept as its
+    whole spectrum on the m-grid, and ``increments`` costs at most one inverse
+    pass per axis and separation vector, fewer when consecutive separations
+    share components.  A curl is taken from its source's stored spectrum,
+    within the source's mask.
     ``evaluation`` names the path ``angular_term_sums`` takes: "sine-series"
     or "per-shift-fft".  ``separations`` counts the separations evaluated,
     ``inverse_passes`` the inverse passes per axis, ``transform_calls`` the
@@ -285,13 +429,15 @@ class StatsEngine:
     and the series rows and pair products built.
     """
 
+    @_stage("engine_build")
     def __init__(self, grid: Grid3, fields: dict):
         self.grid = grid
         n = grid.n
         self.transform_calls = 0
-        # First pass: each distinct given field is transformed once, and the
-        # supports of their active masks fix kmax, hence m.
-        given = []  # (values, spectrum, active mask) of each distinct given field with modes
+        # First pass: each distinct given field is transformed once, one
+        # component at a time and only on the lines that can hold an active
+        # mode, and the supports of their active masks fix kmax, hence m.
+        given = []  # (values, lines, active mask) of each distinct given field with modes
         source = {}  # name -> index into given, None for the zero field, or a CurlOf
         for name, fld in fields.items():
             if isinstance(fld, CurlOf) and fld.name not in source:
@@ -308,13 +454,12 @@ class StatsEngine:
             source[name] = next((j for j, (seen, _, _) in enumerate(given)
                                  if seen is values or np.array_equal(seen, values)), None)
             if source[name] is None:
-                spec = _rfftn(values)
+                lines, active = _input_transform(values)
                 self.transform_calls += 1
-                active = _active_modes(spec)
                 active[0, 0, 0] = False  # the mean: increments ignore it
                 if active.any():
                     source[name] = len(given)
-                    given.append((values, spec, active))
+                    given.append((values, lines, active))
         self.kmax = max((_support_radius(active, n) for _, _, active in given), default=0)
         m = _reduced_size(self.kmax, n)
         self.m = m
@@ -352,11 +497,11 @@ class StatsEngine:
             self._kz = kz[: self.kmax + 1]
             self._slot = at[2] * len(self._cells[0]) + (np.cumsum(present) - 1)[cell]
             table = (self.kmax + 1, len(self._cells[0]))
-            gather = (Ellipsis, *at)
+            gather = at
         else:
             self._index = self._box = None
             wavenumbers = _derivative_wavenumbers(grid.length, m)
-            gather, table = Ellipsis, (0, 0)
+            gather, table = None, (0, 0)
         blocks = []  # (stored spectrum, active mask) of each distinct field with modes
         block = {None: None}  # index into given, or ("curl", block) -> index into blocks
         owner = {}  # name -> index into blocks, or None for the zero field
@@ -368,10 +513,10 @@ class StatsEngine:
                     spec = _curl_modes(*wavenumbers, blocks[src[1]][0])
                     active = _active_modes(spec) & blocks[src[1]][1]
                 else:
-                    spec = given[src][1][gather]
+                    spec = _lines_spectrum(*given[src][:2], gather)
                     if m < n:
                         spec *= (m / n) ** 3
-                    active = given[src][2][gather]
+                    active = given[src][2] if gather is None else given[src][2][gather]
                 block[src] = len(blocks) if active.any() else None
                 if active.any():
                     blocks.append((spec, active))
@@ -397,7 +542,7 @@ class StatsEngine:
         self._base = None  # field values on the reduced grid, on first use
         self._passes = None  # buffers of the last x pass and xy pass, and the z pass's output
         self._keys = (None, None)  # the l_x and (l_x, l_y) the buffers hold
-        self._products = {}  # (t, u) -> pair-product coefficients, as built
+        self.pair_products = 0  # pair products transformed, each dropped with its row build
         self._coeffs = np.zeros(table + (0,))  # the G rows built so far, (planes, columns, rows)
         # Row of G that each (p, q, r) reads in ``moments``: -1 for a row not
         # built yet (it reads NaN), -2 for a triple touching the zero field.
@@ -420,7 +565,7 @@ class StatsEngine:
             "separations": self.separations,
             "inverse_passes": dict(self.inverse_passes),
             "series_rows": self._coeffs.shape[2],
-            "pair_products": len(self._products),
+            "pair_products": self.pair_products,
             "transform_calls": self.transform_calls,
             "column_passes": self.column_passes,
         }
@@ -474,20 +619,35 @@ class StatsEngine:
                 self.inverse_passes[axis] += done
         return out.reshape(out.shape[0], -1)
 
-    def _band_fields(self) -> np.ndarray:
-        """The band-limited fields (C, m, m, m) on the reduced grid, inverted in
-        batches of components through one reused band box."""
-        m, count = self.m, self._fields.shape[0]
-        step = max(1, _BATCH // m**3)
-        band = np.empty((count, m, m, m))
+    def _band_components(self, group) -> np.ndarray:
+        """The band-limited components ``group`` (len(group), m, m, m) on the
+        reduced grid, inverted together through one band box."""
         side = 2 * self.kmax + 1
-        box = np.zeros((min(step, count), side, side, self.kmax + 1), dtype=complex)
-        for s in range(0, count, step):
-            batch = box[: min(step, count - s)]
-            batch[(slice(None), *self._box)] = self._fields[s : s + step]
-            band[s : s + step] = _band_irfftn(batch, m)
-            self.transform_calls += 1
-        return band
+        box = np.zeros((len(group), side, side, self.kmax + 1), dtype=complex)
+        box[(slice(None), *self._box)] = self._fields[group]
+        self.transform_calls += 1
+        return _band_irfftn(box, self.m)
+
+    def _pair_products(self, pairs) -> list:
+        """conj((tu)^) / m**3 at the stored modes for each pair (t, u) of
+        ``pairs``, in order, transformed in batches of at most ``_BATCH`` grid
+        points.  Each band-limited component is inverted once, in its batch of
+        as many consecutive components, when a pair first reads it, and
+        dropped after the last pair that reads it."""
+        step = max(1, _BATCH // self.m**3)
+        last = {c: i for i, pair in enumerate(pairs) for c in pair}
+        band, out = {}, []
+        for s in range(0, len(pairs), step):
+            batch = pairs[s : s + step]
+            for c in sorted({c for pair in batch for c in pair} - band.keys()):
+                if c not in band:
+                    first = c - c % step
+                    group = [t for t in range(first, first + step) if last.get(t, -1) >= s]
+                    band.update(zip(group, self._band_components(group)))
+            out.extend(self._product_batch(band, batch))
+            for c in [c for c in band if last[c] < s + step]:
+                del band[c]
+        return out
 
     def _product_batch(self, band, batch) -> np.ndarray:
         """conj((tu)^) / m**3 at the stored modes, (len(batch), K), from one
@@ -503,6 +663,7 @@ class StatsEngine:
         self.transform_calls += 1
         return np.conj(spec[(slice(None), *self._box)] / m**3)
 
+    @_stage("row_build")
     def _build_rows(self, triples) -> None:
         """Build the G rows of the sorted component triples (p <= q <= r) not
         built yet; triples that touch the zero field read its zero row.
@@ -517,23 +678,23 @@ class StatsEngine:
         exactly; then M = O(l^3), the linear part sum_k G_k k.l vanishes, and
         dropping it keeps full relative precision at small separations, where
         the sine terms would cancel.  Every permutation of (p, q, r) reads the
-        same row, so permuted moments are bitwise equal.  The missing pair
-        products come first, from band-limited fields inverted once per call.
+        same row, so permuted moments are bitwise equal.  The pair products
+        the new rows read come first, each band-limited component inverted
+        once per call, and are dropped on return: a later call transforms
+        again those its own rows read, bit for bit.
         """
         index = self._row_index
         new = sorted(t for t in {tuple(sorted(map(int, t))) for t in triples} if index[t] == -1)
         if not new:
             return
-        pairs = sorted({pq for p, q, r in new for pq in ((q, r), (p, r), (p, q))}
-                       - self._products.keys())
-        if pairs:
-            band = self._band_fields()
-            step = max(1, _BATCH // self.m**3)
-            for s in range(0, len(pairs), step):
-                batch = pairs[s : s + step]
-                self._products.update(zip(batch, self._product_batch(band, batch)))
-            del band
-        coeff, products, built = self._fields / self.m**3, self._products, self._coeffs.shape[2]
+        # In order of the later component, then the earlier: a component no
+        # pair with a later one reads (helicity's vorticity components) is
+        # dropped before the next is inverted.
+        pairs = sorted({pq for p, q, r in new for pq in ((q, r), (p, r), (p, q))},
+                       key=lambda pair: pair[::-1])
+        products = dict(zip(pairs, self._pair_products(pairs)))
+        self.pair_products += len(pairs)
+        coeff, built = self._fields / self.m**3, self._coeffs.shape[2]
         planes, columns = self._coeffs.shape[:2]
         rows = np.zeros((planes * columns, len(new)))
         for i, (p, q, r) in enumerate(new):
@@ -545,7 +706,8 @@ class StatsEngine:
             for perm in itertools.permutations((p, q, r)):
                 index[perm] = built + i
             rows[self._slot, i] = self._pair * split
-        self._coeffs = np.concatenate([self._coeffs, rows.reshape(planes, columns, -1)], axis=2)
+        rows = rows.reshape(planes, columns, -1)
+        self._coeffs = np.concatenate([self._coeffs, rows], axis=2) if built else rows
 
     def moments(self, ells, triples=None) -> np.ndarray:
         """Increment third moments M[p, q, r, ...] = <dp dq dr> at separations ells[...].
@@ -597,21 +759,23 @@ class StatsEngine:
             phase = np.exp(1j * axis[:, None] * lx)[:, ox] * np.exp(1j * axis[:, None] * ly)[:, oy]
             sin_a = _below_one(a, phase.imag - a, _SIN_SERIES, True)
             cos_a = _below_one(a, phase.real - 1.0, _COS_SERIES, False)
-            for i in range(count):
-                # One product per plane, (planes, 2B + 3, rows): a single
-                # (planes x rows) product touched more of the BLAS buffers,
-                # and so of the peak resident memory.
-                sums = np.concatenate([sin_a[i], cos_a[i], linear], axis=1).T @ table
-                b = kz[:, None] * block[i, :, 2]  # (planes, B)
-                by_plane = sums[:, : 2 * width].reshape(len(kz), 2, width, -1)
-                cb = _cos_minus_one(b)
-                rows[:-2, i, s : s + step] = (
-                    np.einsum("pjsr,jps->sr", by_plane, np.stack([np.cos(b), np.sin(b)]))
-                    + block[i, :, 0:1] * (cb.T @ sums[:, -3])
-                    + block[i, :, 1:2] * (cb.T @ sums[:, -2])
-                    + _sin_minus_x(b).T @ sums[:, -1]
-                ).T
-                self.column_passes += 1
+            # One product per rung and plane, (R, planes, 2B + 3, rows): a
+            # single (planes x rows) product touched more of the BLAS buffers,
+            # and so of the peak resident memory.
+            trig = np.concatenate([sin_a, cos_a, np.broadcast_to(linear, (count,) + linear.shape)],
+                                  axis=2)
+            sums = np.swapaxes(trig, 1, 2)[:, None] @ table
+            b = kz[:, None] * block[:, None, :, 2]  # (R, planes, B)
+            by_plane = sums[:, :, : 2 * width].reshape(count, len(kz), 2, width, -1)
+            cb = np.swapaxes(_cos_minus_one(b), 1, 2)
+            rows[:-2, :, s : s + step] = np.moveaxis(
+                np.einsum("ipjsr,jips->isr", by_plane, np.stack([np.cos(b), np.sin(b)]))
+                + block[:, :, 0:1] * (cb @ sums[:, :, -3])
+                + block[:, :, 1:2] * (cb @ sums[:, :, -2])
+                + np.swapaxes(_sin_minus_x(b), 1, 2) @ sums[:, :, -1],
+                -1, 0,
+            )
+            self.column_passes += count
         out = rows[self._row_index]
         return out if ells.ndim == 3 else out[..., 0, :]
 
@@ -700,6 +864,7 @@ def _law_triples(law: LawKind, a, b) -> set:
             for t in itertools.product(*(comps[c] for c in p))}
 
 
+@_stage("evaluation")
 def angular_term_sums(engine: StatsEngine, requests, radii, dirs) -> dict[str, np.ndarray]:
     """Direction-weighted term means over a ladder of radii, for several laws at once.
 

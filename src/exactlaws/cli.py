@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import report as rep
-from ._kernels import COMBINE_COEFFS, CurlOf, LawKind
+from ._kernels import COMBINE_COEFFS, CurlOf, LawKind, stage_clock
 from .geometry import (
     direction_set_icosa,
     identity227_batch,
@@ -39,9 +39,11 @@ from .geometry import (
     triple_product_check,
 )
 from .grid import VectorField3, make_grid, read_field, write_field
-from .laws import DEFAULT_DIRECTIONS, _check_ladder, power_law_fit, raw_combos, sweep_structure
+from .laws import (DEFAULT_DIRECTIONS, _check_ladder, _law_engine, _structure_engine,
+                   _structure_report, power_law_fit, raw_combos, sweep_structure)
 from .mollifier import (
     RADIAL_NODES,
+    _dissipation_report,
     bump_mollifier,
     coefficient_oracle,
     dissipation_matrix,
@@ -49,7 +51,6 @@ from .mollifier import (
     mollifier_moments,
     phi_L,
     radial_quadrature,
-    sweep_dissipation,
 )
 from .synth import SpectrumSpec, abc_flow, random_solenoidal, taylor_green
 
@@ -511,17 +512,19 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _load_inputs(args) -> tuple:
-    """(law, (v, w), direction set, {flag: path} of the files read) from
-    --law, --v, --omega or --h, and --dirs.
+def _engine_stage(args, stage, ladder, *extra) -> tuple:
+    """({flag: path} of the files read, ``stage(law, (v, w), ladder,
+    direction set, *extra)``) from --law, --v, --omega or --h, and --dirs.
 
     The second field comes from --omega (helicity) or --h, None if not given;
-    the laws module decides what a missing or unused one means."""
+    the laws module decides what a missing or unused one means.  ``stage``
+    builds the engine; the fields live in this frame only, so none outlives
+    the engine build."""
     law = LawKind(args.law)
     second = "omega" if law is LawKind.HELICITY else "h"
     paths = {name: str(getattr(args, name)) for name in ("v", second) if getattr(args, name)}
     fields = (_load_vector(args.v), _load_vector(paths[second]) if second in paths else None)
-    return law, fields, parse_direction_spec(args.dirs), paths
+    return paths, stage(law, fields, ladder, parse_direction_spec(args.dirs), *extra)
 
 
 def _write_report(out: str, payload: dict, csv_rows=None, **provenance) -> None:
@@ -539,26 +542,27 @@ def _write_report(out: str, payload: dict, csv_rows=None, **provenance) -> None:
 
 
 def cmd_analyze(args) -> int:
-    law, fields, dirs, paths = _load_inputs(args)
-    report = sweep_structure(law, fields, parse_ladder(args.scales), dirs)
+    with stage_clock() as seconds:
+        paths, built = _engine_stage(args, _structure_engine, parse_ladder(args.scales))
+        report = _structure_report(*built)
     _write_report(args.out, report.to_json_dict(), report.csv_rows(), engine=report.engine,
-                  fields=paths)
+                  fields=paths, stage_seconds=seconds)
     return 0
 
 
 def cmd_dissipation(args) -> int:
     tol = _check_tolerance("quad-match-tol", args.quad_match_tol)
-    law, fields, dirs, paths = _load_inputs(args)
-    report = sweep_dissipation(
-        law, args.part, fields, bump_mollifier(), parse_ladder(args.eps), args.radial_nodes, dirs
-    )
+    with stage_clock() as seconds:
+        paths, built = _engine_stage(args, _law_engine, parse_ladder(args.eps), "epsilons")
+        report = _dissipation_report(args.part, bump_mollifier(), args.radial_nodes, *built)
     payload = {**report.to_json_dict(), "method": args.method}
     if args.method != "both":
         payload["d_shell" if args.method == "ball" else "d_ball"] = None
     # The eps -> 0 extrapolation assumes the eps^2 regime, kmax * eps << 1.
-    kmax = 2.0 * np.pi / fields[0].grid.length * report.engine["kmax"]
+    engine = built[-1]
+    kmax = 2.0 * np.pi / engine.grid.length * engine.kmax
     _write_report(args.out, payload, engine=report.engine, fields=paths,
-                  kmax_eps_min=kmax * min(report.epsilons))
+                  kmax_eps_min=kmax * min(report.epsilons), stage_seconds=seconds)
     gap = _ballshell_gap(report.d_ball, report.d_shell) if args.method == "both" else []
     failures = [(eps, rel) for eps, rel in zip(report.epsilons, gap) if rel > tol]
     for eps, rel in failures:
@@ -570,15 +574,17 @@ def cmd_dissipation(args) -> int:
 def _run_verdict(run, out, **extra) -> int:
     """Run ``run()``, print its verdict lines and the time taken, and write the
     verdict with ``extra`` keys to the --out prefix if one is given; the
-    seconds, in total and per suite, go under "provenance"."""
+    seconds, in total, per suite and per engine stage, go under
+    "provenance"."""
     start = time.perf_counter()
-    verdict = run()
+    with stage_clock() as seconds:
+        verdict = run()
     elapsed = time.perf_counter() - start
     verdict.print_lines()
     print(f"finished in {elapsed:.1f}s")
     if out:
         _write_report(out, {"verdict": verdict.to_json_dict(), **extra}, elapsed_seconds=elapsed,
-                      suite_seconds=verdict.seconds)
+                      suite_seconds=verdict.seconds, stage_seconds=seconds)
     return 0 if verdict.passed else 1
 
 

@@ -257,11 +257,12 @@ def identity227_batch(ells, As, Bs, Cs):
     n = ells / norms[:, None]
     eye = np.eye(3)
     M = (eye[None] - np.einsum("mi,mk->mik", n, n)) / norms[:, None, None]
-    lhs = (
-        np.einsum("mik,mj,mk,mi,mj->m", M, n, As, Bs, Cs)
-        + np.einsum("mjk,mi,mk,mi,mj->m", M, n, As, Bs, Cs)
-        - 2.0 * np.einsum("mij,mk,mk,mi,mj->m", M, n, As, Bs, Cs)
-    )
+    # M_ik n_j A_k B_i C_j + M_jk n_i A_k B_i C_j - 2 M_ij n_k A_k B_i C_j,
+    # contracted pairwise: M.A and M.C first, then dot products.
+    dot = lambda x, y: np.einsum("mi,mi->m", x, y)
+    MA = np.einsum("mik,mk->mi", M, As)
+    MC = np.einsum("mij,mj->mi", M, Cs)
+    lhs = dot(n, Cs) * dot(Bs, MA) + dot(n, Bs) * dot(Cs, MA) - 2.0 * dot(n, As) * dot(Bs, MC)
     rhs = (
         np.einsum("mi,mi->m", n, Cs) * np.einsum("mi,mi->m", As, Bs)
         + np.einsum("mi,mi->m", n, Bs) * np.einsum("mi,mi->m", As, Cs)

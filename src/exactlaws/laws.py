@@ -16,7 +16,7 @@ from functools import partial
 import numpy as np
 
 from . import _kernels
-from ._kernels import COMBINE_COEFFS, CurlOf, LawKind, StatsEngine
+from ._kernels import COMBINE_COEFFS, CurlOf, LawKind, StatsEngine, _stage
 from .geometry import DirectionSet, parse_direction_spec
 from .grid import VectorField3, _require_same_grid, curl
 
@@ -104,21 +104,24 @@ def _check_ladder(length: float, values, kind: str = "scales") -> list:
 
 
 def _law_engine(law: LawKind, fields, ladder, dirs, kind: str = "scales"):
-    """The input path of every evaluator: (law, checked ladder, (v, w),
-    direction set, engine).
+    """The input stage of every evaluator: (law, checked ladder, direction
+    set, engine).
 
     ``fields`` is the primary field or a (primary, second) pair; the second
     field follows ``_resolve_pair``, and the engine holds the pair as the
     fields "a" and "b".  ``dirs`` defaults to ``default_directions()``.
+    Nothing returned refers to the fields, so a caller that holds no other
+    reference frees them before any row is built.
     """
     law = LawKind(law)
     v, w = (fields, None) if isinstance(fields, VectorField3) else fields
     ladder = _check_ladder(v.grid.length, ladder, kind)
     v, w = _resolve_pair(law, v, w)
     dirs = dirs if dirs is not None else default_directions()
-    return law, ladder, (v, w), dirs, StatsEngine(v.grid, {"a": v, "b": w})
+    return law, ladder, dirs, StatsEngine(v.grid, {"a": v, "b": w})
 
 
+@_stage("radial_assembly")
 def _combos(law: LawKind, engine: StatsEngine, scales, dirs) -> list[RawCombos]:
     sums = _kernels.angular_term_sums(engine, {"x": (law, "a", "b")}, scales, dirs)["x"]
     raws = np.array(_kernels.raw_from_terms(law, sums, np.asarray(scales))).tolist()
@@ -138,7 +141,7 @@ def raw_combos(
     when None), the magnetic field for the coupled laws, and ignored for the
     hydrodynamic energy law.
     """
-    law, scales, _, dirs, engine = _law_engine(law, (v, w), [r], dirs)
+    law, scales, dirs, engine = _law_engine(law, (v, w), [r], dirs)
     return _combos(law, engine, scales, dirs)[0]
 
 
@@ -192,12 +195,21 @@ def sweep_structure(
     against the spectral curl beyond 1e-6 relative is flagged in the report
     metadata rather than raised.
     """
-    explicit_w = not isinstance(fields, VectorField3) and fields[1] is not None
-    law, scales, (v, w), dirs, engine = _law_engine(law, fields, scales, dirs)
+    return _structure_report(*_structure_engine(law, fields, scales, dirs))
 
+
+def _structure_engine(law: LawKind, fields, scales, dirs) -> tuple:
+    """The input stage of ``sweep_structure``: ``_law_engine``'s (law, scales,
+    direction set, engine) and the report's metadata.  An explicit vorticity
+    is checked against the spectral curl before the engine is built; nothing
+    returned refers to the fields."""
+    law = LawKind(law)
+    explicit_w = not isinstance(fields, VectorField3) and fields[1] is not None
+    omega = _omega_check(*fields) if law is LawKind.HELICITY and explicit_w else {}
+    law, scales, dirs, engine = _law_engine(law, fields, scales, dirs)
     metadata = {
         "law": law.value,
-        "grid": {"n": v.grid.n, "length": v.grid.length},
+        "grid": {"n": engine.grid.n, "length": engine.grid.length},
         "directions": dirs.descriptor or f"custom:{len(dirs)}",
         "flux_coefficients": list(COMBINE_COEFFS[law]),
     }
@@ -206,15 +218,23 @@ def sweep_structure(
         # both so reports are unambiguous.
         c_l, c_t = COMBINE_COEFFS[law]
         metadata["alternate_flux_coefficients"] = [-c_l, -c_t]
-    if law is LawKind.HELICITY and explicit_w:
-        ref = curl(v)
-        rms = ref.rms()
-        mismatch = float(np.max(np.abs(w.values - ref.values)))
-        metadata["omega_supplied"] = True
-        metadata["omega_curl_mismatch"] = mismatch
-        if rms > 0 and mismatch > _OMEGA_MISMATCH_RTOL * rms:
-            metadata["warning"] = "supplied vorticity differs from curl of velocity"
+    return law, scales, dirs, engine, {**metadata, **omega}
 
+
+def _omega_check(v: VectorField3, w: VectorField3) -> dict:
+    """Report metadata on how far a supplied vorticity is from curl(v)."""
+    _require_same_grid(v, w)
+    ref = curl(v)
+    rms = ref.rms()
+    mismatch = float(np.max(np.abs(w.values - ref.values)))
+    out = {"omega_supplied": True, "omega_curl_mismatch": mismatch}
+    if rms > 0 and mismatch > _OMEGA_MISMATCH_RTOL * rms:
+        out["warning"] = "supplied vorticity differs from curl of velocity"
+    return out
+
+
+def _structure_report(law: LawKind, scales, dirs, engine, metadata) -> StructureReport:
+    """The evaluation stage of ``sweep_structure``, on its built engine."""
     combos = _combos(law, engine, scales, dirs)
     combined = tuple(combine(law, rc) for rc in combos)
     return StructureReport(

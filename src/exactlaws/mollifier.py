@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import _kernels
-from ._kernels import LawKind, StatsEngine, check_part
+from ._kernels import LawKind, StatsEngine, _stage, check_part
 from .geometry import DirectionSet
 from .grid import VectorField3
 from .laws import RawCombos, _check_ladder, _law_engine, _line_fit, default_directions
@@ -255,7 +255,7 @@ def dr_dissipation(
     """
     if kernel not in ("long", "full"):
         raise ValueError("kernel must be 'long' or 'full'")
-    law, (eps,), _, dirs, engine = _law_engine(LawKind.HYDRO_ENERGY, v, [eps], dirs, "epsilons")
+    law, (eps,), dirs, engine = _law_engine(LawKind.HYDRO_ENERGY, v, [eps], dirs, "epsilons")
     r, w, _, dphi = _radial_nodes(m, eps, radial_nodes)
     l1, _, t1, _, _ = _kernels.angular_term_sums(engine, {"x": (law, "a", "b")}, r, dirs)["x"].T
     return np.pi * float(_node_sum(w * r * r * dphi * (l1 if kernel == "long" else l1 + t1)))
@@ -341,6 +341,7 @@ def dissipation_matrix(
     return _engine_matrix(StatsEngine(grid, fields), requests, m, epsilons, radial_nodes, dirs)
 
 
+@_stage("radial_assembly")
 def _engine_matrix(engine, requests, m, epsilons, radial_nodes, dirs) -> dict:
     """``dissipation_matrix`` on an engine that is already built, with checked
     epsilons and a direction set."""
@@ -375,7 +376,14 @@ def sweep_dissipation(
     nodes, so matched quadratures make ball and shell agree to round-off.
     """
     part = check_part(part)
-    law, epsilons, _, dirs, engine = _law_engine(law, fields, epsilons, dirs, "epsilons")
+    built = _law_engine(law, fields, epsilons, dirs, "epsilons")
+    return _dissipation_report(part, m, radial_nodes, *built)
+
+
+def _dissipation_report(part: str, m: Mollifier, radial_nodes: int, law: LawKind, epsilons,
+                        dirs: DirectionSet, engine: StatsEngine) -> DissipationReport:
+    """The evaluation stage of ``sweep_dissipation``, on the engine and the
+    checked inputs ``laws._law_engine`` returns."""
     matrix = _engine_matrix(engine, {"x": (law, "a", "b")}, m, epsilons, radial_nodes, dirs)["x"]
     ball = tuple(matrix["ball"][part])
     return DissipationReport(

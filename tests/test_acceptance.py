@@ -192,9 +192,10 @@ def test_criterion_5_smooth_field_limits_as_stated():
 
     Every wavevector of this flow is a unit axis vector, so no triple of its
     wavevectors can sum to zero and every third-order volume average
-    vanishes identically; what the fits see is round-off at the 1e-19 scale
-    rather than an O(r^2) signal, and the slope/order/monotonicity
-    assertions below fail.  The companion test on a band-limited random
+    vanishes identically.  The sine-series engine returns those averages as
+    exact zeros, not round-off, so the power-law fit finds fewer than 3
+    usable (nonzero) points and raises before the slope/order/monotonicity
+    assertions below are reached.  The companion test on a band-limited random
     field exercises the same protocol on input with generic cubic
     statistics, where it passes.
     """

@@ -10,7 +10,7 @@ import pytest
 from exactlaws import _kernels, cli, mollifier
 from exactlaws.cli import combine_consistency_checks, main, parse_ladder
 from exactlaws.geometry import parse_direction_spec
-from exactlaws.grid import VectorField3, make_grid, read_field, write_field
+from exactlaws.grid import VectorField3, curl, make_grid, read_field, write_field
 from exactlaws.laws import DEFAULT_DIRECTIONS, LawKind, default_directions
 from exactlaws.report import canonical_hash
 from exactlaws.synth import SpectrumSpec, abc_flow
@@ -114,6 +114,57 @@ def field_files(tmp_path):
     run(["gen", "--kind", "random", "--n", 16, "--kmin", 1, "--kmax", 4,
          "--seed", 4, "--out", h])
     return v, h
+
+
+@pytest.mark.parametrize("verb", [
+    ["analyze", "--law", "helicity", "--scales", "0.1:0.4:2"],
+    ["analyze", "--law", "helicity", "--omega", "w.fld", "--scales", "0.1:0.4:2"],
+    ["dissipation", "--law", "mhd-energy", "--h", "h.fld", "--eps", "0.3:0.3:1",
+     "--radial-nodes", 4],
+], ids=["analyze", "analyze-omega", "dissipation"])
+def test_no_input_field_outlives_the_engine_build(tmp_path, field_files, monkeypatch, verb):
+    # Every field read from a file is freed once the engine holds what it
+    # reads of it, before any row is built (no collector run: refcounts).
+    import weakref
+
+    v, h = field_files
+    write_field(curl(read_field(v)), tmp_path / "w.fld")
+    refs, alive = [], []
+
+    def read(path):
+        fld = read_field(path)
+        refs.extend([weakref.ref(fld), weakref.ref(fld.values)])
+        return fld
+
+    def build_rows(engine, triples):
+        alive.append(sum(ref() is not None for ref in refs))
+        return build(engine, triples)
+
+    build = _kernels.StatsEngine._build_rows
+    monkeypatch.setattr(cli, "read_field", read)
+    monkeypatch.setattr(_kernels.StatsEngine, "_build_rows", build_rows)
+    monkeypatch.chdir(tmp_path)
+    assert run(verb + ["--v", v, "--dirs", "icosa:0", "--out", "out"]) == 0
+    assert len(refs) == (4 if "--omega" in verb or "--h" in verb else 2)
+    assert alive and set(alive) == {0}
+
+
+def test_stage_seconds_outside_hash(tmp_path, field_files):
+    v, _ = field_files
+    stages = {"engine_build", "row_build", "evaluation", "radial_assembly"}
+    for name, argv in (
+        ("a", ["analyze", "--law", "helicity", "--v", v, "--scales", "0.1:0.4:2"]),
+        ("d", ["dissipation", "--law", "helicity", "--v", v, "--eps", "0.3:0.3:1",
+               "--radial-nodes", 4]),
+        ("v", ["verify", "--suite", "ballshell", "--n", 16]),
+    ):
+        assert run(argv + ["--dirs", "icosa:0", "--out", tmp_path / name]) == 0
+        payload = json.loads((tmp_path / f"{name}.json").read_text())
+        seconds = payload["provenance"]["stage_seconds"]
+        assert set(seconds) == stages
+        assert all(s >= 0.0 for s in seconds.values())
+        provenance = {k: x for k, x in payload["provenance"].items() if k != "stage_seconds"}
+        assert canonical_hash({**payload, "provenance": provenance}) == canonical_hash(payload)
 
 
 class TestAnalyze:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from exactlaws import _kernels
+from exactlaws import _kernels, grid
 from exactlaws._kernels import CurlOf, LawKind, StatsEngine, term_means
 from exactlaws.geometry import DirectionSet, direction_set_icosa, direction_set_random
 from exactlaws.grid import VectorField3, _wavenumbers, curl, make_grid
@@ -582,12 +582,116 @@ def test_batched_transforms_match_one_at_a_time(monkeypatch):
     assert batched.describe()["pair_products"] == components * (components + 1) // 2
     given = 2  # the forward transforms of v and h; w is CurlOf("v")
     assert batched.transform_calls == given + 2  # m = 10: one batch of each
-    assert single.transform_calls == given + components + len(single._products)
-    assert batched._products.keys() == single._products.keys()
-    for pair, values in batched._products.items():
-        assert np.array_equal(values, single._products[pair])
+    pairs = single.describe()["pair_products"]
+    assert pairs == batched.describe()["pair_products"]
+    assert single.transform_calls == given + components + pairs
+    # The products are dropped once the rows exist; rows built from them
+    # keep every bit, so the products did.
     assert np.array_equal(batched._row_index, single._row_index)
     assert np.array_equal(batched._coeffs, single._coeffs)
+
+
+def test_no_band_field_or_product_outlives_the_row_build(monkeypatch):
+    # Each band component and each product batch is freed by the time
+    # _build_rows returns, on a first and on a later call; rows built later
+    # transform again the products they read.
+    import weakref
+
+    g, fields = derived_fields()
+    engine = StatsEngine(g, fields)
+    made = []
+
+    def tracked(method):
+        def inner(self, *args):
+            out = method(self, *args)
+            made.append(weakref.ref(out))
+            return out
+        return inner
+
+    for name in ("_band_components", "_product_batch"):
+        monkeypatch.setattr(StatsEngine, name, tracked(getattr(StatsEngine, name)))
+    for triples in ([(0, 0, 0), (0, 4, 7)], None):
+        before = len(made)
+        engine.moments(np.zeros((1, 3)), triples)
+        assert len(made) > before
+        assert all(ref() is None for ref in made)
+
+
+def transform_reference(fields: list):
+    """The whole-grid path the engine's input transform replaces: (kmax,
+    stored spectra) from ``_rfftn`` and ``_active_modes`` of each field."""
+    n = fields[0].shape[-1]
+    specs, masks = [], []
+    for values in fields:
+        spec = grid._rfftn(values)
+        active = _kernels._active_modes(spec)
+        active[0, 0, 0] = False
+        if active.any():
+            specs.append(spec)
+            masks.append(active)
+    kmax = max((_kernels._support_radius(a, n) for a in masks), default=0)
+    m = _kernels._reduced_size(kmax, n)
+    if not specs or m <= 3 * kmax:
+        return kmax, specs
+    at = np.nonzero(np.logical_or.reduce(masks))
+    stored = [spec[(Ellipsis, *at)] for spec in specs]
+    for spec in stored:
+        if m < n:
+            spec *= (m / n) ** 3
+    return kmax, stored
+
+
+FIELD_KINDS = ("band-limited", "faint-shells", "white-noise", "zero", "mean-only",
+               "one-zero-component")
+
+
+def input_field(kind, n, seed, kmax):
+    rng = np.random.default_rng(seed)
+    if kind == "white-noise":
+        return rng.standard_normal((3, n, n, n))
+    if kind == "zero":
+        return np.zeros((3, n, n, n))
+    if kind == "mean-only":
+        return np.broadcast_to(rng.standard_normal((3, 1, 1, 1)), (3, n, n, n)).copy()
+    v = random_solenoidal(make_grid(n), SpectrumSpec(-5.0 / 3.0, 1, kmax, 1.0, seed)).values
+    if kind == "faint-shells":  # active shells 1e-9 below the others
+        inner = SpectrumSpec(-5.0 / 3.0, 1, max(1, kmax // 2), 1.0, seed + 1)
+        return random_solenoidal(make_grid(n), inner).values + 1e-9 * v
+    if kind == "one-zero-component":
+        v = v.copy()
+        v[2] = 0.0
+    return v
+
+
+@settings(max_examples=30, deadline=None)
+@example(n=16, kinds=("band-limited", "band-limited"), seed=3, kmaxes=(2, 5))
+@example(n=24, kinds=("faint-shells",), seed=4, kmaxes=(8, 1))
+@example(n=12, kinds=("white-noise",), seed=1, kmaxes=(3,))
+@example(n=8, kinds=("zero", "mean-only"), seed=2, kmaxes=(1, 1))
+@given(
+    n=st.sampled_from([8, 12, 16, 24]),
+    kinds=st.lists(st.sampled_from(FIELD_KINDS), min_size=1, max_size=2),
+    seed=st.integers(0, 2**16),
+    kmaxes=st.tuples(st.integers(1, 11), st.integers(1, 11)),
+)
+def test_input_transform_matches_the_whole_grid_transform(n, kinds, seed, kmaxes):
+    # Transformed one component at a time on the lines that can hold an
+    # active mode, the given fields give the mask, kmax and stored modes of
+    # the whole-grid transform bit for bit: band-limited fields (two of them
+    # with different bands, whose union reaches lines one of them skipped),
+    # active shells far below the rest, white noise, the zero field, a mean
+    # and a field with a zero component.
+    fields = [input_field(kind, n, seed + i, min(k, n // 3))
+              for i, (kind, k) in enumerate(zip(kinds, kmaxes))]
+    for values in fields:
+        lines, active = _kernels._input_transform(values)
+        assert np.array_equal(active, _kernels._active_modes(grid._rfftn(values)))
+    engine = StatsEngine(make_grid(n), {f"f{i}": values for i, values in enumerate(fields)})
+    kmax, stored = transform_reference(fields)
+    assert engine.kmax == kmax
+    expected = np.concatenate(stored) if stored else np.zeros((0,) + engine._fields.shape[1:])
+    assert engine._fields.shape == expected.shape
+    assert engine._fields.tobytes() == expected.tobytes()
 
 
 def column_fields(seed=3):

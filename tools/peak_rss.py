@@ -1,0 +1,109 @@
+"""Peak memory of one ``exactlaws`` command, in total and per engine stage.
+
+    python tools/peak_rss.py TREE -- ARGS...    # TREE holds src/exactlaws
+
+Runs ``exactlaws ARGS`` twice, each time in a fresh interpreter on TREE's
+package, with one OpenMP and one OpenBLAS thread and no bytecode written:
+
+* untraced, for the peak resident set size of the process (``ru_maxrss``),
+  which counts the interpreter, numpy and the BLAS as well as the arrays;
+* under ``tracemalloc``, for the traced peak of each engine stage: the most
+  memory numpy and Python held at once while the stage ran, whatever the
+  stage allocated itself.  The stages are ``StatsEngine.__init__`` (engine
+  build), ``StatsEngine._build_rows`` (row build) and
+  ``_kernels.angular_term_sums`` (evaluation), each counted over its own
+  time: a stage entered inside another stops the other's count until it
+  returns.  ``rest`` is the traced peak outside every stage.
+
+Prints one line per number and, last, the JSON of both runs.  The command's
+own output goes to standard error.  Only functions both older and newer trees
+define are wrapped, so two trees can be compared with the same tool.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+STAGES = (("engine_build", "StatsEngine", "__init__"),
+          ("row_build", "StatsEngine", "_build_rows"),
+          ("evaluation", None, "angular_term_sums"))
+
+
+def worker(traced: bool, argv: list[str]) -> None:
+    """Run the command in this process and print the result as the last line."""
+    import contextlib
+    import functools
+    import resource
+    import tracemalloc
+
+    from exactlaws import _kernels
+    from exactlaws.cli import main
+
+    peaks, open_stages = {}, []
+
+    def charge():
+        """Add the traced peak since the last charge to the innermost open
+        stage, or to ``rest``, and start a new interval."""
+        name = open_stages[-1] if open_stages else "rest"
+        peaks[name] = max(peaks.get(name, 0), tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+
+    def wrap(name, func):
+        @functools.wraps(func)
+        def inner(*args, **kwargs):
+            charge()
+            open_stages.append(name)
+            try:
+                return func(*args, **kwargs)
+            finally:
+                charge()
+                open_stages.pop()
+        return inner
+
+    if traced:
+        for name, owner, attr in STAGES:
+            target = _kernels if owner is None else getattr(_kernels, owner)
+            setattr(target, attr, wrap(name, getattr(target, attr)))
+        tracemalloc.start()
+    with contextlib.redirect_stdout(sys.stderr):
+        code = main(argv)
+    result = {"exit": code}
+    if traced:
+        charge()
+        result["traced_peak_mb"] = {name: peak / 2**20 for name, peak in peaks.items()}
+    else:
+        result["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    print(json.dumps(result))
+
+
+def measure(tree: Path, argv: list[str], traced: bool) -> dict:
+    env = {**os.environ, "PYTHONPATH": str(tree.resolve() / "src"), "OMP_NUM_THREADS": "1",
+           "OPENBLAS_NUM_THREADS": "1", "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, __file__, "worker", str(int(traced)), *argv],
+                          env=env, stdout=subprocess.PIPE, text=True, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def main() -> int:
+    args = sys.argv[1:]
+    if args[:1] == ["worker"]:
+        worker(bool(int(args[1])), args[2:])
+        return 0
+    if len(args) < 3 or args[1] != "--":
+        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    tree, argv = Path(args[0]), args[2:]
+    untraced, traced = measure(tree, argv, False), measure(tree, argv, True)
+    print(f"peak_rss_mb {untraced['peak_rss_mb']:.1f}")
+    for name, peak in traced["traced_peak_mb"].items():
+        print(f"traced_peak_mb.{name} {peak:.1f}")
+    print(json.dumps({"untraced": untraced, "traced": traced}))
+    return 0 if untraced["exit"] == traced["exit"] == 0 else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
