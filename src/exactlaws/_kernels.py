@@ -36,11 +36,11 @@ Two evaluation paths share that reduced grid:
   (kx, ky)), zero where no mode lies.  exp(i k.l) factors per axis, so every
   radius sums its modes by column: all directions at one radius cost one
   matrix product per kz plane and block of directions, and (columns + kz
-  planes) x directions sines, with no transform.  The law's term means are
-  contractions of M.  While columns x directions x radii fit in ``_BATCH``,
-  whole radii of a ladder share one pass of per-column phases and
-  contractions; each radius keeps its own products, which leaves its values
-  bitwise those of a ladder of its own.
+  planes) x directions half phases exp(i x/2), with no transform; sin x - x
+  is the one Taylor series they leave.  The law's term means are contractions
+  of M.  While columns x directions x radii fit in ``_BATCH``, whole radii of
+  a ladder share one pass of per-column phases and contractions; each radius
+  keeps its own products, which leaves its values bitwise those of its own ladder.
   A row is built the first time a request reads it and kept for the rest
   of the engine's life, so a radius or epsilon ladder builds each row once
   and a law never pays for the rows of the others (helicity reads 18 of the
@@ -358,34 +358,27 @@ def _reduced_size(kmax: int, n: int) -> int:
     return 2 * half if 2 * half < n else n
 
 
-# (-1)^j / (2j + 1)! and (-1)^j / (2j)! for j = 1..9: the Taylor series of
-# sin(x) - x and of cos(x) - 1 in powers of x^2; at |x| = 1 the first omitted
-# terms are 1.2e-19 and 8.2e-19 of the leading ones.
-_SIN_SERIES = tuple((-1.0) ** j / float(np.prod(np.arange(1, 2 * j + 2))) for j in range(1, 10))
-_COS_SERIES = tuple((-1.0) ** j / float(np.prod(np.arange(1, 2 * j + 1))) for j in range(1, 10))
+# (-1)^j / (2j + 1)! for j = 9..1: the Taylor series of sin(x) - x in powers
+# of x^2; at |x| = 1 the first omitted term is 1.2e-19 of the leading one.
+_SIN_SERIES = tuple((-1.0) ** j / float(np.prod(np.arange(1, 2 * j + 2))) for j in range(9, 0, -1))
 
 
-def _below_one(x: np.ndarray, out: np.ndarray, series, odd: bool) -> np.ndarray:
-    """``out`` with its entries at |x| < 1 set to the Taylor series ``series``
-    in x^2, times x^2 and, when ``odd``, x."""
+def _sin_minus_x(x: np.ndarray, sin=None) -> np.ndarray:
+    """sin(x) - x to full relative precision, by its Taylor series for |x| < 1;
+    ``sin`` is sin(x) where it is known already."""
+    out = (np.sin(x) if sin is None else sin) - x
     small = np.abs(x) < 1.0
     xs = x[small]
     x2 = xs * xs
-    acc = np.full_like(xs, series[-1])
-    for c in series[-2::-1]:
-        acc = acc * x2 + c
-    out[small] = acc * x2 * xs if odd else acc * x2
+    out[small] = np.polyval(_SIN_SERIES, x2) * x2 * xs
     return out
 
 
-def _sin_minus_x(x: np.ndarray) -> np.ndarray:
-    """sin(x) - x to full relative precision, by its Taylor series for |x| < 1."""
-    return _below_one(x, np.sin(x) - x, _SIN_SERIES, True)
-
-
-def _cos_minus_one(x: np.ndarray) -> np.ndarray:
-    """cos(x) - 1 to full relative precision, by its Taylor series for |x| < 1."""
-    return _below_one(x, np.cos(x) - 1.0, _COS_SERIES, False)
+def _half_angle(x: np.ndarray, half: np.ndarray) -> tuple:
+    """(sin x - x, cos x - 1, sin x) from x and its half phase h = exp(i x/2), to
+    full relative precision: cos x - 1 = -2 Im(h)^2, sin x = 2 Im(h) Re(h)."""
+    sin = 2.0 * half.imag * half.real
+    return _sin_minus_x(x, sin), -2.0 * half.imag * half.imag, sin
 
 
 @dataclass(frozen=True)
@@ -726,11 +719,12 @@ class StatsEngine:
         keeps full relative precision at any radius.  The modes therefore sum
         to one matrix product per kz plane of G's (plane, column) table with
         the columns' s(a), c(a), kx, ky and 1 (a is linear in l), weighted
-        per plane.  Each rung's separations are taken in blocks whose
-        columns x separations tables hold at most ``_MOMENT_BLOCK`` elements;
-        the per-column phases of a block are taken for all rungs at once, and
-        each rung has its own products, counted in ``column_passes``, so its
-        values do not depend on the other rungs.
+        per plane; s, c and sin come from the half phases exp(i a/2), a
+        product of per-axis ones, and exp(i b/2).  Each rung is taken in
+        blocks whose columns x separations tables hold at most
+        ``_MOMENT_BLOCK`` elements, the half phases of a block for all rungs
+        at once; each rung has its own products, counted in
+        ``column_passes``, so its values do not depend on the other rungs.
         """
         if not self.alias_free:
             raise ValueError("the sine series needs an alias-free grid (m > 3*kmax)")
@@ -754,25 +748,25 @@ class StatsEngine:
             block = rungs[:, s : s + step]  # (R, B, 3)
             width = block.shape[1]
             lx, ly = block[:, None, :, 0], block[:, None, :, 1]  # (R, 1, B)
-            # sin a and cos a from the per-axis phases, their series below |a| = 1.
+            # s(a) and c(a) from the products of the per-axis half phases.
             a = kx[:, None] * lx + ky[:, None] * ly  # (R, columns, B)
-            phase = np.exp(1j * axis[:, None] * lx)[:, ox] * np.exp(1j * axis[:, None] * ly)[:, oy]
-            sin_a = _below_one(a, phase.imag - a, _SIN_SERIES, True)
-            cos_a = _below_one(a, phase.real - 1.0, _COS_SERIES, False)
+            s_a, c_a, _ = _half_angle(a, np.exp(0.5j * axis[:, None] * lx)[:, ox]
+                                      * np.exp(0.5j * axis[:, None] * ly)[:, oy])
             # One product per rung and plane, (R, planes, 2B + 3, rows): a
             # single (planes x rows) product touched more of the BLAS buffers,
             # and so of the peak resident memory.
-            trig = np.concatenate([sin_a, cos_a, np.broadcast_to(linear, (count,) + linear.shape)],
+            trig = np.concatenate([s_a, c_a, np.broadcast_to(linear, (count,) + linear.shape)],
                                   axis=2)
             sums = np.swapaxes(trig, 1, 2)[:, None] @ table
             b = kz[:, None] * block[:, None, :, 2]  # (R, planes, B)
+            s_b, c_b, sin_b = _half_angle(b, np.exp(0.5j * b))
             by_plane = sums[:, :, : 2 * width].reshape(count, len(kz), 2, width, -1)
-            cb = np.swapaxes(_cos_minus_one(b), 1, 2)
+            cb = np.swapaxes(c_b, 1, 2)
             rows[:-2, :, s : s + step] = np.moveaxis(
-                np.einsum("ipjsr,jips->isr", by_plane, np.stack([np.cos(b), np.sin(b)]))
+                np.einsum("ipjsr,jips->isr", by_plane, np.stack([1.0 + c_b, sin_b]))
                 + block[:, :, 0:1] * (cb @ sums[:, :, -3])
                 + block[:, :, 1:2] * (cb @ sums[:, :, -2])
-                + np.swapaxes(_sin_minus_x(b), 1, 2) @ sums[:, :, -1],
+                + np.swapaxes(s_b, 1, 2) @ sums[:, :, -1],
                 -1, 0,
             )
             self.column_passes += count

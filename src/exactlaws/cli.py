@@ -629,7 +629,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--omega", help="vorticity file; default curl of velocity")
         p.add_argument("--h", help="magnetic field file (EXL1)")
         p.add_argument("--dirs", default=DEFAULT_DIRECTIONS,
-                       help="icosa:LEVEL or random:COUNT:SEED")
+                       help="icosa:LEVEL (equal weights: exact to degree 5 only, no "
+                            "convergence to the sphere average; hydro-energy on the README's "
+                            "n=64 field is 0.50-9.2%% off at 2, 0.40-7.8%% at 4) or "
+                            "random:COUNT:SEED")
         report_out(p, out)
 
     p = add_parser("gen", help="generate a solenoidal field file")

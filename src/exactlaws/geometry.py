@@ -127,7 +127,9 @@ def direction_set_icosa(level: int) -> DirectionSet:
 
     Level 0 is the bare icosahedron (12 vertices); each level quadruples the
     faces, giving 12, 42, 162, 642, ... nodes.  Midpoint subdivision preserves
-    the exact antipodal symmetry of the base solid.
+    the exact antipodal symmetry of the base solid.  Equal weights are exact to
+    degree 5 only and do not converge to the sphere average: on the README's
+    n=64 field hydro-energy is 0.50-9.2 % off at level 2, 0.40-7.8 % at level 4.
     """
     if not 0 <= level <= 5:
         raise ValueError("icosahedron subdivision level must be in 0..5")
