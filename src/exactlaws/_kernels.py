@@ -48,7 +48,9 @@ Two evaluation paths share that reduced grid:
   for its build alone.
 * per-shift FFT, otherwise.  Each separation costs an inverse transform of
   the shifted spectra, one axis at a time into buffers the engine keeps,
-  and a pointwise kernel pass.  The phase factors are separable, so
+  and a pointwise kernel pass: fixed-order ``einsum`` contractions that make
+  one pass each and call no BLAS, so its bits do not depend on the BLAS
+  thread count.  The phase factors are separable, so
   separations with equal x, or equal (x, y), components share the first
   passes; the directions are visited in that order.  This is the case for
   full-spectrum input (e.g. white noise, m = n), where the report value is
@@ -533,7 +535,9 @@ class StatsEngine:
         # are scattered from the stored modes on first use.
         self._spectra = None if self.alias_free else self._fields
         self._base = None  # field values on the reduced grid, on first use
-        self._passes = None  # buffers of the last x pass and xy pass, and the z pass's output
+        # Buffers of the last x pass and xy pass, one component's z pass input
+        # and the z pass's output.
+        self._passes = None
         self._keys = (None, None)  # the l_x and (l_x, l_y) the buffers hold
         self.pair_products = 0  # pair products transformed, each dropped with its row build
         self._coeffs = np.zeros(table + (0,))  # the G rows built so far, (planes, columns, rows)
@@ -587,7 +591,10 @@ class StatsEngine:
         The inverse transform runs one axis at a time, each pass after the
         phase factor of its axis.  The x pass depends on l_x only and the xy
         pass on (l_x, l_y), so each is kept, in a buffer reused between calls,
-        and reused while those components repeat (exact float equality).
+        and reused while those components repeat (exact float equality).  The
+        z pass runs one component at a time, after the z phase is applied into
+        a third kept buffer of one component's size, so a call allocates no
+        whole-grid array; each line is transformed as in one batch, bit for bit.
         ``count`` adds the passes made to ``inverse_passes``.
         """
         m = self.m
@@ -597,15 +604,17 @@ class StatsEngine:
         px, py, pz = _axis_phases(self.grid, ell, m)
         if self._passes is None:
             self._passes = (np.empty_like(self._spectra), np.empty_like(self._spectra),
+                            np.empty_like(self._spectra[0]),
                             np.empty(self._spectra.shape[:-1] + (m,)))
-        x, xy, out = self._passes
+        x, xy, z, out = self._passes
         keys = (float(ell[0]), (float(ell[0]), float(ell[1])))
         made = {"x": keys[0] != self._keys[0], "xy": keys[1] != self._keys[1], "z": True}
         if made["x"]:
             np.fft.ifft(np.multiply(self._spectra, px[:, None, None], out=x), axis=1, out=x)
         if made["xy"]:
             np.fft.ifft(np.multiply(x, py[:, None], out=xy), axis=2, out=xy)
-        np.fft.irfft(xy * pz, n=m, axis=3, out=out)
+        for comp, dest in zip(xy, out):
+            np.fft.irfft(np.multiply(comp, pz, out=z), n=m, axis=2, out=dest)
         self._keys = keys
         if count:
             for axis, done in made.items():
@@ -799,22 +808,25 @@ def term_means(law: LawKind, da, db, nhat) -> tuple[float, float, float, float, 
     ``da`` is the increment of the primary (velocity-like) field, ``db`` of
     the paired field, both flat (3, M) or None for the zero field; the pieces
     are volume means over the M points.  A piece that touches the zero field
-    is exactly 0.0 and is not evaluated.
+    is exactly 0.0 and is not evaluated.  Each reduction is an ``einsum``
+    contraction without ``optimize`` (which may route it through a BLAS
+    product): one pass in a fixed order, with no temporary but n.d, so the
+    bits do not depend on the BLAS thread count.
     """
     delta = {"a": da, "b": db}
-    nd = {c: None if d is None else nhat @ d for c, d in delta.items()}
+    nd = {c: None if d is None else np.einsum("i,ij->j", nhat, d) for c, d in delta.items()}
 
     def cube(p):
         if any(delta[c] is None for c in p):
             return 0.0
         x, y, z = (nd[c] for c in p)
-        return float(x @ (y * z)) / x.size
+        return float(np.einsum("j,j,j->", x, y, z)) / x.size
 
     def trace(p):
         if any(delta[c] is None for c in p):
             return 0.0
         x, y, z = p
-        return float(np.vdot(delta[y], delta[z] * nd[x])) / nd[x].size
+        return float(np.einsum("ij,ij,j->", delta[y], delta[z], nd[x])) / nd[x].size
 
     return _law_terms(law, cube, trace)
 

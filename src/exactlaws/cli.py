@@ -156,6 +156,10 @@ def parse_ladder(text: str) -> list[float]:
 # The defaults of dissipation's --eps and --quad-match-tol, and of verify's.
 EPS_LADDER = "0.2:0.8:3"
 QUAD_MATCH_TOL = 1e-10
+# The help of every verb's --dirs (argparse text: %% prints %).
+_DIRS_HELP = ("icosa:LEVEL (equal weights: exact to degree 5 only, no convergence to the "
+              "sphere average; hydro-energy on the README's n=64 field is 0.50-9.2%% off at "
+              "2, 0.40-7.8%% at 4) or random:COUNT:SEED")
 
 
 _EXPECTED_ROWS = {
@@ -349,20 +353,29 @@ class VerifyConfig:
     on first use.  None is a field, so none is a flag or in the reported config.
     """
 
-    suite: str = field(default="all", metadata={"choices": ("all", *_SUITES)})
-    n: int = 32
-    length: float = _default(make_grid, "length")
+    suite: str = field(default="all", metadata={
+        "choices": ("all", *_SUITES), "help": "the suite to run, or all of them"})
+    n: int = field(default=32, metadata={
+        "help": "grid points per axis of the suites' fields (even)"})
+    length: float = field(default=_default(make_grid, "length"), metadata={
+        "help": "side of the periodic box"})
     seed: int = 0
-    dirs: str = DEFAULT_DIRECTIONS
-    radial_nodes: int = RADIAL_NODES
+    dirs: str = field(default=DEFAULT_DIRECTIONS, metadata={"help": _DIRS_HELP})
+    radial_nodes: int = field(default=RADIAL_NODES, metadata={
+        "help": "radial quadrature nodes of the ballshell suite"})
     eps_ladder: tuple[float, ...] = field(  # --eps lo:hi:count, see parse_ladder
         default=tuple(parse_ladder(EPS_LADDER)),
-        metadata={"flag": "eps", "type": str, "default": EPS_LADDER},
+        metadata={"flag": "eps", "type": str, "default": EPS_LADDER,
+                  "help": "geometric ladder lo:hi:count of the ballshell suite's epsilons"},
     )
-    identity_tol: float = 1e-10
-    quad_match_tol: float = QUAD_MATCH_TOL
-    degeneracy_tol: float = 1e-12
-    slope_min: float = 1.9
+    identity_tol: float = field(default=1e-10, metadata={
+        "help": "largest relative error of the identity suite's random samples"})
+    quad_match_tol: float = field(default=QUAD_MATCH_TOL, metadata={
+        "help": "largest relative ball/shell gap of the ballshell suite"})
+    degeneracy_tol: float = field(default=1e-12, metadata={
+        "help": "largest alignment residual of the degeneracy suite, in units of rms(v)^3"})
+    slope_min: float = field(default=1.9, metadata={
+        "help": "smallest slope and extrapolation order the smooth suite's fits must reach"})
 
     def __post_init__(self):
         for name in ("identity_tol", "quad_match_tol", "degeneracy_tol"):
@@ -628,11 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--v", required=True, help="velocity field file (EXL1)")
         p.add_argument("--omega", help="vorticity file; default curl of velocity")
         p.add_argument("--h", help="magnetic field file (EXL1)")
-        p.add_argument("--dirs", default=DEFAULT_DIRECTIONS,
-                       help="icosa:LEVEL (equal weights: exact to degree 5 only, no "
-                            "convergence to the sphere average; hydro-energy on the README's "
-                            "n=64 field is 0.50-9.2%% off at 2, 0.40-7.8%% at 4) or "
-                            "random:COUNT:SEED")
+        p.add_argument("--dirs", default=DEFAULT_DIRECTIONS, help=_DIRS_HELP)
         report_out(p, out)
 
     p = add_parser("gen", help="generate a solenoidal field file")

@@ -212,11 +212,11 @@ def test_criterion_5_smooth_field_limits_as_stated():
     record(5, "smooth-field limits (single-mode flow)", ok,
            f"slopes ({fit_h.slope:.2f}, {fit_e.slope:.2f}), orders "
            f"({orders['helicity']}, {orders['mhd-energy']}), monotone={monotone}; "
-           f"peak |S_HL| = {peak:.1e} (round-off scale), {elapsed:.1f}s")
+           f"peak |S_HL| = {peak:.1e} (exact zeros), {elapsed:.1f}s")
     assert fit_h.slope >= 1.9, (
         f"slope {fit_h.slope:.3f}: the flow has no closed wavevector triads, its "
         f"third-order statistics are identically zero (peak |S_HL| = {peak:.1e}), "
-        "so the fit sees only round-off noise"
+        "so the fit sees only exact zeros"
     )
     assert fit_e.slope >= 1.9
     assert all(o is not None and o >= 1.9 for o in orders.values())

@@ -1,8 +1,13 @@
-"""End-to-end command-line tests (in-process)."""
+"""End-to-end command-line tests (in-process, except where a test needs a
+fresh interpreter)."""
 
 import dataclasses
 import inspect
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -365,6 +370,15 @@ class TestDissipation:
 
 
 class TestVerify:
+    def test_every_flag_has_help(self):
+        # VerifyConfig's fields become flags with their "help" metadata.
+        verify = subparser("verify")
+        assert [a.dest for a in verify._actions if a.option_strings and not a.help] == []
+        dirs = {verb: next(a.help for a in subparser(verb)._actions if a.dest == "dirs")
+                for verb in ("analyze", "dissipation", "verify")}
+        assert len(set(dirs.values())) == 1
+        assert "degree 5" in dirs["verify"]
+
     def test_identity_suite(self, tmp_path):
         rc = run(["verify", "--suite", "identity", "--out", tmp_path / "r.json"])
         assert rc == 0
@@ -661,6 +675,38 @@ class TestSelftest:
         payload = json.loads((tmp_path / "self.json").read_text())
         assert payload["verdict"]["pass"] is True
         assert all("measured" in c for c in payload["verdict"]["checks"])
+
+
+def test_per_shift_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # White noise takes the per-shift path, whose kernel contractions make no
+    # BLAS call.  Each report runs in a fresh interpreter, as the BLAS reads
+    # its thread count at load.  Band-limited input stays out: the sine
+    # series' per-plane products still go through the BLAS.
+    for name, key in (("v", 3), ("h", 4)):
+        rng = np.random.Generator(np.random.Philox(key=[key, 16]))
+        write_field(VectorField3(make_grid(16), rng.standard_normal((3, 16, 16, 16))),
+                    tmp_path / f"{name}.fld")
+    v, h = tmp_path / "v.fld", tmp_path / "h.fld"
+    reports = {
+        "analyze": ["analyze", "--law", "mhd-energy", "--v", v, "--h", h,
+                    "--scales", "0.1:0.8:3", "--dirs", "icosa:1"],
+        "dissipation": ["dissipation", "--law", "helicity", "--v", v,
+                        "--dirs", "icosa:1", "--radial-nodes", 8],
+    }
+    path = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]),
+                                         os.environ.get("PYTHONPATH")]))
+    hashes = {}
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": path}
+        for label, args in reports.items():
+            out = tmp_path / f"{label}-{threads}"
+            subprocess.run([sys.executable, "-m", "exactlaws.cli", *map(str, args),
+                            "--out", str(out)],
+                           env=env, check=True, capture_output=True, timeout=120)
+            hashes[label, threads] = canonical_hash(json.loads(Path(f"{out}.json").read_text()))
+    for label in reports:
+        assert hashes[label, "1"] == hashes[label, "2"], label
 
 
 def test_main_builds_one_parser_per_process(monkeypatch, tmp_path):

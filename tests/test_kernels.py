@@ -838,6 +838,29 @@ def test_per_shift_build_keeps_one_spectrum():
     assert peak <= 1.5 * engine._fields.nbytes
 
 
+def test_per_shift_separation_allocates_no_whole_grid_array():
+    # After the first separation has made the kept buffers, a separation and
+    # its kernel pass allocate the two n.d arrays of one component's size and
+    # small ones: the z pass goes one component at a time through a kept
+    # buffer and the trace pieces are one-pass contractions.
+    n = 32
+    g = make_grid(n)
+    rng = np.random.default_rng(5)
+    engine = StatsEngine(g, {"a": rng.standard_normal((3, n, n, n)),
+                             "b": rng.standard_normal((3, n, n, n))})
+    assert engine.evaluation == "per-shift-fft"
+    nhat = np.array([0.0, 0.6, 0.8])
+    engine.increments(np.array([0.1, 0.2, 0.3]))
+    tracemalloc.start()
+    try:
+        deltas = engine.increments(np.array([0.1, 0.2, 0.4]))
+        term_means(LawKind.MHD_ENERGY, deltas["a"], deltas["b"], nhat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * n**3 * 8
+
+
 @pytest.mark.parametrize("law", ALL_LAWS)
 @pytest.mark.parametrize(
     "b", [np.arange(3, 6), np.arange(3), np.full(3, 3)], ids=["distinct", "equal", "zero"]
