@@ -10,23 +10,23 @@ works on the smallest such grid (m points per axis), which the given fields
 fix.
 
 On an alias-free grid the engine keeps each field only at the K active
-modes, the union of the fields' active masks: the values are gathered once
-from the field's spectrum, the cut to the m-grid and its (m/n)^3 scale
-being an index map.  That spectrum is taken one component at a time, and
-only on the lines that can hold an active mode, so no whole-grid spectrum
-of a field exists.  Curls, the pair weights and each mode's place in the
-(kz plane, column) table are fixed at build, and no whole-grid array
-outlives the step that reads it: one step builds the rows a request lacks,
-inverting each band-limited component once, in batches of consecutive
-components through one band box, when a pair product first reads it and
-dropping it after the last, transforming the pair products in batches,
-each holding at most ``_BATCH`` grid points, and dropping them once the
-rows exist.  Both transforms are ``grid``'s band-box forms, which run
+modes, the union of the fields' active masks, gathered once from the field's
+spectrum, the cut to the m-grid and its (m/n)^3 scale being an index map;
+otherwise (m = n) it keeps each field's whole spectrum.  On an alias-free
+grid that spectrum is taken one component at a time, and only on the lines
+that can hold an active mode, so no whole-grid spectrum of a field exists.
+Curls, the pair weights and each mode's place in the (kz plane, column)
+table are fixed at build, and no whole-grid array outlives the step that
+reads it: one step, ``StatsEngine._build_rows``, builds the rows a request
+lacks, inverting each band-limited component once, in batches of
+consecutive components through one band box, when a pair product first
+reads it and dropping it after the last, transforming the pair products in
+batches, each holding at most ``_BATCH`` grid points, and dropping them once
+the rows exist.  Both transforms are ``grid``'s band-box forms, which run
 their passes only on the lines that hold a mode of the box |kx|, |ky|,
-kz <= kmax and give the whole-grid values there bit for bit.
-The directions of one radius are evaluated in blocks whose columns x block
-temporaries hold at most ``_MOMENT_BLOCK`` elements.  Otherwise (m = n)
-each field is kept as its whole spectrum.
+kz <= kmax and give the whole-grid values there bit for bit.  ``moments``
+evaluates the rows built, the directions of one radius in blocks whose
+columns x block temporaries hold at most ``_MOMENT_BLOCK`` elements.
 
 Two evaluation paths share that reduced grid:
 
@@ -402,19 +402,19 @@ class StatsEngine:
     ``fields`` maps names to VectorField3 (or raw (3, n, n, n) arrays) or to
     ``CurlOf`` an earlier name; a None entry, an all-zero field and a field
     without modes besides its mean all stand for the zero field.  Names
-    holding the same values share one set of component rows; raw arrays must
-    be finite.  The given fields fix the reduced grid.  On an alias-free grid
-    (``alias_free``: m > 3*kmax) each distinct field is kept as its values at
-    the K modes of the union of the active masks, and ``moments`` gives the
-    third moments of the increments at many separations by column sums, one
-    matrix product per kz plane and block of directions; the rows of G behind
-    it are built from their pair products in one step on first use, only for
-    the component triples asked for, and kept for later calls in (kz plane,
-    column) layout, the products dropped.  Otherwise each field is kept as its
-    whole spectrum on the m-grid, and ``increments`` costs at most one inverse
-    pass per axis and separation vector, fewer when consecutive separations
-    share components.  A curl is taken from its source's stored spectrum,
-    within the source's mask.
+    holding the same values share one set of component rows; a VectorField3
+    must live on ``grid``, and raw arrays must be finite.  The given fields
+    fix the reduced grid.  On an alias-free grid (``alias_free``: m > 3*kmax)
+    each distinct field is kept at the K modes of the union of the active
+    masks; ``_build_rows``, the one row builder, builds the rows of G asked
+    for from their pair products in one step and keeps them in (kz plane,
+    column) layout, the products dropped, and ``moments`` evaluates the
+    built rows over ladders of separations by column sums, one matrix
+    product per kz plane and block of directions.  Otherwise each field is
+    kept as its whole spectrum on the m-grid, and ``increments`` costs at
+    most one inverse pass per axis and separation vector, fewer when
+    consecutive separations share components.  A curl is taken from its
+    source's stored spectrum, within the source's mask.
     ``evaluation`` names the path ``angular_term_sums`` takes: "sine-series"
     or "per-shift-fft".  ``separations`` counts the separations evaluated,
     ``inverse_passes`` the inverse passes per axis, ``transform_calls`` the
@@ -442,7 +442,7 @@ class StatsEngine:
             if fld is None or isinstance(fld, CurlOf):
                 continue
             values = fld.values if isinstance(fld, VectorField3) else np.asarray(fld)
-            if values.shape != (3, n, n, n):
+            if values.shape != (3, n, n, n) or isinstance(fld, VectorField3) and fld.grid != grid:
                 raise ValueError(f"field {name!r} does not match the grid")
             if not (isinstance(fld, VectorField3) or np.isfinite(values).all()):
                 raise ValueError(f"field {name!r} has non-finite values")
@@ -469,14 +469,16 @@ class StatsEngine:
             union = reduce(np.logical_or, [active for _, _, active in given],
                            np.zeros((n, n, n // 2 + 1), dtype=bool))
             at = np.nonzero(union)
-            # The same modes on the m-grid: the negative wavenumbers of the
-            # two full axes move from index n - k to m - k.
-            self._index = tuple(np.where(i < n // 2, i, i + m - n) for i in at[:2]) + at[2:]
-            # And in the band box |kx|, |ky|, kz <= kmax of ``grid._band_rfftn``.
+            # The same modes in the band box |kx|, |ky|, kz <= kmax of
+            # ``grid._band_rfftn``, whose wavenumbers are ``_axis`` on its
+            # first two axes and ``_kz`` on the third.
             side = 2 * self.kmax + 1
             self._box = tuple(np.where(i < n // 2, i, i + side - n) for i in at[:2]) + at[2:]
             k, kz = _wavenumbers(grid.length, m)
-            wavenumbers = (k[self._index[0]], k[self._index[1]], kz[self._index[2]])
+            self._axis = k[np.r_[0 : self.kmax + 1, -self.kmax : 0]]
+            self._kz = kz[: self.kmax + 1]
+            wavenumbers = (self._axis[self._box[0]], self._axis[self._box[1]],
+                           self._kz[self._box[2]])
             self._pair = np.where(wavenumbers[2] == 0.0, -2.0, -4.0)  # per mode, for G
             # The columns (kx, ky) that hold a mode, numbered in raster order of
             # the band box with no sort (numpy's first sort pages in about
@@ -484,17 +486,14 @@ class StatsEngine:
             cell = self._box[0] * side + self._box[1]  # (kx mod side, ky mod side)
             present = np.zeros(side * side, dtype=bool)
             present[cell] = True
-            # Each column's kx and ky as indices into ``_axis``, the wavenumbers
-            # of the band box's first two axes, and each mode's place in G's
-            # dense (kz plane, column) table; ``_kz`` holds each plane's kz.
+            # Each column's kx and ky as indices into ``_axis``, and each
+            # mode's place in G's dense (kz plane, column) table.
             self._cells = np.divmod(np.flatnonzero(present), side)
-            self._axis = k[np.r_[0 : self.kmax + 1, -self.kmax : 0]]
-            self._kz = kz[: self.kmax + 1]
             self._slot = at[2] * len(self._cells[0]) + (np.cumsum(present) - 1)[cell]
             table = (self.kmax + 1, len(self._cells[0]))
             gather = at
         else:
-            self._index = self._box = None
+            self._box = None
             wavenumbers = _derivative_wavenumbers(grid.length, m)
             gather, table = None, (0, 0)
         blocks = []  # (stored spectrum, active mask) of each distinct field with modes
@@ -598,9 +597,11 @@ class StatsEngine:
         ``count`` adds the passes made to ``inverse_passes``.
         """
         m = self.m
-        if self._spectra is None:
+        if self._spectra is None:  # alias-free: the stored modes, from the band box to the m-grid
+            at = (*(np.where(i <= self.kmax, i, i + m - 2 * self.kmax - 1) for i in self._box[:2]),
+                  self._box[2])
             self._spectra = np.zeros((self._fields.shape[0], m, m, m // 2 + 1), dtype=complex)
-            self._spectra[(Ellipsis, *self._index)] = self._fields
+            self._spectra[(Ellipsis, *at)] = self._fields
         px, py, pz = _axis_phases(self.grid, ell, m)
         if self._passes is None:
             self._passes = (np.empty_like(self._spectra), np.empty_like(self._spectra),
@@ -711,15 +712,15 @@ class StatsEngine:
         rows = rows.reshape(planes, columns, -1)
         self._coeffs = np.concatenate([self._coeffs, rows], axis=2) if built else rows
 
-    def moments(self, ells, triples=None) -> np.ndarray:
-        """Increment third moments M[p, q, r, ...] = <dp dq dr> at separations ells[...].
+    def moments(self, rungs) -> np.ndarray:
+        """Increment third moments M[p, q, r, i, j] = <dp dq dr> at the
+        separations rungs[i, j], for R rungs of a ladder of S separations
+        each, (R, S, 3).
 
         Valid on alias-free grids only.  ``components`` gives each field's
-        indices p, q, r; the last index of each axis is the zero field.
-        ``triples`` lists the sorted (p, q, r) to build rows for, all of them
-        by default; entries whose row was never built read NaN, never 0.0.
-        ``ells`` is (S, 3), or (R, S, 3) for R rungs of a ladder of S
-        separations each, and M has the trailing axes (S,) or (R, S).
+        indices p, q, r; the last index of each axis is the zero field, which
+        reads 0.0.  Only the rows ``_build_rows`` has built are evaluated:
+        entries whose row was never built read NaN, never 0.0.
 
         exp(i k.l) factors per axis: with a = kx l_x + ky l_y, b = kz l_z,
         s(x) = sin(x) - x and c(x) = cos(x) - 1,
@@ -737,12 +738,7 @@ class StatsEngine:
         """
         if not self.alias_free:
             raise ValueError("the sine series needs an alias-free grid (m > 3*kmax)")
-        if triples is None:
-            triples = itertools.combinations_with_replacement(range(self._fields.shape[0]), 3)
-        if triples:
-            self._build_rows(triples)
-        ells = np.asarray(ells, dtype=float)
-        rungs = ells if ells.ndim == 3 else ells.reshape(1, -1, 3)
+        rungs = np.asarray(rungs, dtype=float)
         count, size = rungs.shape[:2]
         self.separations += count * size
         table, axis, kz, (ox, oy) = self._coeffs, self._axis, self._kz, self._cells
@@ -779,8 +775,7 @@ class StatsEngine:
                 -1, 0,
             )
             self.column_passes += count
-        out = rows[self._row_index]
-        return out if ells.ndim == 3 else out[..., 0, :]
+        return rows[self._row_index]
 
 
 def _law_terms(law: LawKind, cube, trace) -> tuple:
@@ -902,7 +897,7 @@ def angular_term_sums(engine: StatsEngine, requests, radii, dirs) -> dict[str, n
         n3 = nt[:, None, None] * nt[None, :, None] * nt[None, None, :]
         for i in range(0, len(radii), per):
             r = radii[i : i + per]
-            mom = engine.moments(r[:, None, None] * nhat, ())
+            mom = engine.moments(r[:, None, None] * nhat)
             for label, read in reads.items():
                 terms = np.stack(_moment_terms(*read, mom, n3, nt))
                 sums[label][i : i + len(r)] = (terms * weights).sum(axis=2).T

@@ -6,12 +6,13 @@ translations are exact up to round-off.  Arrays are indexed ``[ix, iy, iz]``
 with point (i, j, k) at (i*h, j*h, k*h); the file format stores values
 x-fastest, matching that indexing convention.
 
-Every 3-D transform of the package runs through this module's helpers: the
-whole-grid real transforms ``_rfftn`` and ``_irfftn``, and their forms on the
-band box |kx|, |ky|, kz <= kmax, ``_band_rfftn`` and ``_band_irfftn``, which
-the generator and the engine use for band-limited fields.  These pass only
-over the lines that hold a box mode, so their cost scales with the band, and
-give the whole-grid helpers' values at the box bit for bit.
+The package's 3-D transforms are the whole-grid real transforms ``_rfftn``
+and ``_irfftn`` and their forms on the band box |kx|, |ky|, kz <= kmax,
+``_band_rfftn`` and ``_band_irfftn``, which pass only over the lines that
+hold a box mode, so their cost scales with the band, and give the whole-grid
+helpers' values at the box bit for bit.  Two engine steps run their own
+passes: ``_kernels._input_transform`` skips the lines that cannot hold an
+active mode, and ``StatsEngine._shifted`` phases each axis before its pass.
 """
 
 from __future__ import annotations

@@ -172,6 +172,24 @@ def test_stage_seconds_outside_hash(tmp_path, field_files):
         assert canonical_hash({**payload, "provenance": provenance}) == canonical_hash(payload)
 
 
+def test_peak_rss_tool_traces_the_stage_clock(tmp_path, field_files):
+    # The tool charges the traced peak to the stages of ``stage_seconds``
+    # (radial assembly included, see test_stage_seconds_outside_hash) and
+    # the time outside them to ``rest``.
+    v, _ = field_files
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(root / "tools" / "peak_rss.py"), str(root), "--", "dissipation",
+         "--law", "helicity", "--v", str(v), "--eps", "0.3:0.3:1", "--radial-nodes", "4",
+         "--dirs", "icosa:0", "--out", str(tmp_path / "d")],
+        stdout=subprocess.PIPE, text=True, timeout=300)
+    runs = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert proc.returncode == 0
+    assert runs["untraced"]["exit"] == runs["traced"]["exit"] == 0
+    stages = set(json.loads((tmp_path / "d.json").read_text())["provenance"]["stage_seconds"])
+    assert set(runs["traced"]["traced_peak_mb"]) == stages | {"rest"}
+
+
 class TestAnalyze:
     def test_helicity_report(self, tmp_path, field_files):
         v, _ = field_files

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from exactlaws import _kernels, grid
 from exactlaws._kernels import CurlOf, LawKind, StatsEngine, term_means
 from exactlaws.geometry import DirectionSet, direction_set_icosa, direction_set_random
-from exactlaws.grid import VectorField3, _wavenumbers, curl, make_grid
+from exactlaws.grid import VectorField3, curl, make_grid
 from exactlaws.laws import sweep_structure
 from exactlaws.mollifier import bump_mollifier, dissipation_matrix
 from exactlaws.report import canonical_hash
@@ -46,6 +46,17 @@ def per_shift_sums(engine, requests, radii, dirs):
         for label in requests:
             out[label].append(sums[label])
     return {label: np.array(rows) for label, rows in out.items()}
+
+
+def every_row(engine):
+    """The engine, with the G row of every sorted component triple built."""
+    engine._build_rows(itertools.combinations_with_replacement(range(engine._fields.shape[0]), 3))
+    return engine
+
+
+def rung(engine, ells):
+    """M at the (S, 3) separations ``ells``, one rung, from the rows built."""
+    return engine.moments(np.asarray(ells, dtype=float)[None])[..., 0, :]
 
 
 def assert_bitwise(got, ref):
@@ -137,15 +148,15 @@ def test_sine_series_properties(n, seed, frac, vectors, law, alpha):
     # M is odd in l bit for bit, which the antipodal folding in
     # angular_term_sums relies on.
     ells = r * dirs.directions
-    mom = engine.moments(ells)
+    mom = rung(every_row(engine), ells)
     peak = np.max(np.abs(mom))
-    np.testing.assert_array_equal(engine.moments(-ells), -mom)
+    np.testing.assert_array_equal(rung(engine, -ells), -mom)
 
     scaled = {
         name: None if f is None else VectorField3(g, alpha * f.values)
         for name, f in fields.items()
     }
-    mom_scaled = StatsEngine(g, scaled).moments(ells)
+    mom_scaled = rung(every_row(StatsEngine(g, scaled)), ells)
     assert np.max(np.abs(mom_scaled - alpha**3 * mom)) <= 1e-12 * alpha**3 * peak
 
 
@@ -176,7 +187,7 @@ def test_small_separation_limit():
     engine = StatsEngine(g, {"v": fields["v"], "h": fields["h"]})
     nhat = np.array([0.36, -0.48, 0.8])
     ell = 1e-5
-    mom = engine.moments([ell * nhat])[:6, :6, :6, 0] / ell**3
+    mom = rung(every_row(engine), [ell * nhat])[:6, :6, :6, 0] / ell**3
     values = np.concatenate([fields["v"].values, fields["h"].values])
     kx, ky, kz = g.wavenumbers()
     k_dot_n = nhat[0] * kx[:, None, None] + nhat[1] * ky[None, :, None] + nhat[2] * kz
@@ -191,12 +202,12 @@ def test_moment_blocks_match_one_block(monkeypatch):
     # product each, which may move the moments at round-off only.
     g, fields = band_fields(n=24, kmax=6, seed=5)
     ells = 0.4 * direction_set_icosa(1).directions
-    one = StatsEngine(g, fields).moments(ells)
+    one = rung(every_row(StatsEngine(g, fields)), ells)
     modes = StatsEngine(g, fields).describe()["modes"]
     assert modes * len(ells) <= _kernels._MOMENT_BLOCK
     for budget in (5 * modes, 1):  # 5 separations per block, then 1
         monkeypatch.setattr(_kernels, "_MOMENT_BLOCK", budget)
-        blocked = StatsEngine(g, fields).moments(ells)
+        blocked = rung(every_row(StatsEngine(g, fields)), ells)
         assert np.max(np.abs(blocked - one)) <= 1e-13 * np.max(np.abs(one))
 
 
@@ -225,7 +236,7 @@ class TestFallback:
         assert not engine.alias_free
         assert engine.evaluation == "per-shift-fft"
         with pytest.raises(ValueError, match="alias-free"):
-            engine.moments([[0.1, 0.0, 0.0]])
+            rung(engine, [[0.1, 0.0, 0.0]])
         req = {"hy": (LawKind.HYDRO_ENERGY, "v", "zero"), "mhd": (LawKind.MHD_ENERGY, "v", "h")}
         radii = (0.4, 0.25, 0.4)
         assert_bitwise(_kernels.angular_term_sums(engine, req, radii, DIRS),
@@ -303,7 +314,7 @@ class TestFallback:
 class TestExactness:
     def test_moments_symmetric_bitwise(self):
         g, fields = band_fields(n=12, kmax=3)
-        mom = StatsEngine(g, fields).moments(0.3 * DIRS.directions)
+        mom = rung(every_row(StatsEngine(g, fields)), 0.3 * DIRS.directions)
         for axes in ((1, 0, 2, 3), (0, 2, 1, 3), (2, 1, 0, 3), (1, 2, 0, 3)):
             assert np.array_equal(mom, mom.transpose(axes))
 
@@ -321,7 +332,7 @@ class TestExactness:
         g, fields = band_fields()
         flat = VectorField3(g, np.full((3, 16, 16, 16), fill))
         engine = StatsEngine(g, {"v": fields["v"], "flat": flat})
-        mom = engine.moments(0.2 * DIRS.directions)
+        mom = rung(every_row(engine), 0.2 * DIRS.directions)
         assert not np.any(mom[3:])
         assert not np.any(mom[:, 3:])
         sums = _kernels.angular_term_sums(
@@ -553,7 +564,7 @@ def test_restricted_rows_match_full_rows(chosen, seed):
     g, fields = derived_fields(seed)
     requests = {str(i): req for i, req in enumerate(chosen)}
     restricted, full = StatsEngine(g, fields), StatsEngine(g, fields)
-    full.moments(np.zeros((1, 3)))  # every row, before any request
+    every_row(full)  # before any request
     read = set().union(*(
         _kernels._law_triples(law, restricted.components[a], restricted.components[b])
         for law, a, b in chosen
@@ -569,7 +580,7 @@ def test_restricted_rows_match_full_rows(chosen, seed):
             assert np.all(np.isfinite(got[label]))
             assert_columns_agree(got[label], ref[label], 1e-12, common=True)
     assert full.describe()["series_rows"] == 165
-    mom = restricted.moments(0.3 * DIRS.directions, [])
+    mom = rung(restricted, 0.3 * DIRS.directions)
     for t in itertools.combinations_with_replacement(range(zero), 3):
         assert np.all(np.isfinite(mom[t]) if t in wanted else np.isnan(mom[t]))
 
@@ -579,10 +590,10 @@ def test_rows_built_later_match_rows_built_at_once():
     # inverted again for a later request, which builds the same rows.
     g, fields = derived_fields()
     later, once = StatsEngine(g, fields), StatsEngine(g, fields)
-    once.moments(np.zeros((1, 3)))
-    later.moments(np.zeros((1, 3)), [(0, 0, 0), (0, 4, 7)])
+    every_row(once)
+    later._build_rows([(0, 0, 0), (0, 4, 7)])
     assert later.describe()["series_rows"] == 2
-    later.moments(np.zeros((1, 3)))
+    every_row(later)
     assert later.describe()["series_rows"] == 165
     zero = later.components["zero"][0]
     for t in itertools.combinations_with_replacement(range(zero), 3):
@@ -596,10 +607,10 @@ def test_batched_transforms_match_one_at_a_time(monkeypatch):
     # of its own, and every product and row keeps its bits.
     g, fields = derived_fields()
     batched = StatsEngine(g, fields)
-    batched.moments(np.zeros((1, 3)))
+    every_row(batched)
     monkeypatch.setattr(_kernels, "_BATCH", 1)
     single = StatsEngine(g, fields)
-    single.moments(np.zeros((1, 3)))
+    every_row(single)
     components = batched._fields.shape[0]
     assert batched.describe()["pair_products"] == components * (components + 1) // 2
     given = 2  # the forward transforms of v and h; w is CurlOf("v")
@@ -632,9 +643,9 @@ def test_no_band_field_or_product_outlives_the_row_build(monkeypatch):
 
     for name in ("_band_components", "_product_batch"):
         monkeypatch.setattr(StatsEngine, name, tracked(getattr(StatsEngine, name)))
-    for triples in ([(0, 0, 0), (0, 4, 7)], None):
+    for build in (lambda: engine._build_rows([(0, 0, 0), (0, 4, 7)]), lambda: every_row(engine)):
         before = len(made)
-        engine.moments(np.zeros((1, 3)), triples)
+        build()
         assert len(made) > before
         assert all(ref() is None for ref in made)
 
@@ -743,9 +754,9 @@ def test_grouped_ladder_matches_radius_by_radius(monkeypatch, make, dirs, passes
     single = [_kernels.angular_term_sums(engine, ALL_LAW_REQUESTS, [r], dirs) for r in radii]
     alone = {label: np.concatenate([s[label] for s in single]) for label in ALL_LAW_REQUESTS}
     nhat = dirs._half[0]
-    mom = engine.moments(radii[:, None, None] * nhat, ())
+    mom = engine.moments(radii[:, None, None] * nhat)
     for i, r in enumerate(radii):
-        assert np.array_equal(mom[..., i, :], engine.moments(r * nhat, ()), equal_nan=True)
+        assert np.array_equal(mom[..., i, :], rung(engine, r * nhat), equal_nan=True)
     calls, moments = [], engine.moments
     monkeypatch.setattr(engine, "moments", lambda *args: calls.append(1) or moments(*args))
     columns = engine._coeffs.shape[1]
@@ -784,7 +795,7 @@ def test_column_passes_follow_rungs_and_direction_blocks(monkeypatch):
     assert (work["column_passes"], work["transform_calls"]) == (2, 1 + 6 + 15)
     # With room for one separation per block, a rung has a pass per direction.
     monkeypatch.setattr(_kernels, "_MOMENT_BLOCK", 1)
-    engine.moments(0.2 * DIRS.directions, ())
+    rung(engine, 0.2 * DIRS.directions)
     assert engine.describe()["column_passes"] == 2 + len(DIRS.directions)
 
 
@@ -798,18 +809,17 @@ def test_column_sums_match_the_sine_table(dirs):
     # |l| = 0.01 and 0.8.
     g, fields = column_fields()
     engine = StatsEngine(g, {"v": fields["v"], "w": CurlOf("v")})
-    k, kz = _wavenumbers(g.length, engine.m)
-    index = engine._index
-    kvec = np.stack([k[index[0]], k[index[1]], kz[index[2]]], axis=1)
+    box = engine._box
+    kvec = np.stack([engine._axis[box[0]], engine._axis[box[1]], engine._kz[box[2]]], axis=1)
     # G per mode, read from its (kz plane, column) table once every row is
     # built: the columns (kx, ky) that hold a mode, in raster order of the
     # band box.
-    engine.moments(np.zeros((1, 3)))
-    cells = engine._box[0] * (2 * engine.kmax + 1) + engine._box[1]
-    coeffs = engine._coeffs[index[2], np.searchsorted(np.unique(cells), cells)].T
+    every_row(engine)
+    cells = box[0] * (2 * engine.kmax + 1) + box[1]
+    coeffs = engine._coeffs[box[2], np.searchsorted(np.unique(cells), cells)].T
     mixed = np.where(np.arange(len(dirs.directions))[:, None] % 2 == 0, 0.01, 0.8)
     for ells in [r * dirs.directions for r in (0.01, 0.05, 0.2, 0.8)] + [mixed * dirs.directions]:
-        mom = engine.moments(ells)
+        mom = rung(engine, ells)
         x = kvec.astype(np.longdouble) @ ells.T.astype(np.longdouble)
         series = coeffs.astype(np.longdouble) @ (np.sin(x) - x)
         # Rows in M's layout: past the built rows come the zero field's row

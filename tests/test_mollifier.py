@@ -142,6 +142,13 @@ class TestBallShell:
             dissipation_matrix(g, {"v": raw, "zero": None},
                                {"x": (LawKind.HYDRO_ENERGY, "v", "zero")}, MOL, [0.4], 4, DIRS12)
 
+    def test_field_on_another_grid_is_rejected(self):
+        # Same shape, other period: its own wavenumbers, not the engine's.
+        v = random_solenoidal(make_grid(16, 4.0), SpectrumSpec(-5.0 / 3.0, 1, 4, 1.0, 3))
+        with pytest.raises(ValueError, match="field 'v' does not match the grid"):
+            dissipation_matrix(make_grid(16), {"v": v, "zero": None},
+                               {"x": (LawKind.HYDRO_ENERGY, "v", "zero")}, MOL, [0.4], 4, DIRS12)
+
     def test_ball_matches_shell_at_matched_nodes(self):
         g, v = small_random()
         h = random_solenoidal(g, SpectrumSpec(-5.0 / 3.0, 1, 4, 1.0, 5))

@@ -9,15 +9,15 @@ package, with one OpenMP and one OpenBLAS thread and no bytecode written:
   which counts the interpreter, numpy and the BLAS as well as the arrays;
 * under ``tracemalloc``, for the traced peak of each engine stage: the most
   memory numpy and Python held at once while the stage ran, whatever the
-  stage allocated itself.  The stages are ``StatsEngine.__init__`` (engine
-  build), ``StatsEngine._build_rows`` (row build) and
-  ``_kernels.angular_term_sums`` (evaluation), each counted over its own
-  time: a stage entered inside another stops the other's count until it
-  returns.  ``rest`` is the traced peak outside every stage.
+  stage allocated itself.  The stages are those the tree's own stage clock
+  times into ``provenance.stage_seconds`` (``_kernels.stage_clock``), each
+  counted over its own time: a stage entered inside another stops the
+  other's count until it is left.  Each switch of the clock charges the peak
+  since the last one to the stage it leaves.  ``rest`` is the traced peak
+  outside every stage.
 
 Prints one line per number and, last, the JSON of both runs.  The command's
-own output goes to standard error.  Only functions both older and newer trees
-define are wrapped, so two trees can be compared with the same tool.
+own output goes to standard error.
 """
 
 from __future__ import annotations
@@ -28,52 +28,40 @@ import subprocess
 import sys
 from pathlib import Path
 
-STAGES = (("engine_build", "StatsEngine", "__init__"),
-          ("row_build", "StatsEngine", "_build_rows"),
-          ("evaluation", None, "angular_term_sums"))
-
 
 def worker(traced: bool, argv: list[str]) -> None:
     """Run the command in this process and print the result as the last line."""
     import contextlib
-    import functools
     import resource
     import tracemalloc
 
     from exactlaws import _kernels
     from exactlaws.cli import main
 
-    peaks, open_stages = {}, []
+    peaks = {}
 
-    def charge():
-        """Add the traced peak since the last charge to the innermost open
-        stage, or to ``rest``, and start a new interval."""
-        name = open_stages[-1] if open_stages else "rest"
+    def charge(name):
+        """Add the traced peak since the last charge to the stage ``name`` and
+        start a new interval."""
         peaks[name] = max(peaks.get(name, 0), tracemalloc.get_traced_memory()[1])
         tracemalloc.reset_peak()
 
-    def wrap(name, func):
-        @functools.wraps(func)
-        def inner(*args, **kwargs):
-            charge()
-            open_stages.append(name)
-            try:
-                return func(*args, **kwargs)
-            finally:
-                charge()
-                open_stages.pop()
-        return inner
-
     if traced:
-        for name, owner, attr in STAGES:
-            target = _kernels if owner is None else getattr(_kernels, owner)
-            setattr(target, attr, wrap(name, getattr(target, attr)))
+        timed = _kernels._StageClock.switch
+
+        def switch(clock, name=None):
+            """Charge the stage the clock leaves, its innermost open one or
+            ``rest``, then switch."""
+            charge(clock.open[-1] if clock.open else "rest")
+            timed(clock, name)
+
+        _kernels._StageClock.switch = switch
         tracemalloc.start()
     with contextlib.redirect_stdout(sys.stderr):
         code = main(argv)
     result = {"exit": code}
     if traced:
-        charge()
+        charge("rest")
         result["traced_peak_mb"] = {name: peak / 2**20 for name, peak in peaks.items()}
     else:
         result["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
