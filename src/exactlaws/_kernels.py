@@ -15,7 +15,7 @@ spectrum, the cut to the m-grid and its (m/n)^3 scale being an index map;
 otherwise (m = n) it keeps each field's whole spectrum.  On an alias-free
 grid that spectrum is taken one component at a time, and only on the lines
 that can hold an active mode, so no whole-grid spectrum of a field exists.
-Curls, the pair weights and each mode's place in the (kz plane, column)
+Curls and each mode's place in the band box and in the (kz plane, column)
 table are fixed at build, and no whole-grid array outlives the step that
 reads it: one step, ``StatsEngine._build_rows``, builds the rows a request
 lacks, inverting each band-limited component once, in batches of
@@ -88,8 +88,8 @@ from operator import add
 
 import numpy as np
 
-from .grid import (Grid3, VectorField3, _axis_phases, _band_irfftn, _band_rfftn, _curl_modes,
-                   _derivative_wavenumbers, _rfftn, _wavenumbers)
+from .grid import (Grid3, VectorField3, _axis_phases, _band_axis, _band_irfftn, _band_rfftn,
+                   _curl_modes, _derivative_wavenumbers, _rfftn, _wavenumbers)
 
 __all__ = [
     "LawKind",
@@ -399,14 +399,13 @@ class CurlOf:
 class StatsEngine:
     """Increment statistics for a named set of fields on one grid.
 
-    ``fields`` maps names to VectorField3 (or raw (3, n, n, n) arrays) or to
-    ``CurlOf`` an earlier name; a None entry, an all-zero field and a field
-    without modes besides its mean all stand for the zero field.  Names
-    holding the same values share one set of component rows; a VectorField3
-    must live on ``grid``, and raw arrays must be finite.  The given fields
-    fix the reduced grid.  On an alias-free grid (``alias_free``: m > 3*kmax)
-    each distinct field is kept at the K modes of the union of the active
-    masks; ``_build_rows``, the one row builder, builds the rows of G asked
+    ``fields`` maps names to a VectorField3 on ``grid`` (whose shape and
+    finite values it checked itself), to ``CurlOf`` an earlier name or to
+    None; None, an all-zero field and a field without modes besides its mean
+    all stand for the zero field.  Names holding the same values share one
+    set of component rows.  The given fields fix the reduced grid.  On an
+    alias-free grid (``alias_free``: m > 3*kmax) each distinct field is kept
+    at the K modes of the union of the active masks; ``_build_rows``, the one row builder, builds the rows of G asked
     for from their pair products in one step and keeps them in (kz plane,
     column) layout, the products dropped, and ``moments`` evaluates the
     built rows over ladders of separations by column sums, one matrix
@@ -441,11 +440,10 @@ class StatsEngine:
             source[name] = fld if isinstance(fld, CurlOf) else None
             if fld is None or isinstance(fld, CurlOf):
                 continue
-            values = fld.values if isinstance(fld, VectorField3) else np.asarray(fld)
-            if values.shape != (3, n, n, n) or isinstance(fld, VectorField3) and fld.grid != grid:
-                raise ValueError(f"field {name!r} does not match the grid")
-            if not (isinstance(fld, VectorField3) or np.isfinite(values).all()):
-                raise ValueError(f"field {name!r} has non-finite values")
+            if not (isinstance(fld, VectorField3) and fld.grid == grid):
+                raise ValueError(f"field {name!r} does not match the grid: a VectorField3 "
+                                 "on it, a CurlOf or None is needed")
+            values = fld.values
             source[name] = next((j for j, (seen, _, _) in enumerate(given)
                                  if seen is values or np.array_equal(seen, values)), None)
             if source[name] is None:
@@ -470,16 +468,15 @@ class StatsEngine:
                            np.zeros((n, n, n // 2 + 1), dtype=bool))
             at = np.nonzero(union)
             # The same modes in the band box |kx|, |ky|, kz <= kmax of
-            # ``grid._band_rfftn``, whose wavenumbers are ``_axis`` on its
-            # first two axes and ``_kz`` on the third.
+            # ``grid._band_rfftn``, in ``_band_axis`` order: its wavenumbers
+            # are ``_axis`` on its first two axes and ``_kz`` on the third.
             side = 2 * self.kmax + 1
             self._box = tuple(np.where(i < n // 2, i, i + side - n) for i in at[:2]) + at[2:]
             k, kz = _wavenumbers(grid.length, m)
-            self._axis = k[np.r_[0 : self.kmax + 1, -self.kmax : 0]]
+            self._axis = k[_band_axis(m, self.kmax)]
             self._kz = kz[: self.kmax + 1]
             wavenumbers = (self._axis[self._box[0]], self._axis[self._box[1]],
                            self._kz[self._box[2]])
-            self._pair = np.where(wavenumbers[2] == 0.0, -2.0, -4.0)  # per mode, for G
             # The columns (kx, ky) that hold a mode, numbered in raster order of
             # the band box with no sort (numpy's first sort pages in about
             # 0.5 MB of code, which shows in the peak resident memory).
@@ -598,8 +595,7 @@ class StatsEngine:
         """
         m = self.m
         if self._spectra is None:  # alias-free: the stored modes, from the band box to the m-grid
-            at = (*(np.where(i <= self.kmax, i, i + m - 2 * self.kmax - 1) for i in self._box[:2]),
-                  self._box[2])
+            at = (*(_band_axis(m, self.kmax)[i] for i in self._box[:2]), self._box[2])
             self._spectra = np.zeros((self._fields.shape[0], m, m, m // 2 + 1), dtype=complex)
             self._spectra[(Ellipsis, *at)] = self._fields
         px, py, pz = _axis_phases(self.grid, ell, m)
@@ -700,6 +696,7 @@ class StatsEngine:
         coeff, built = self._fields / self.m**3, self._coeffs.shape[2]
         planes, columns = self._coeffs.shape[:2]
         rows = np.zeros((planes * columns, len(new)))
+        pair = np.where(self._box[2] == 0, -2.0, -4.0)  # per mode: kz = 0 holds both of +-k
         for i, (p, q, r) in enumerate(new):
             split = (
                 np.imag(coeff[p] * products[q, r])
@@ -708,7 +705,7 @@ class StatsEngine:
             )
             for perm in itertools.permutations((p, q, r)):
                 index[perm] = built + i
-            rows[self._slot, i] = self._pair * split
+            rows[self._slot, i] = pair * split
         rows = rows.reshape(planes, columns, -1)
         self._coeffs = np.concatenate([self._coeffs, rows], axis=2) if built else rows
 

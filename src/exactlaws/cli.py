@@ -224,19 +224,24 @@ def _ballshell_gap(ball, shell) -> np.ndarray:
 _BALL_FLOOR = 1e-12
 
 
+# The laws that couple v to a second field, as dissipation_matrix requests over
+# the fields {"v": v, "omega": CurlOf("v"), "h": h}; the suites check them in
+# this order.
+_COUPLED = {
+    "helicity": (LawKind.HELICITY, "v", "omega"),
+    "mhd-energy": (LawKind.MHD_ENERGY, "v", "h"),
+    "cross-helicity": (LawKind.CROSS_HELICITY, "v", "h"),
+}
+
+
 def _ballshell_checks(cfg: VerifyConfig, verdict: Verdict) -> None:
     grid, dirs, v = cfg.grid, cfg.directions, cfg.v
     floor = _BALL_FLOOR * v.rms() ** 3
-    requests = {
-        "helicity": (LawKind.HELICITY, "v", "omega"),
-        "mhd-energy": (LawKind.MHD_ENERGY, "v", "h"),
-        "cross-helicity": (LawKind.CROSS_HELICITY, "v", "h"),
-    }
     matrix = dissipation_matrix(
-        grid, {"v": v, "omega": CurlOf("v"), "h": cfg.h}, requests, bump_mollifier(),
+        grid, {"v": v, "omega": CurlOf("v"), "h": cfg.h}, _COUPLED, bump_mollifier(),
         list(cfg.eps_ladder), cfg.radial_nodes, dirs,
     )
-    for label in requests:
+    for label in _COUPLED:
         for part in ("L", "T"):
             ball = np.array(matrix[label]["ball"][part])
             rel = np.max(_ballshell_gap(ball, matrix[label]["shell"][part]))
@@ -276,10 +281,9 @@ def _smooth_checks(cfg: VerifyConfig, verdict: Verdict) -> None:
 
     r_hi = 0.35 / kmax * unit
     scales = list(np.geomspace(r_hi / 8.0, r_hi, 8))
-    for label, law, second in (
-        ("helicity", LawKind.HELICITY, None), ("mhd-energy", LawKind.MHD_ENERGY, cfg.h)
-    ):
-        rep = sweep_structure(law, (cfg.v, second), scales, dirs)
+    requests = {label: _COUPLED[label] for label in ("helicity", "mhd-energy")}
+    for label, (law, _, second) in requests.items():
+        rep = sweep_structure(law, (cfg.v, cfg.h if second == "h" else None), scales, dirs)
         try:
             slope = power_law_fit(rep, (scales[0], scales[-1])).slope
         except ValueError:  # a degenerate fit (too few nonzero values) fails the check
@@ -288,15 +292,9 @@ def _smooth_checks(cfg: VerifyConfig, verdict: Verdict) -> None:
 
     eps_hi = 0.5 / kmax * unit
     ladder = list(np.geomspace(eps_hi / 4.0, eps_hi, 4))
-    matrix = dissipation_matrix(
-        grid, {"v": cfg.v, "omega": CurlOf("v"), "h": cfg.h},
-        {
-            "helicity": (LawKind.HELICITY, "v", "omega"),
-            "mhd-energy": (LawKind.MHD_ENERGY, "v", "h"),
-        },
-        bump_mollifier(), ladder, 16, dirs,
-    )
-    for label in ("helicity", "mhd-energy"):
+    matrix = dissipation_matrix(grid, {"v": cfg.v, "omega": CurlOf("v"), "h": cfg.h}, requests,
+                                bump_mollifier(), ladder, 16, dirs)
+    for label in requests:
         ball_l = matrix[label]["ball"]["L"]
         ext = extrapolate_to_zero(ladder, ball_l)
         order = ext["order"] if ext["order"] is not None else 0.0
@@ -313,7 +311,7 @@ def combine_consistency_checks(combine_coeffs=None) -> Verdict:
     coefficient systems; an alternate sign convention fails here."""
     coeffs = combine_coeffs if combine_coeffs is not None else COMBINE_COEFFS
     verdict = Verdict()
-    for law in (LawKind.HELICITY, LawKind.MHD_ENERGY, LawKind.CROSS_HELICITY):
+    for law, _, _ in _COUPLED.values():
         oracle = coefficient_oracle(law)
         sol = oracle["solution"]
         c_l, c_t = coeffs[law]
@@ -452,7 +450,8 @@ def _apply_config_file(parser: argparse.ArgumentParser, args: argparse.Namespace
     """Override flags of ``parser`` (the verb's parser) from the --config file.
 
     Each value is read as if it had been given on the command line: a JSON
-    string or number passes through its flag's own type and choices.
+    string or number passes through its flag's own argparse action, which
+    converts and checks it as the command line would.
     """
     path = getattr(args, "config", None)
     if not path:
@@ -468,14 +467,10 @@ def _apply_config_file(parser: argparse.ArgumentParser, args: argparse.Namespace
             raise ValueError(f"config key {key!r} does not match any flag")
         if isinstance(value, bool) or not isinstance(value, (str, int, float)):
             raise ValueError(f"config key {key!r} must be a string or a number")
-        text = str(value)
         try:
-            value = text if action.type is None else action.type(text)
-        except ValueError:
-            raise ValueError(f"config key {key!r}: invalid value {text!r}") from None
-        if action.choices is not None and value not in action.choices:
-            raise ValueError(f"config key {key!r}: {text!r} is not one of {list(action.choices)}")
-        setattr(args, action.dest, value)
+            setattr(args, action.dest, parser._get_values(action, [str(value)]))
+        except argparse.ArgumentError as exc:
+            raise ValueError(f"config key {key!r}: {exc.message}") from None
 
 
 def _load_vector(path) -> VectorField3:
@@ -529,13 +524,14 @@ def _engine_stage(args, stage, ladder, *extra) -> tuple:
     """({flag: path} of the files read, ``stage(law, (v, w), ladder,
     direction set, *extra)``) from --law, --v, --omega or --h, and --dirs.
 
-    The second field comes from --omega (helicity) or --h, None if not given;
-    the laws module decides what a missing or unused one means.  ``stage``
-    builds the engine; the fields live in this frame only, so none outlives
-    the engine build."""
+    The second field comes from --omega (helicity) or --h (the MHD laws),
+    None if not given, and the laws module decides what a missing one means;
+    hydro-energy reads no second file.  ``stage`` builds the engine; the
+    fields live in this frame only, so none outlives the engine build."""
     law = LawKind(args.law)
-    second = "omega" if law is LawKind.HELICITY else "h"
-    paths = {name: str(getattr(args, name)) for name in ("v", second) if getattr(args, name)}
+    second = {LawKind.HELICITY: "omega", LawKind.HYDRO_ENERGY: None}.get(law, "h")
+    paths = {name: str(getattr(args, name)) for name in ("v", second)
+             if name and getattr(args, name)}
     fields = (_load_vector(args.v), _load_vector(paths[second]) if second in paths else None)
     return paths, stage(law, fields, ladder, parse_direction_spec(args.dirs), *extra)
 

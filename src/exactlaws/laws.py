@@ -62,6 +62,12 @@ class RawCombos:
     raw_T: float
     raw_flux: float
 
+    def raws(self, law: LawKind) -> tuple[float, float, float]:
+        """(raw_L, raw_T, raw_flux), if these are combos of ``law``."""
+        if self.law != law:
+            raise ValueError(f"law mismatch: combos are for {self.law.value}, not {law.value}")
+        return self.raw_L, self.raw_T, self.raw_flux
+
 
 def _resolve_pair(law: LawKind, v: VectorField3, w) -> tuple[VectorField3, object]:
     """Apply the law's convention for the second field.  The helicity law's
@@ -148,10 +154,9 @@ def raw_combos(
 def combine(law: LawKind, rc: RawCombos) -> tuple[float, float]:
     """Combined (S_L, S_T) values: raw parts plus the weighted flux term."""
     law = LawKind(law)
-    if rc.law != law:
-        raise ValueError(f"law mismatch: combos are for {rc.law.value}, not {law.value}")
+    raw_l, raw_t, raw_flux = rc.raws(law)
     c_l, c_t = COMBINE_COEFFS[law]
-    return rc.raw_L + c_l * rc.raw_flux, rc.raw_T + c_t * rc.raw_flux
+    return raw_l + c_l * raw_flux, raw_t + c_t * raw_flux
 
 
 @dataclass(frozen=True)

@@ -186,18 +186,19 @@ def d_shell(
 
     ``profiles`` is called at each Gauss-Legendre radius in (0, eps] and must
     return the raw combos (raw_L, raw_T, raw_flux) there, either as a tuple
-    or as a RawCombos.
+    or as a RawCombos of ``law`` (those of another law raise, as in
+    ``laws.combine``).
     """
     law = LawKind(law)
     part = check_part(part)
     nodes = _radial_nodes(m, eps, radial_nodes)
-    raws = np.array(list(map(_raw_triple, map(profiles, nodes[0])))).T
+    raws = np.array([_raw_triple(law, profiles(r)) for r in nodes[0]]).T
     return float(_shell(law, part, nodes, raws))
 
 
-def _raw_triple(p) -> tuple[float, float, float]:
-    """(raw_L, raw_T, raw_flux) of a profile value: a RawCombos or a triple."""
-    return (p.raw_L, p.raw_T, p.raw_flux) if isinstance(p, RawCombos) else tuple(map(float, p))
+def _raw_triple(law: LawKind, p) -> tuple[float, float, float]:
+    """(raw_L, raw_T, raw_flux) of a profile value: a RawCombos of ``law`` or a triple."""
+    return p.raws(law) if isinstance(p, RawCombos) else tuple(map(float, p))
 
 
 def coefficient_oracle(law: LawKind) -> dict:

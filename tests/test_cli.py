@@ -243,6 +243,19 @@ class TestAnalyze:
         provenance = json.loads((tmp_path / "d.json").read_text())["provenance"]
         assert provenance["fields"] == {"v": "v.fld", "h": str(h)}
 
+    @pytest.mark.parametrize("verb", [["analyze", "--scales", "0.1:0.4:2"],
+                                      ["dissipation", "--eps", "0.3:0.3:1", "--radial-nodes", 4]])
+    def test_hydro_energy_reads_no_second_file(self, tmp_path, field_files, monkeypatch, verb):
+        # The law has no second field: --h is neither read nor recorded.
+        v, h = field_files
+        read = []
+        monkeypatch.setattr(cli, "read_field", lambda path: read.append(path) or read_field(path))
+        assert run([verb[0], "--law", "hydro-energy", "--v", v, "--h", h, *verb[1:],
+                    "--dirs", "icosa:0", "--out", tmp_path / "r"]) == 0
+        assert read == [str(v)]
+        assert json.loads((tmp_path / "r.json").read_text())["provenance"]["fields"] == {
+            "v": str(v)}
+
     def test_engine_provenance_outside_hash(self, tmp_path, field_files):
         v, _ = field_files
         rc = run(["analyze", "--law", "helicity", "--v", v, "--scales", "0.1:0.4:2",

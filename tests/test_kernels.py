@@ -502,11 +502,13 @@ class TestDerivedCurl:
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_raw_array_is_rejected(bad):
-    # A NaN peak would make every mode read as inactive: the zero field.
+    # The engine takes a VectorField3, which checks its values are finite
+    # (a NaN peak would make every mode read as inactive: the zero field);
+    # a raw array is refused whatever it holds.
     g, fields = band_fields()
     raw = np.array(fields["h"].values)
     raw[1, 2, 3, 4] = bad
-    with pytest.raises(ValueError, match="field 'h' has non-finite values"):
+    with pytest.raises(ValueError, match="field 'h' does not match the grid"):
         StatsEngine(g, {"v": fields["v"], "h": raw})
 
 
@@ -719,7 +721,8 @@ def test_input_transform_matches_the_whole_grid_transform(n, kinds, seed, kmaxes
     for values in fields:
         lines, active = _kernels._input_transform(values)
         assert np.array_equal(active, _kernels._active_modes(grid._rfftn(values)))
-    engine = StatsEngine(make_grid(n), {f"f{i}": values for i, values in enumerate(fields)})
+    engine = StatsEngine(make_grid(n), {f"f{i}": VectorField3(make_grid(n), values)
+                                        for i, values in enumerate(fields)})
     kmax, stored = transform_reference(fields)
     assert engine.kmax == kmax
     expected = np.concatenate(stored) if stored else np.zeros((0,) + engine._fields.shape[1:])
@@ -856,8 +859,8 @@ def test_per_shift_separation_allocates_no_whole_grid_array():
     n = 32
     g = make_grid(n)
     rng = np.random.default_rng(5)
-    engine = StatsEngine(g, {"a": rng.standard_normal((3, n, n, n)),
-                             "b": rng.standard_normal((3, n, n, n))})
+    engine = StatsEngine(g, {"a": VectorField3(g, rng.standard_normal((3, n, n, n))),
+                             "b": VectorField3(g, rng.standard_normal((3, n, n, n)))})
     assert engine.evaluation == "per-shift-fft"
     nhat = np.array([0.0, 0.6, 0.8])
     engine.increments(np.array([0.1, 0.2, 0.3]))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from exactlaws._kernels import CurlOf
 from exactlaws.geometry import direction_set_icosa
 from exactlaws.grid import VectorField3, curl, make_grid
 from exactlaws.laws import LawKind, dr_fourthirds, raw_combos
@@ -138,7 +139,7 @@ class TestBallShell:
         g = make_grid(16)
         raw = np.random.default_rng(2).standard_normal((3, 16, 16, 16))
         raw[0, 5, 6, 7] = bad
-        with pytest.raises(ValueError, match="field 'v' has non-finite values"):
+        with pytest.raises(ValueError, match="field 'v' does not match the grid"):
             dissipation_matrix(g, {"v": raw, "zero": None},
                                {"x": (LawKind.HYDRO_ENERGY, "v", "zero")}, MOL, [0.4], 4, DIRS12)
 
@@ -170,6 +171,13 @@ class TestBallShell:
         profiles = lambda r: raw_combos(LawKind.HYDRO_ENERGY, v, None, r, DIRS12)
         shell = d_shell(LawKind.HYDRO_ENERGY, "L", profiles, MOL, 0.5, 8)
         assert abs(ball - shell) <= 1e-10 * (abs(ball) + 1e-30)
+
+    def test_combos_of_another_law_are_rejected(self):
+        # As in laws.combine: the shell form reads its own law's combos only.
+        g, v = small_random(n=8, kmax=2)
+        profiles = lambda r: raw_combos(LawKind.HELICITY, v, None, r, DIRS12)
+        with pytest.raises(ValueError, match="law mismatch"):
+            d_shell(LawKind.MHD_ENERGY, "L", profiles, MOL, 0.4, 4)
 
     def test_alignment_degeneracy(self):
         g, v = small_random()
@@ -206,6 +214,41 @@ class TestBallShell:
         g, v = small_random(n=8, kmax=2)
         with pytest.raises(ValueError, match="part"):
             d_ball(LawKind.HYDRO_ENERGY, "X", v, None, MOL, 0.4, 8, DIRS12)
+
+
+@pytest.fixture(scope="module")
+def four_thirds_fields():
+    g = make_grid(32)
+    v = random_solenoidal(g, SpectrumSpec(-5.0 / 3.0, 2, 8, 1.0, 7))
+    h = random_solenoidal(g, SpectrumSpec(-5.0 / 3.0, 2, 8, 0.7, 11))
+    return g, v, h
+
+
+@pytest.mark.parametrize("law", list(LawKind))
+def test_four_thirds_relation(four_thirds_fields, law):
+    # The shell rows have a_L = 2 a_T, b_T^L + 2 b_T^T = 0 and
+    # b_F^L + 2 b_F^T = 0, so (D_L + 2 D_T)/3 is the Politano-Pouquet
+    # four-thirds functional pi int_0^eps r^3 phi_eps'(r) (raw_L + raw_T) dr,
+    # in ball and in shell form, at every epsilon.
+    g, v, h = four_thirds_fields
+    dirs, epsilons, nodes = direction_set_icosa(1), [0.2, 0.4, 0.8], 16
+    second = {LawKind.HELICITY: "omega", LawKind.HYDRO_ENERGY: "zero"}.get(law, "h")
+    matrix = dissipation_matrix(g, {"v": v, "omega": CurlOf("v"), "h": h, "zero": None},
+                                {"x": (law, "v", second)}, MOL, epsilons, nodes, dirs)["x"]
+    w = h if second == "h" else None
+
+    def profile(r):
+        rc = raw_combos(law, v, w, r, dirs)
+        return rc.raw_L + rc.raw_T
+
+    for i, eps in enumerate(epsilons):
+        four_thirds = dr_dissipation_profile(profile, MOL, eps, nodes)
+        if law is LawKind.HYDRO_ENERGY:
+            full = dr_dissipation(v, MOL, eps, "full", nodes, dirs)
+            assert abs(full - four_thirds) <= 1e-13 * abs(four_thirds)
+        for form in ("ball", "shell"):
+            got = (matrix[form]["L"][i] + 2.0 * matrix[form]["T"][i]) / 3.0
+            assert abs(got - four_thirds) <= 1e-13 * abs(four_thirds)
 
 
 class TestThirdOrderEnergyFunctional:

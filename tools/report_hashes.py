@@ -30,6 +30,18 @@ The matrix:
   ``--dirs random:2:5``, and ``dissipation --radial-nodes 8 --eps 0.2:0.8:3``
   for the four laws, on both inputs, and ``dissipation --law helicity`` at its
   defaults (32 radial nodes, ``--dirs icosa:2``) on the n=64 field;
+* runs that reach the engine's other input paths, at ``--scales 0.05:0.8:6``
+  and, for ``dissipation``, the flags above:
+  - ``analyze --law hydro-energy --dirs icosa:1`` on the same shells at n=48
+    (``--n 48 --kmin 2 --kmax 16 --seed 3``): no reduction (m = n = 48), so
+    the field is transformed on its lines, then again whole, and the
+    per-shift path evaluates it;
+  - ``analyze --dirs icosa:2`` and ``dissipation`` of mhd-energy on the n=64
+    v with an h of shells 2..8 (seed 11, ``--rms 0.7``): the union of the two
+    masks reaches lines h's transform skipped, so h's components are
+    transformed again whole;
+  - ``analyze --law hydro-energy --dirs icosa:2`` on the n=64 v with an
+    ``--h``, which the law does not read;
 * ``gen --kind abc`` at A, B, C = 0.5, 2, 1.5 and ``gen --kind taylor-green``,
   both at n=32;
 * ``verify --suite all`` at (n, seed) = (16, 5), (32, 3) and (16, 18), and
@@ -78,10 +90,11 @@ def _matrix() -> dict[str, list[str]]:
 
     fields = {"band": {}, "white": {}}
     runs = {}
-    for name, seed, rms in (("v", 3, "1.0"), ("h", 11, "0.7")):
+    for name, n, kmax, seed, rms in (("v", 64, 16, 3, "1.0"), ("h", 64, 16, 11, "0.7"),
+                                     ("h8", 64, 8, 11, "0.7"), ("v48", 48, 16, 3, "1.0")):
         path = Path(f"band-{name}.fld")
-        runs[f"gen/band-{name}"] = ["gen", "--kind", "random", "--n", "64", "--kmin", "2",
-                                    "--kmax", "16", "--seed", str(seed), "--rms", rms,
+        runs[f"gen/band-{name}"] = ["gen", "--kind", "random", "--n", str(n), "--kmin", "2",
+                                    "--kmax", str(kmax), "--seed", str(seed), "--rms", rms,
                                     "--out", str(path)]
         fields["band"][name] = path
     runs["gen/abc"] = ["gen", "--kind", "abc", "--n", "32", "--A", "0.5", "--B", "2",
@@ -108,6 +121,20 @@ def _matrix() -> dict[str, list[str]]:
     runs["dissipation/band/helicity-defaults"] = ["dissipation", "--law", "helicity", "--v",
                                                   str(fields["band"]["v"]),
                                                   "--out", "dissipation-band-helicity-defaults"]
+    band = fields["band"]
+    runs["analyze/band48/hydro-energy/icosa:1"] = [
+        "analyze", "--law", "hydro-energy", "--v", str(band["v48"]), "--scales", "0.05:0.8:6",
+        "--dirs", "icosa:1", "--out", "analyze-band48-hydro-energy"]
+    mhd = ["--law", "mhd-energy", "--v", str(band["v"]), "--h", str(band["h8"])]
+    runs["analyze/band/mhd-energy-h8/icosa:2"] = [
+        "analyze", *mhd, "--scales", "0.05:0.8:6", "--dirs", "icosa:2",
+        "--out", "analyze-band-mhd-energy-h8"]
+    runs["dissipation/band/mhd-energy-h8"] = [
+        "dissipation", *mhd, "--radial-nodes", "8", "--eps", "0.2:0.8:3",
+        "--out", "dissipation-band-mhd-energy-h8"]
+    runs["analyze/band/hydro-energy-with-h/icosa:2"] = [
+        "analyze", "--law", "hydro-energy", "--v", str(band["v"]), "--h", str(band["h"]),
+        "--scales", "0.05:0.8:6", "--dirs", "icosa:2", "--out", "analyze-band-hydro-energy-with-h"]
     for n, seed in ((16, 5), (32, 3), (16, 18)):
         runs[f"verify/n{n}-seed{seed}"] = ["verify", "--suite", "all", "--n", str(n),
                                            "--seed", str(seed),
