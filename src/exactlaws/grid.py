@@ -93,6 +93,8 @@ def make_grid(n: int, length: float = 2.0 * np.pi) -> Grid3:
 
 
 def _to_locked_array(values, shape) -> np.ndarray:
+    """``values`` as a read-only C-contiguous float64 array of ``shape``: the
+    caller's own array when it already is one, else a copy."""
     arr = np.ascontiguousarray(values, dtype=np.float64)
     if arr.shape != shape:
         raise ValueError(f"expected array of shape {shape}, got {arr.shape}")
@@ -104,7 +106,13 @@ def _to_locked_array(values, shape) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Real scalar samples on a Grid3, indexed [ix, iy, iz]."""
+    """Real scalar samples on a Grid3, indexed [ix, iy, iz].
+
+    A C-contiguous float64 array is taken over, not copied: ``f.values is a``,
+    and ``a`` becomes read-only, so writing to it afterwards raises.  Any
+    other input (another dtype, a strided view, a list) is copied, and the
+    caller's object stays writable.
+    """
 
     grid: Grid3
     values: np.ndarray = field(repr=False)
@@ -116,7 +124,14 @@ class ScalarField:
 
 @dataclass(frozen=True)
 class VectorField3:
-    """Real 3-component field on a Grid3; ``values`` has shape (3, n, n, n)."""
+    """Real 3-component field on a Grid3; ``values`` has shape (3, n, n, n).
+
+    A C-contiguous float64 array is taken over, not copied: ``f.values is a``,
+    and ``a`` becomes read-only, so writing to it afterwards raises.  Any
+    other input (another dtype, a strided view, a list) is copied, and the
+    caller's object stays writable.  Taking the array over saves a copy of
+    the field on every read: 2.6 MB at n=48, 48 MB at n=128.
+    """
 
     grid: Grid3
     values: np.ndarray = field(repr=False)

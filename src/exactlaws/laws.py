@@ -259,8 +259,7 @@ def yaglom_helicity(
     (computed from v when w is None), averaged over directions and volume
     with the 1/r prefactor: raw_L + raw_T of the helicity law.
     """
-    rc = raw_combos(LawKind.HELICITY, v, w, r, dirs)
-    return rc.raw_L + rc.raw_T
+    return _four_thirds(LawKind.HELICITY, v, w, r, dirs)
 
 
 def dr_fourthirds(v: VectorField3, r: float, dirs: DirectionSet | None = None) -> float:
@@ -269,7 +268,12 @@ def dr_fourthirds(v: VectorField3, r: float, dirs: DirectionSet | None = None) -
     That is raw_L + raw_T of the hydrodynamic energy law, whose L2 and T2
     vanish with the second field.
     """
-    rc = raw_combos(LawKind.HYDRO_ENERGY, v, None, r, dirs)
+    return _four_thirds(LawKind.HYDRO_ENERGY, v, None, r, dirs)
+
+
+def _four_thirds(law: LawKind, v: VectorField3, w, r: float, dirs: DirectionSet | None) -> float:
+    """raw_L + raw_T of ``law`` at separation r: its four-thirds combination."""
+    rc = raw_combos(law, v, w, r, dirs)
     return rc.raw_L + rc.raw_T
 
 

@@ -81,9 +81,10 @@ def bump_mollifier() -> Mollifier:
     return Mollifier(amplitude=1.0 / (4.0 * np.pi * _BUMP_MASS))
 
 
-# Gauss-Legendre nodes of phi_T's rule on (r, 1); against adaptive quadrature
-# (scipy.integrate.quad, epsabs=1e-13, epsrel=1e-12) the rule is within 1e-12
-# for r in [0.01, 0.99], and a test checks it.
+# Gauss-Legendre nodes of phi_T's rule on (r, 1); against 30-digit mpmath
+# quadrature the rule is within 8.9e-16 for r in [0.01, 0.99], and tests
+# check it (to 2e-15 there, and to 1e-12 against scipy.integrate.quad, whose
+# own error at epsabs=1e-13, epsrel=1e-12 reaches 6.6e-13).
 _PHI_T_NODES = 128
 
 
@@ -117,8 +118,57 @@ def radial_quadrature(eps: float, count: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("need at least 2 radial nodes")
     if not 0.0 < eps < np.inf:
         raise ValueError(f"eps must be positive and finite, got {eps:g}")
-    x, w = np.polynomial.legendre.leggauss(count)
+    x, w = _gauss_legendre(count)
     return (x + 1.0) * (eps / 2.0), w * (eps / 2.0)
+
+
+def _legendre(count: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(P_count(x), P_count'(x)) by the three-term recurrence, in the precision of x."""
+    k = np.arange(1, count, dtype=x.dtype)
+    p0, p1 = np.ones_like(x), x
+    for c in k / (k + 1):  # P_{k+1} = x P_k + k/(k+1) (x P_k - P_{k-1})
+        t = x * p1
+        p0, p1 = p1, t + c * (t - p0)
+    return p1, count * (x * p1 - p0) / ((x - 1.0) * (x + 1.0))
+
+
+def _gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1].
+
+    Newton's method on the three-term recurrence (Hale & Townsend, SIAM J.
+    Sci. Comput. 35, A652 (2013)) from Tricomi's asymptotic nodes, run on the
+    nodes x <= 0 and mirrored, so x == -x[::-1] and w == w[::-1] bitwise.
+    After a step dx the error is about c dx^2 with c = |x| / (1 - x^2), and
+    the double steps stop, within a fixed bound, once one more step would
+    leave c^3 dx^4 <= eps |x| / 16.  That last step runs in np.longdouble:
+    where it is wider than double (the x87 format on x86-64) the nodes come
+    out correctly rounded, within 0.5002 ulp of the roots for 2-200 nodes.
+    The weights are 2 / ((1 - x^2) P'(x)^2) at the roots, P' taken there from
+    the Legendre equation, normalised to sum to 2.
+    """
+    k = np.arange(1, count // 2 + 1)
+    theta = np.pi * (4 * k - 1) / (4 * count + 2)
+    x = -np.cos(theta) * (1.0 - (count - 1) / (8.0 * count**3)
+                          - (39.0 - 28.0 / np.sin(theta) ** 2) / (384.0 * count**4))
+    if count % 2:
+        x = np.append(x, 0.0)
+    for _ in range(8):
+        p, dp = _legendre(count, x)
+        dx = p / dp
+        x = x - dx
+        if np.all(16.0 * x * x * dx**4 <= np.finfo(float).eps * ((1.0 - x) * (1.0 + x)) ** 3):
+            break
+    x = x.astype(np.longdouble)
+    p, dp = _legendre(count, x)
+    dx = p / dp
+    dp -= dx * (2.0 * x * dp - count * (count + 1) * p) / ((1.0 - x) * (1.0 + x))
+    x -= dx
+    w = (2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)).astype(float)
+    x = x.astype(float)
+    half = count // 2
+    x = np.concatenate([x, -x[half - 1::-1]])
+    w = np.concatenate([w, w[half - 1::-1]])
+    return x, w * (2.0 / w.sum())
 
 
 def _radial_nodes(m: Mollifier, eps: float, count: int) -> tuple[np.ndarray, ...]:

@@ -333,6 +333,36 @@ class TestFieldValidation:
         with pytest.raises(ValueError, match="shape"):
             VectorField3(g, np.zeros((3, 8, 8, 4)))
 
+    @pytest.mark.parametrize("kind", [VectorField3, ScalarField])
+    def test_contiguous_float64_array_taken_over(self, kind):
+        # No copy: the field keeps the caller's array and makes it read-only.
+        g = make_grid(8)
+        a = np.zeros((3, 8, 8, 8) if kind is VectorField3 else (8, 8, 8))
+        f = kind(g, a)
+        assert f.values is a
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 1.0
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: np.zeros((3, 8, 8, 8), dtype=np.float32),
+            lambda: np.zeros((3, 8, 8, 16))[..., ::2],
+            lambda: np.zeros((3, 8, 8, 8)).tolist(),
+        ],
+        ids=["float32", "strided-view", "list"],
+    )
+    def test_other_input_copied(self, make):
+        a = make()
+        f = VectorField3(make_grid(8), a)
+        assert f.values is not a and not f.values.flags.writeable
+        if isinstance(a, np.ndarray):
+            assert not np.shares_memory(f.values, a)
+            a[0, 0, 0, 0] = 1.0
+        else:
+            a[0][0][0][0] = 1.0
+        assert f.values[0, 0, 0, 0] == 0.0
+
 
 SPECIAL_VALUES = (0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308)
 

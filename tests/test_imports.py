@@ -44,6 +44,8 @@ def test_import_loads_no_scipy():
 
 def test_operations_load_no_scipy(tmp_path):
     # A lazy scipy import on an operation path would bring that cost back.
+    # Nor may an operation load numpy.polynomial: the radial Gauss-Legendre
+    # rule is built by Newton's method, not by leggauss's LAPACK eigensolver.
     v = tmp_path / "v.fld"
     argvs = [
         ["gen", "--kind", "random", "--n", "16", "--kmin", "2", "--kmax", "5", "--out", str(v)],
@@ -60,6 +62,7 @@ def test_operations_load_no_scipy(tmp_path):
         "from exactlaws.cli import main\n"
         f"for argv in {argvs!r}:\n"
         "    assert main(argv) == 0, argv\n"
-        f"{SCIPY_LOADED}\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+        "             or m.split('.')[:2] == ['numpy', 'polynomial']))\n"
     )
     assert run_python(code) == "[]"

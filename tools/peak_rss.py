@@ -6,7 +6,10 @@ Runs ``exactlaws ARGS`` twice, each time in a fresh interpreter on TREE's
 package, with one OpenMP and one OpenBLAS thread and no bytecode written:
 
 * untraced, for the peak resident set size of the process (``ru_maxrss``),
-  which counts the interpreter, numpy and the BLAS as well as the arrays;
+  which counts the interpreter, numpy and the BLAS as well as the arrays,
+  and the resident set the command leaves at its end (``VmRSS`` of
+  ``/proc/self/status``, None where there is no such file): the pages a
+  later computation in the same process starts from;
 * under ``tracemalloc``, for the traced peak of each engine stage: the most
   memory numpy and Python held at once while the stage ran, whatever the
   stage allocated itself.  The stages are those the tree's own stage clock
@@ -65,7 +68,18 @@ def worker(traced: bool, argv: list[str]) -> None:
         result["traced_peak_mb"] = {name: peak / 2**20 for name, peak in peaks.items()}
     else:
         result["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        result["rss_at_exit_mb"] = _resident_mb()
     print(json.dumps(result))
+
+
+def _resident_mb() -> float | None:
+    """The resident set size now (VmRSS), in MB; None without /proc."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as status:
+            lines = [line for line in status if line.startswith("VmRSS:")]
+    except OSError:
+        return None
+    return int(lines[0].split()[1]) / 1024.0 if lines else None
 
 
 def measure(tree: Path, argv: list[str], traced: bool) -> dict:
@@ -87,6 +101,8 @@ def main() -> int:
     tree, argv = Path(args[0]), args[2:]
     untraced, traced = measure(tree, argv, False), measure(tree, argv, True)
     print(f"peak_rss_mb {untraced['peak_rss_mb']:.1f}")
+    at_exit = untraced["rss_at_exit_mb"]
+    print(f"rss_at_exit_mb {'unknown' if at_exit is None else f'{at_exit:.1f}'}")
     for name, peak in traced["traced_peak_mb"].items():
         print(f"traced_peak_mb.{name} {peak:.1f}")
     print(json.dumps({"untraced": untraced, "traced": traced}))
