@@ -64,15 +64,19 @@ from the source's stored spectrum (the spectrum ``grid.curl`` transforms
 back, at the kept modes), with no round trip through the grid.  The
 helicity law's default vorticity is taken this way.
 
-The law table ``LAWS`` is the one place a law is defined: one row of
-coefficients per law over two kinds of cubic increment pieces, the cube
-<(n.dx)(n.dy)(n.dz)> and the trace <(n.dx)(dy.dz)>.  Both paths only
-evaluate pieces; the row turns them into the term means (L1, L2, T1, T2,
-flux) and assembles from those the structure-function combinations (raw
-combos), the ball quadrature of the dissipation functionals and the radial
-shell form.  Keeping one source for the kernel algebra makes the exact
-degeneracies (equal-field cancellations, halving identities) hold to the
-last bit on both paths.
+The law table ``LAWS`` is the one place a law is defined: one row per law
+names the field it pairs with the primary field v and holds its
+coefficients over two kinds of cubic increment pieces, the cube
+<(n.dx)(n.dy)(n.dz)> and the trace <(n.dx)(dy.dz)>.  The paired field is
+"omega" for helicity (the vorticity, ``CurlOf`` v unless given), "h" for
+the MHD energy and cross-helicity laws (the magnetic field, which must be
+given) and None for hydrodynamic energy (the MHD energy row with a zero
+second field).  Both paths only evaluate pieces; the row turns them into
+the term means (L1, L2, T1, T2, flux) and assembles from those the
+structure-function combinations (raw combos), the ball quadrature of the
+dissipation functionals and the radial shell form.  Keeping one source for
+the kernel algebra makes the exact degeneracies (equal-field
+cancellations, halving identities) hold to the last bit on both paths.
 """
 
 from __future__ import annotations
@@ -81,7 +85,7 @@ import contextlib
 import contextvars
 import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import reduce
 from operator import add
@@ -127,6 +131,7 @@ class _LawRow:
     cube pieces of the same patterns; flux is the first trace minus the second.
     """
 
+    pair: str | None  # the field b: "omega" (CurlOf v unless given), "h" (required), None (zero)
     l1: tuple[str, ...]
     l2: tuple[str, ...]
     flux: tuple[str, str]
@@ -142,10 +147,10 @@ class _LawRow:
     flux_with_t1: bool
 
 
-# The one place a law is defined; hydrodynamic energy is the MHD energy law
-# with a zero second field.
+# The one place a law is defined.
 LAWS: dict[LawKind, _LawRow] = {
     LawKind.HELICITY: _LawRow(
+        pair="omega",
         l1=("aab",),
         l2=("baa",),
         flux=("baa", "aab"),
@@ -155,6 +160,7 @@ LAWS: dict[LawKind, _LawRow] = {
         flux_with_t1=True,
     ),
     LawKind.MHD_ENERGY: _LawRow(
+        pair="h",
         l1=("aaa", "abb"),
         l2=("bab",),
         flux=("abb", "bab"),
@@ -164,6 +170,7 @@ LAWS: dict[LawKind, _LawRow] = {
         flux_with_t1=False,
     ),
     LawKind.CROSS_HELICITY: _LawRow(
+        pair="h",
         l1=("aba",),
         l2=("bbb", "baa"),
         flux=("baa", "aab"),
@@ -173,7 +180,8 @@ LAWS: dict[LawKind, _LawRow] = {
         flux_with_t1=True,
     ),
 }
-LAWS[LawKind.HYDRO_ENERGY] = LAWS[LawKind.MHD_ENERGY]
+# Hydrodynamic energy is the MHD energy law with a zero second field.
+LAWS[LawKind.HYDRO_ENERGY] = replace(LAWS[LawKind.MHD_ENERGY], pair=None)
 
 # Flux coefficients (c_L, c_T) entering the combined values.
 COMBINE_COEFFS = {law: row.combine for law, row in LAWS.items()}

@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import report as rep
-from ._kernels import COMBINE_COEFFS, CurlOf, LawKind, stage_clock
+from ._kernels import COMBINE_COEFFS, LAWS, CurlOf, LawKind, stage_clock
 from .geometry import (
     direction_set_icosa,
     identity227_batch,
@@ -141,12 +141,12 @@ def _check_tolerance(name: str, value: float) -> float:
 
 
 def parse_ladder(text: str) -> list[float]:
-    """Parse "lo:hi:count" into a geometric ladder (count >= 1, hi >= lo > 0)."""
+    """Parse "lo:hi:count" into a geometric ladder (count >= 1, finite hi >= lo > 0)."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"ladder must be lo:hi:count, got {text!r}")
     lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-    if not (0 < lo <= hi) or count < 1:
+    if not (0 < lo <= hi < np.inf) or count < 1:
         raise ValueError(f"invalid ladder {text!r}")
     if count == 1:
         return [lo]
@@ -224,14 +224,10 @@ def _ballshell_gap(ball, shell) -> np.ndarray:
 _BALL_FLOOR = 1e-12
 
 
-# The laws that couple v to a second field, as dissipation_matrix requests over
-# the fields {"v": v, "omega": CurlOf("v"), "h": h}; the suites check them in
-# this order.
-_COUPLED = {
-    "helicity": (LawKind.HELICITY, "v", "omega"),
-    "mhd-energy": (LawKind.MHD_ENERGY, "v", "h"),
-    "cross-helicity": (LawKind.CROSS_HELICITY, "v", "h"),
-}
+# The laws whose row pairs v with a second field, as dissipation_matrix
+# requests over the fields {"v": v, "omega": CurlOf("v"), "h": h}, named as the
+# rows name them; the suites check them in the order of LAWS.
+_COUPLED = {law.value: (law, "v", row.pair) for law, row in LAWS.items() if row.pair}
 
 
 def _ballshell_checks(cfg: VerifyConfig, verdict: Verdict) -> None:
@@ -524,12 +520,13 @@ def _engine_stage(args, stage, ladder, *extra) -> tuple:
     """({flag: path} of the files read, ``stage(law, (v, w), ladder,
     direction set, *extra)``) from --law, --v, --omega or --h, and --dirs.
 
-    The second field comes from --omega (helicity) or --h (the MHD laws),
-    None if not given, and the laws module decides what a missing one means;
-    hydro-energy reads no second file.  ``stage`` builds the engine; the
-    fields live in this frame only, so none outlives the engine build."""
+    The second field comes from the flag the law's row pairs with, --omega
+    or --h, None if not given, and the laws module decides what a missing
+    one means; a law without a paired field reads no second file.  ``stage``
+    builds the engine; the fields live in this frame only, so none outlives
+    the engine build."""
     law = LawKind(args.law)
-    second = {LawKind.HELICITY: "omega", LawKind.HYDRO_ENERGY: None}.get(law, "h")
+    second = LAWS[law].pair
     paths = {name: str(getattr(args, name)) for name in ("v", second)
              if name and getattr(args, name)}
     fields = (_load_vector(args.v), _load_vector(paths[second]) if second in paths else None)

@@ -84,6 +84,11 @@ class DirectionSet:
     def __len__(self) -> int:
         return self.directions.shape[0]
 
+    @property
+    def label(self) -> str:
+        """The set's name in reports: its descriptor, or "custom:<count>"."""
+        return self.descriptor or f"custom:{len(self)}"
+
     def first_moment(self) -> np.ndarray:
         return self.weights @ self.directions
 

@@ -69,21 +69,6 @@ class RawCombos:
         return self.raw_L, self.raw_T, self.raw_flux
 
 
-def _resolve_pair(law: LawKind, v: VectorField3, w) -> tuple[VectorField3, object]:
-    """Apply the law's convention for the second field.  The helicity law's
-    default vorticity is ``CurlOf("a")``: the engine takes it from the
-    spectrum of v, the engine's field "a"."""
-    if law is LawKind.HELICITY:
-        w = CurlOf("a") if w is None else w
-    elif law is LawKind.HYDRO_ENERGY:
-        w = None
-    elif w is None:
-        raise ValueError(f"magnetic field required for the {law.value} law")
-    if isinstance(w, VectorField3):
-        _require_same_grid(v, w)
-    return v, w
-
-
 # Error texts per ladder kind: (name of one value, remark on exceeding length/4).
 _LADDER_TEXT = {
     "scales": ("separation", "; periodic wrap-around would contaminate increments"),
@@ -113,16 +98,26 @@ def _law_engine(law: LawKind, fields, ladder, dirs, kind: str = "scales"):
     """The input stage of every evaluator: (law, checked ladder, direction
     set, engine).
 
-    ``fields`` is the primary field or a (primary, second) pair; the second
-    field follows ``_resolve_pair``, and the engine holds the pair as the
-    fields "a" and "b".  ``dirs`` defaults to ``default_directions()``.
-    Nothing returned refers to the fields, so a caller that holds no other
-    reference frees them before any row is built.
+    ``fields`` is the primary field or a (primary, second) pair; the engine
+    holds the pair as the fields "a" and "b".  The second field is the one
+    the law's row pairs with: none (the given one is ignored), a vorticity
+    ("omega", ``CurlOf("a")``, the curl of v's spectrum, when not given) or
+    a magnetic field ("h", required).  ``dirs`` defaults to
+    ``default_directions()``.  Nothing returned refers to the fields, so a
+    caller that holds no other reference frees them before any row is built.
     """
     law = LawKind(law)
     v, w = (fields, None) if isinstance(fields, VectorField3) else fields
     ladder = _check_ladder(v.grid.length, ladder, kind)
-    v, w = _resolve_pair(law, v, w)
+    pair = _kernels.LAWS[law].pair
+    if pair is None:
+        w = None
+    elif w is None and pair == "omega":
+        w = CurlOf("a")
+    elif w is None:
+        raise ValueError(f"magnetic field required for the {law.value} law")
+    elif isinstance(w, VectorField3):
+        _require_same_grid(v, w)
     dirs = dirs if dirs is not None else default_directions()
     return law, ladder, dirs, StatsEngine(v.grid, {"a": v, "b": w})
 
@@ -209,18 +204,19 @@ def _structure_engine(law: LawKind, fields, scales, dirs) -> tuple:
     is checked against the spectral curl before the engine is built; nothing
     returned refers to the fields."""
     law = LawKind(law)
-    explicit_w = not isinstance(fields, VectorField3) and fields[1] is not None
-    omega = _omega_check(*fields) if law is LawKind.HELICITY and explicit_w else {}
+    pair = _kernels.LAWS[law].pair
+    explicit_w = not isinstance(fields, VectorField3) and isinstance(fields[1], VectorField3)
+    omega = _omega_check(*fields) if pair == "omega" and explicit_w else {}
     law, scales, dirs, engine = _law_engine(law, fields, scales, dirs)
     metadata = {
         "law": law.value,
         "grid": {"n": engine.grid.n, "length": engine.grid.length},
-        "directions": dirs.descriptor or f"custom:{len(dirs)}",
+        "directions": dirs.label,
         "flux_coefficients": list(COMBINE_COEFFS[law]),
     }
-    if law in (LawKind.MHD_ENERGY, LawKind.CROSS_HELICITY):
-        # The opposite sign convention for the flux term circulates; record
-        # both so reports are unambiguous.
+    if pair == "h":
+        # For the laws of the magnetic field the opposite sign convention for
+        # the flux term circulates; record both so reports are unambiguous.
         c_l, c_t = COMBINE_COEFFS[law]
         metadata["alternate_flux_coefficients"] = [-c_l, -c_t]
     return law, scales, dirs, engine, {**metadata, **omega}

@@ -113,11 +113,17 @@ RADIAL_NODES = 32
 
 
 def radial_quadrature(eps: float, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on (0, eps]; the open rule avoids r = 0."""
+    """Gauss-Legendre nodes and weights on (0, eps]; the open rule avoids r = 0.
+
+    The mollifier's scaling divides by eps**4, and the ball integrand by a
+    node radius besides, so eps**4 must keep a machine epsilon's headroom
+    above the smallest normal float (eps above about 1e-73)."""
     if count < 2:
         raise ValueError("need at least 2 radial nodes")
     if not 0.0 < eps < np.inf:
         raise ValueError(f"eps must be positive and finite, got {eps:g}")
+    if eps**4 * np.finfo(float).eps < np.finfo(float).tiny:
+        raise ValueError(f"eps {eps:g} is too small: the mollifier's eps**-4 scaling overflows")
     x, w = _gauss_legendre(count)
     return (x + 1.0) * (eps / 2.0), w * (eps / 2.0)
 
@@ -445,7 +451,7 @@ def _dissipation_report(part: str, m: Mollifier, radial_nodes: int, law: LawKind
         d_shell=tuple(matrix["shell"][part]),
         mollifier=m.name,
         radial_nodes=radial_nodes,
-        directions=dirs.descriptor or f"custom:{len(dirs)}",
+        directions=dirs.label,
         extrapolation=extrapolate_to_zero(epsilons, ball),
         engine=engine.describe(),
     )

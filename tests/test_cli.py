@@ -48,6 +48,20 @@ class TestLadders:
         with pytest.raises(ValueError):
             parse_ladder("0.1:0.8")
 
+    @pytest.mark.parametrize("text", ["0.2:inf:2", "0.2:inf:1", "inf:inf:1", "0.2:nan:2"])
+    def test_non_finite_bound(self, text):
+        # An infinite hi made geomspace warn, and with count 1 returned [lo].
+        with pytest.raises(ValueError, match="invalid ladder"):
+            parse_ladder(text)
+
+    def test_non_finite_bound_exits_2_without_a_warning(self, tmp_path, capsys):
+        rc = run(["analyze", "--law", "hydro-energy", "--v", tmp_path / "v.fld",
+                  "--scales", "0.2:inf:2", "--out", tmp_path / "r"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "invalid ladder '0.2:inf:2'" in err
+        assert "Warning" not in err
+
 
 class TestGen:
     def test_abc(self, tmp_path):
@@ -291,6 +305,17 @@ class TestDissipation:
         for b, s in zip(payload["d_ball"], payload["d_shell"]):
             assert abs(b - s) <= 1e-10 * (abs(b) + 1e-30)
 
+    def test_eps_whose_scaling_overflows_exits_2(self, tmp_path, field_files, capsys):
+        # The run used to print RuntimeWarnings, then fail in the report writer.
+        v, _ = field_files
+        rc = run(["dissipation", "--law", "hydro-energy", "--v", v, "--eps", "1e-80:1e-80:1",
+                  "--radial-nodes", 4, "--dirs", "icosa:0", "--out", tmp_path / "r"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "eps 1e-80 is too small" in err
+        assert "Warning" not in err
+        assert not (tmp_path / "r.json").exists()
+
     def test_ball_only(self, tmp_path, field_files):
         v, _ = field_files
         out = tmp_path / "diss"
@@ -498,7 +523,8 @@ class TestVerify:
         "flag, value, message",
         [("--n", "7", "n must be even"),
          ("--dirs", "bogus", "unrecognized direction-set spec"),
-         ("--radial-nodes", "1", "need at least 2 radial nodes")],
+         ("--radial-nodes", "1", "need at least 2 radial nodes"),
+         ("--eps", "1e-80:1e-80:1", "eps 1e-80 is too small")],
     )
     def test_bad_config_exits_2_before_any_suite(self, tmp_path, capsys, flag, value, message):
         # The identity suite reads none of these; they are checked anyway.

@@ -125,6 +125,11 @@ class TestDirectionSetEquality:
         assert a != DirectionSet(a.directions, weights, a.descriptor)
         assert a != DirectionSet(a.directions[::-1], a.weights, a.descriptor)
 
+    def test_label_is_the_descriptor_or_the_count(self):
+        a = direction_set_icosa(1)
+        assert a.label == "icosa:1"
+        assert DirectionSet(a.directions, a.weights).label == "custom:42"
+
     def test_other_types(self):
         a = direction_set_icosa(0)
         assert (a == "icosa:0") is False

@@ -1,15 +1,21 @@
 """Structure-function combinations: examples, invariants, oracle equivalence."""
 
+import argparse
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exactlaws._kernels import StatsEngine
+from exactlaws import _kernels, cli
+from exactlaws._kernels import LAWS, CurlOf, StatsEngine
 from exactlaws.geometry import direction_set_icosa, direction_set_random
-from exactlaws.grid import VectorField3, curl, make_grid
+from exactlaws.grid import VectorField3, curl, make_grid, write_field
 from exactlaws.laws import (
     COMBINE_COEFFS,
+    _structure_engine,
+    _structure_report,
     _line_fit,
     LawKind,
     RawCombos,
@@ -201,6 +207,23 @@ def test_evaluators_reject_unusable_scale(evaluator, x, match):
     _, v, _ = random_pair()  # length 2*pi: length/4 = 1.57
     with pytest.raises(ValueError, match=match):
         AT_ONE_SCALE[evaluator](v, x)
+
+
+# The evaluators that scale the mollifier by eps.
+MOLLIFIED = {
+    **{name: AT_ONE_SCALE[name] for name in ("d_ball", "sweep_dissipation", "dr_dissipation")},
+    "dissipation_matrix": lambda v, x: LADDERS["dissipation_matrix"](v, [x]),
+}
+
+
+@pytest.mark.parametrize("evaluator", list(MOLLIFIED))
+@pytest.mark.parametrize("eps", [1e-80, 1e-110])
+def test_mollified_evaluators_reject_an_eps_whose_scaling_overflows(evaluator, eps):
+    # eps**4 underflows: sweep_dissipation gave a NaN d_ball and a -inf d_shell
+    # at 1e-80, and NaN for both at 1e-110.
+    _, v, _ = random_pair()
+    with pytest.raises(ValueError, match=f"eps {eps:g} is too small"):
+        MOLLIFIED[evaluator](v, eps)
 
 
 @pytest.mark.parametrize("evaluator", list(LADDERS))
@@ -400,3 +423,66 @@ class TestLineFit:
 
     def test_constant_values_fit_exactly(self):
         assert _line_fit([0.1, 0.2, 0.4], [2.5, 2.5, 2.5]) == (0.0, 2.5, 1.0)
+
+
+R = 0.3
+
+
+def stage_combos(law, tmp_path, v, **second):
+    """({flag: path} read, raw combos at R) of the CLI's input stage on files
+    holding v and the fields ``second`` under their flags (omega, h)."""
+    files = {}
+    for name, fld in {"v": v, **second}.items():
+        files[name] = tmp_path / f"{name}.fld"
+        write_field(fld, files[name])
+    args = argparse.Namespace(law=law.value, v=files["v"], omega=files.get("omega"),
+                              h=files.get("h"), dirs="icosa:0")
+    paths, built = cli._engine_stage(args, _structure_engine, [R])
+    return paths, _structure_report(*built).combos[0]
+
+
+class TestPairedField:
+    """raw_combos, sweep_structure and the CLI's input stage take the second
+    field that the law's row in ``LAWS`` names."""
+
+    @pytest.mark.parametrize("law", ALL_LAWS)
+    def test_entry_points_follow_the_row(self, law, tmp_path):
+        _, v, h = random_pair()
+        pair = LAWS[law].pair
+        if pair == "h":  # the magnetic field is required; --omega does not stand in
+            missing = f"magnetic field required for the {law.value} law"
+            for call in (lambda: raw_combos(law, v, None, R, DIRS12),
+                         lambda: sweep_structure(law, v, [R], DIRS12),
+                         lambda: stage_combos(law, tmp_path, v, omega=h)):
+                with pytest.raises(ValueError, match=missing):
+                    call()
+            return
+        if pair == "omega":  # the vorticity defaults to the spectral curl of v
+            expected = raw_combos(law, v, CurlOf("a"), R, DIRS12)
+            assert raw_combos(law, v, None, R, DIRS12) == expected
+            assert sweep_structure(law, (v, CurlOf("a")), [R], DIRS12).combos[0] == expected
+            assert raw_combos(law, v, h, R, DIRS12) != expected
+            given = {}
+        else:  # no second field: a given one is ignored
+            assert pair is None
+            expected = raw_combos(law, v, None, R, DIRS12)
+            assert raw_combos(law, v, h, R, DIRS12) == expected
+            assert sweep_structure(law, (v, h), [R], DIRS12).combos[0] == expected
+            given = {"omega": h, "h": h}
+        assert sweep_structure(law, v, [R], DIRS12).combos[0] == expected
+        paths, combos = stage_combos(law, tmp_path, v, **given)
+        assert paths == {"v": str(tmp_path / "v.fld")}
+        assert combos == expected
+
+    def test_a_changed_row_reaches_every_entry_point(self, tmp_path, monkeypatch):
+        # No caller keeps its own copy of which field a law pairs with.
+        _, v, h = random_pair()
+        row = _kernels.LAWS[LawKind.HELICITY]
+        monkeypatch.setitem(_kernels.LAWS, LawKind.HELICITY, dataclasses.replace(row, pair="h"))
+        for call in (lambda: raw_combos(LawKind.HELICITY, v, None, R, DIRS12),
+                     lambda: sweep_structure(LawKind.HELICITY, v, [R], DIRS12),
+                     lambda: stage_combos(LawKind.HELICITY, tmp_path, v, omega=h)):
+            with pytest.raises(ValueError, match="magnetic field required for the helicity"):
+                call()
+        paths, _ = stage_combos(LawKind.HELICITY, tmp_path, v, h=h)
+        assert set(paths) == {"v", "h"}

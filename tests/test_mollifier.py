@@ -384,6 +384,28 @@ def test_shell_forms_reject_unusable_eps(form, eps):
         SHELL_FORMS[form](eps)
 
 
+@pytest.mark.parametrize("eps", [1e-80, 1e-110])
+def test_radial_forms_reject_an_eps_whose_scaling_overflows(eps):
+    # eps**4 underflows there, and phi_eps' = phi'(r/eps) / eps**4 is not finite.
+    for form in (*SHELL_FORMS.values(), lambda eps: mollifier_moments(MOL, eps)):
+        with pytest.raises(ValueError, match=f"eps {eps:g} is too small"):
+            form(eps)
+
+
+def test_smallest_accepted_eps_gives_finite_functionals():
+    # Just above the bound, where eps**-4 times a node's phi_eps / r comes
+    # nearest to overflowing, every functional is finite and the mollifier's
+    # moments are still (1, -3).
+    g, v = small_random(n=8, kmax=2)
+    h = random_solenoidal(g, SpectrumSpec(-5.0 / 3.0, 1, 2, 1.0, 4))
+    eps = 1.01e-73
+    for law in LawKind:
+        for part in ("L", "T"):
+            report = sweep_dissipation(law, part, (v, h), MOL, [eps], 256, DIRS12)
+            assert np.isfinite(report.d_ball + report.d_shell).all()
+    assert np.allclose(mollifier_moments(MOL, eps), (1.0, -3.0), rtol=0.0, atol=1e-10)
+
+
 class TestSweepDissipation:
     def test_report_fields(self):
         g, v = small_random()
