@@ -93,7 +93,7 @@ from operator import add
 import numpy as np
 
 from .grid import (Grid3, VectorField3, _axis_phases, _band_axis, _band_irfftn, _band_rfftn,
-                   _curl_modes, _derivative_wavenumbers, _rfftn, _wavenumbers)
+                   _cpus, _curl_modes, _derivative_wavenumbers, _rfftn, _run_blocks, _wavenumbers)
 
 __all__ = [
     "LawKind",
@@ -251,6 +251,12 @@ _MOMENT_BLOCK = 2**20
 # a ladder.  At m = 16 a batch of 16 products ran faster than one of all 30
 # (2^17), and with a lower peak resident memory.
 _BATCH = 2**16
+# Spectrum points each block of a per-shift pass holds at least: a block
+# pays for its thread hand-off only above some size.  On a 2-CPU host, two
+# blocks took 0.87 times one block's time on one n = 48 field (86400 points
+# a block) and 0.94 on two n = 32 fields (52224), but 1.04 on one n = 32
+# field (26112) and 1.33 on two n = 24 fields (22464).
+_BLOCK_POINTS = 2**15
 
 
 def _active_modes(spec: np.ndarray) -> np.ndarray:
@@ -424,7 +430,8 @@ class StatsEngine:
     source's stored spectrum, within the source's mask.
     ``evaluation`` names the path ``angular_term_sums`` takes: "sine-series"
     or "per-shift-fft".  ``separations`` counts the separations evaluated,
-    ``inverse_passes`` the inverse passes per axis, ``transform_calls`` the
+    ``inverse_passes`` the inverse passes per axis (``pass_cpus`` is the most
+    threads one of them ran on, 0 before the first), ``transform_calls`` the
     3-D transforms (one per distinct given field and one per batch of band
     components or pair products), ``column_passes`` the column-sum passes, one
     per rung and block of directions; ``describe`` also gives the modes kept
@@ -551,6 +558,7 @@ class StatsEngine:
         self._row_index[:zero, :zero, :zero] = -1
         self.separations = 0
         self.inverse_passes = {"x": 0, "xy": 0, "z": 0}
+        self.pass_cpus = 0
         self.column_passes = 0
 
     def describe(self) -> dict:
@@ -581,16 +589,15 @@ class StatsEngine:
         """
         if self._base is None:
             self._base = self._shifted(np.zeros(3), count=False).copy()
-        delta = self._shifted(ell)
-        delta -= self._base
+        delta = self._shifted(ell, minus=self._base)
         self.separations += 1
         zero = self._fields.shape[0]
         return {name: None if p == zero else delta[p : p + 3]
                 for name, (p, _, _) in self.components.items()}
 
-    def _shifted(self, ell, count: bool = True) -> np.ndarray:
+    def _shifted(self, ell, count: bool = True, minus=None) -> np.ndarray:
         """The fields at x + ell on the reduced grid, flat (C, m**3), in the
-        engine's output buffer.
+        engine's output buffer, less ``minus`` (flat (C, m**3)) if given.
 
         The inverse transform runs one axis at a time, each pass after the
         phase factor of its axis.  The x pass depends on l_x only and the xy
@@ -598,28 +605,45 @@ class StatsEngine:
         and reused while those components repeat (exact float equality).  The
         z pass runs one component at a time, after the z phase is applied into
         a third kept buffer of one component's size, so a call allocates no
-        whole-grid array; each line is transformed as in one batch, bit for bit.
-        ``count`` adds the passes made to ``inverse_passes``.
+        whole-grid array.  Each pass runs in blocks of the lines it transforms
+        through ``grid._run_blocks``, one per CPU where a block pays: the x
+        pass by y rows, the others by x rows.  Each line is transformed as in
+        one batch, bit for bit.  ``count`` adds the passes made to
+        ``inverse_passes``.
         """
         m = self.m
         if self._spectra is None:  # alias-free: the stored modes, from the band box to the m-grid
             at = (*(_band_axis(m, self.kmax)[i] for i in self._box[:2]), self._box[2])
             self._spectra = np.zeros((self._fields.shape[0], m, m, m // 2 + 1), dtype=complex)
             self._spectra[(Ellipsis, *at)] = self._fields
+        spec = self._spectra
         px, py, pz = _axis_phases(self.grid, ell, m)
         if self._passes is None:
-            self._passes = (np.empty_like(self._spectra), np.empty_like(self._spectra),
-                            np.empty_like(self._spectra[0]),
-                            np.empty(self._spectra.shape[:-1] + (m,)))
+            self._passes = (np.empty_like(spec), np.empty_like(spec), np.empty_like(spec[0]),
+                            np.empty(spec.shape[:-1] + (m,)))
         x, xy, z, out = self._passes
         keys = (float(ell[0]), (float(ell[0]), float(ell[1])))
         made = {"x": keys[0] != self._keys[0], "xy": keys[1] != self._keys[1], "z": True}
-        if made["x"]:
-            np.fft.ifft(np.multiply(self._spectra, px[:, None, None], out=x), axis=1, out=x)
-        if made["xy"]:
-            np.fft.ifft(np.multiply(x, py[:, None], out=xy), axis=2, out=xy)
-        for comp, dest in zip(xy, out):
-            np.fft.irfft(np.multiply(comp, pz, out=z), n=m, axis=2, out=dest)
+        below = None if minus is None else minus.reshape(out.shape)
+        blocks = min(_cpus(), spec.size // _BLOCK_POINTS)
+
+        def x_pass(s):  # the y rows s
+            np.fft.ifft(np.multiply(spec[:, :, s], px[:, None, None], out=x[:, :, s]), axis=1,
+                        out=x[:, :, s])
+
+        def xy_pass(s):  # the x rows s
+            np.fft.ifft(np.multiply(x[:, s], py[:, None], out=xy[:, s]), axis=2, out=xy[:, s])
+
+        def z_pass(s):  # the x rows s
+            for c, (comp, dest) in enumerate(zip(xy, out)):
+                np.fft.irfft(np.multiply(comp[s], pz, out=z[s]), n=m, axis=2, out=dest[s])
+                if below is not None:
+                    dest[s] -= below[c, s]
+
+        self._keys = (None, None)  # until every pass has run
+        for axis, run in (("x", x_pass), ("xy", xy_pass), ("z", z_pass)):
+            if made[axis]:
+                self.pass_cpus = max(self.pass_cpus, _run_blocks(run, m, blocks))
         self._keys = keys
         if count:
             for axis, done in made.items():

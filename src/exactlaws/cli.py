@@ -552,7 +552,7 @@ def cmd_analyze(args) -> int:
         paths, built = _engine_stage(args, _structure_engine, parse_ladder(args.scales))
         report = _structure_report(*built)
     _write_report(args.out, report.to_json_dict(), report.csv_rows(), engine=report.engine,
-                  fields=paths, stage_seconds=seconds)
+                  fields=paths, stage_seconds=seconds, pass_cpus=built[3].pass_cpus)
     return 0
 
 
@@ -568,7 +568,8 @@ def cmd_dissipation(args) -> int:
     engine = built[-1]
     kmax = 2.0 * np.pi / engine.grid.length * engine.kmax
     _write_report(args.out, payload, engine=report.engine, fields=paths,
-                  kmax_eps_min=kmax * min(report.epsilons), stage_seconds=seconds)
+                  kmax_eps_min=kmax * min(report.epsilons), stage_seconds=seconds,
+                  pass_cpus=engine.pass_cpus)
     gap = _ballshell_gap(report.d_ball, report.d_shell) if args.method == "both" else []
     failures = [(eps, rel) for eps, rel in zip(report.epsilons, gap) if rel > tol]
     for eps, rel in failures:

@@ -5,8 +5,11 @@ import dataclasses
 import inspect
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -189,19 +192,32 @@ def test_stage_seconds_outside_hash(tmp_path, field_files):
 def test_peak_rss_tool_traces_the_stage_clock(tmp_path, field_files):
     # The tool charges the traced peak to the stages of ``stage_seconds``
     # (radial assembly included, see test_stage_seconds_outside_hash) and
-    # the time outside them to ``rest``.
+    # the time outside them to ``rest``.  tracemalloc traces every thread, so
+    # what the per-shift passes' helper threads allocate (n = 48 white noise,
+    # split on a host with two CPUs or more) goes to the stage open on the
+    # thread they run for.
     v, _ = field_files
+    noise = tmp_path / "noise.fld"
+    rng = np.random.default_rng(8)
+    write_field(VectorField3(make_grid(48), rng.standard_normal((3, 48, 48, 48))), noise)
     root = Path(__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, str(root / "tools" / "peak_rss.py"), str(root), "--", "dissipation",
-         "--law", "helicity", "--v", str(v), "--eps", "0.3:0.3:1", "--radial-nodes", "4",
-         "--dirs", "icosa:0", "--out", str(tmp_path / "d")],
-        stdout=subprocess.PIPE, text=True, timeout=300)
-    runs = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert proc.returncode == 0
-    assert runs["untraced"]["exit"] == runs["traced"]["exit"] == 0
-    stages = set(json.loads((tmp_path / "d.json").read_text())["provenance"]["stage_seconds"])
-    assert set(runs["traced"]["traced_peak_mb"]) == stages | {"rest"}
+    for name, argv in (
+        ("d", ["dissipation", "--law", "helicity", "--v", v, "--eps", "0.3:0.3:1",
+               "--radial-nodes", 4]),
+        ("a", ["analyze", "--law", "hydro-energy", "--v", noise, "--scales", "0.2:0.8:2"]),
+    ):
+        proc = subprocess.run(
+            [sys.executable, str(root / "tools" / "peak_rss.py"), str(root), "--", *map(str, argv),
+             "--dirs", "icosa:0", "--out", str(tmp_path / name)],
+            stdout=subprocess.PIPE, text=True, timeout=300)
+        runs = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert proc.returncode == 0
+        assert runs["untraced"]["exit"] == runs["traced"]["exit"] == 0
+        provenance = json.loads((tmp_path / f"{name}.json").read_text())["provenance"]
+        assert set(runs["traced"]["traced_peak_mb"]) == set(provenance["stage_seconds"]) | {"rest"}
+    assert provenance["engine"]["evaluation"] == "per-shift-fft"
+    points = 3 * 48 * 48 * 25  # the spectrum the passes transform
+    assert provenance["pass_cpus"] == min(_kernels._cpus(), points // _kernels._BLOCK_POINTS)
 
 
 class TestAnalyze:
@@ -734,36 +750,106 @@ class TestSelftest:
         assert all("measured" in c for c in payload["verdict"]["checks"])
 
 
-def test_per_shift_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # White noise takes the per-shift path, whose kernel contractions make no
-    # BLAS call.  Each report runs in a fresh interpreter, as the BLAS reads
-    # its thread count at load.  Band-limited input stays out: the sine
-    # series' per-plane products still go through the BLAS.
-    for name, key in (("v", 3), ("h", 4)):
-        rng = np.random.Generator(np.random.Philox(key=[key, 16]))
-        write_field(VectorField3(make_grid(16), rng.standard_normal((3, 16, 16, 16))),
-                    tmp_path / f"{name}.fld")
-    v, h = tmp_path / "v.fld", tmp_path / "h.fld"
-    reports = {
-        "analyze": ["analyze", "--law", "mhd-energy", "--v", v, "--h", h,
-                    "--scales", "0.1:0.8:3", "--dirs", "icosa:1"],
-        "dissipation": ["dissipation", "--law", "helicity", "--v", v,
-                        "--dirs", "icosa:1", "--radial-nodes", 8],
-    }
+# White noise takes the per-shift path: its kernel contractions make no BLAS
+# call, and its inverse passes run in blocks of lines on the process's CPUs.
+PER_SHIFT_REPORTS = {
+    "analyze": ["analyze", "--law", "mhd-energy", "--v", "v.fld", "--h", "h.fld",
+                "--scales", "0.1:0.8:3", "--dirs", "icosa:1"],
+    "dissipation": ["dissipation", "--law", "helicity", "--v", "v.fld",
+                    "--dirs", "icosa:1", "--radial-nodes", 8],
+}
+# A child pinned to the CPUs {cpus}, each pass split into as many blocks as
+# it has CPUs: at n = 16 a block would not pay for its thread, so by default
+# a pass runs unsplit.
+PINNED = ("import os, sys; os.sched_setaffinity(0, {cpus}); from exactlaws import _kernels; "
+          "_kernels._BLOCK_POINTS = 1; from exactlaws.cli import main; sys.exit(main())")
+
+
+def per_shift_reports(tmp_path, name, env=(), cpus=None) -> dict:
+    """{report: (canonical hash, CSV bytes or None, provenance)} of each of
+    PER_SHIFT_REPORTS on n = 16 white noise, each in a fresh interpreter with
+    ``env`` set, pinned to ``cpus`` if given."""
+    for field, key in (("v", 3), ("h", 4)):
+        if not (tmp_path / f"{field}.fld").exists():
+            rng = np.random.Generator(np.random.Philox(key=[key, 16]))
+            write_field(VectorField3(make_grid(16), rng.standard_normal((3, 16, 16, 16))),
+                        tmp_path / f"{field}.fld")
     path = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]),
                                          os.environ.get("PYTHONPATH")]))
-    hashes = {}
-    for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
-               "PYTHONPATH": path}
-        for label, args in reports.items():
-            out = tmp_path / f"{label}-{threads}"
-            subprocess.run([sys.executable, "-m", "exactlaws.cli", *map(str, args),
-                            "--out", str(out)],
-                           env=env, check=True, capture_output=True, timeout=120)
-            hashes[label, threads] = canonical_hash(json.loads(Path(f"{out}.json").read_text()))
-    for label in reports:
-        assert hashes[label, "1"] == hashes[label, "2"], label
+    start = ["-m", "exactlaws.cli"] if cpus is None else ["-c", PINNED.format(cpus=set(cpus))]
+    reports = {}
+    for label, args in PER_SHIFT_REPORTS.items():
+        subprocess.run([sys.executable, *start, *map(str, args), "--out", f"{label}-{name}"],
+                       cwd=tmp_path, env={**os.environ, **dict(env), "PYTHONPATH": path},
+                       check=True, capture_output=True, timeout=120)
+        payload = json.loads((tmp_path / f"{label}-{name}.json").read_text())
+        csv = tmp_path / f"{label}-{name}.csv"
+        reports[label] = (canonical_hash(payload), csv.read_bytes() if csv.exists() else None,
+                          payload["provenance"])
+    return reports
+
+
+def test_per_shift_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # The BLAS reads its thread count at load, hence the fresh interpreters.
+    # Band-limited input stays out: the sine series' per-plane products still
+    # go through the BLAS.
+    runs = {threads: per_shift_reports(tmp_path, threads, {"OPENBLAS_NUM_THREADS": threads,
+                                                           "OMP_NUM_THREADS": threads})
+            for threads in ("1", "2")}
+    for label in PER_SHIFT_REPORTS:
+        assert runs["1"][label][:2] == runs["2"][label][:2], label
+    assert runs["1"]["analyze"][1] is not None
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="the process may run on one CPU only")
+def test_per_shift_reports_do_not_depend_on_the_cpus(tmp_path):
+    # Children pinned to one CPU and to two, their passes split as far as
+    # their CPUs allow, write the bits of an unpinned child, whose passes at
+    # n = 16 run unsplit; provenance.pass_cpus says how many threads ran them.
+    cpus = sorted(os.sched_getaffinity(0))
+    unpinned = per_shift_reports(tmp_path, "unpinned")
+    for pinned in (cpus[:1], cpus[:2]):
+        runs = per_shift_reports(tmp_path, f"cpus{len(pinned)}", cpus=pinned)
+        for label in PER_SHIFT_REPORTS:
+            assert runs[label][:2] == unpinned[label][:2], label
+            assert runs[label][2]["pass_cpus"] == len(pinned)
+            assert unpinned[label][2]["pass_cpus"] == 1
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the platform cannot fork")
+def test_a_forked_child_runs_the_per_shift_passes_on_helpers_of_its_own(tmp_path, monkeypatch):
+    # The helper threads do not survive a fork: a child that handed blocks to
+    # the parent's helpers would wait for them forever.
+    monkeypatch.setattr(_kernels, "_cpus", lambda: 2)
+    monkeypatch.setattr(_kernels, "_BLOCK_POINTS", 1)
+    rng = np.random.default_rng(6)
+    write_field(VectorField3(make_grid(16), rng.standard_normal((3, 16, 16, 16))),
+                tmp_path / "v.fld")
+    args = ["analyze", "--law", "hydro-energy", "--v", tmp_path / "v.fld",
+            "--scales", "0.1:0.8:3", "--dirs", "icosa:1", "--out"]
+    assert run(args + [tmp_path / "parent"]) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # a fork with threads running
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            code = run(args + [tmp_path / "child"])
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 120
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child did not finish within 120 s")
+        time.sleep(0.05)
+    assert os.waitstatus_to_exitcode(done[1]) == 0
+    parent, child = (json.loads((tmp_path / f"{name}.json").read_text())
+                     for name in ("parent", "child"))
+    assert parent["provenance"]["pass_cpus"] == child["provenance"]["pass_cpus"] == 2
+    assert canonical_hash(child) == canonical_hash(parent)
 
 
 def test_main_builds_one_parser_per_process(monkeypatch, tmp_path):

@@ -2,6 +2,7 @@
 
 import os
 import tempfile
+import threading
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exactlaws.grid import (
+    _run_blocks,
     FieldFileError,
     ScalarField,
     VectorField3,
@@ -389,3 +391,44 @@ def test_field_file_round_trip_bitwise(n, length, vector, seed, exponent, specia
     assert type(back) is type(fld)
     assert back.grid == g
     assert back.values.tobytes() == fld.values.tobytes()
+
+
+class TestRunBlocks:
+    """``_run_blocks``, which runs the blocks of each per-shift pass on the
+    calling thread and the helper threads."""
+
+    def test_the_blocks_cover_the_range_once(self):
+        seen = []
+        assert _run_blocks(seen.append, 10, 3) == 3
+        assert sorted(i for s in seen for i in range(10)[s]) == list(range(10))
+
+    def test_an_error_in_a_helper_block_is_raised_and_the_helpers_stay_usable(self):
+        def job(s):
+            if s.start:  # not the calling thread's block
+                raise ZeroDivisionError(s)
+
+        with pytest.raises(ZeroDivisionError):
+            _run_blocks(job, 4, 2)
+        seen = []
+        assert _run_blocks(seen.append, 4, 2) == 2
+        assert sorted(s.start for s in seen) == [0, 2]
+
+    def test_a_thread_that_finds_the_helpers_busy_runs_its_range_inline(self):
+        holding, release, counts = threading.Event(), threading.Event(), []
+
+        def hold(s):
+            if s.start == 0:
+                holding.set()
+                release.wait(60)
+
+        thread = threading.Thread(target=lambda: counts.append(_run_blocks(hold, 2, 2)))
+        thread.start()
+        try:
+            assert holding.wait(60)
+            seen = []
+            assert _run_blocks(lambda s: seen.append((s, threading.get_ident())), 4, 2) == 1
+        finally:
+            release.set()
+            thread.join(60)
+        assert not thread.is_alive() and counts == [2]
+        assert seen == [(slice(0, 4), threading.get_ident())]

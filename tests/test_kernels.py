@@ -2,7 +2,10 @@
 
 import bisect
 import itertools
+import sys
+import threading
 import tracemalloc
+import weakref
 
 import mpmath
 import numpy as np
@@ -872,6 +875,79 @@ def test_per_shift_separation_allocates_no_whole_grid_array():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * n**3 * 8
+
+
+def split_passes(monkeypatch, blocks):
+    """Run each per-shift pass in ``blocks`` blocks of lines, whatever its size
+    and the CPUs of the host."""
+    monkeypatch.setattr(_kernels, "_cpus", lambda: blocks)
+    monkeypatch.setattr(_kernels, "_BLOCK_POINTS", 1)
+
+
+SPLIT_ELLS = [np.array(ell) for ell in ((0.1, 0.2, 0.3), (0.1, 0.2, 0.5), (0.1, 0.4, 0.5),
+                                        (0.3, 0.4, 0.5))]
+
+
+def test_per_shift_passes_keep_their_bits_in_any_number_of_blocks(monkeypatch):
+    # Each pass runs in 1, 2 or 3 blocks of lines: on the calling thread and
+    # up to two helpers.  Every line is transformed on its own, so each
+    # shifted field and increment keeps its bits.  The separations repeat l_x
+    # and (l_x, l_y), so the kept x and xy passes are read too.
+    g, v = white_noise()
+    h = VectorField3(g, np.random.default_rng(14).standard_normal((3, 12, 12, 12)))
+    results = {}
+    for blocks in (1, 2, 3):
+        split_passes(monkeypatch, blocks)
+        engine = StatsEngine(g, {"v": v, "h": h, "zero": None})
+        got = [engine._shifted(ell).tobytes() for ell in SPLIT_ELLS]
+        results[blocks] = got + [engine.increments(ell)["h"].tobytes() for ell in SPLIT_ELLS]
+        assert engine.pass_cpus == blocks
+        assert engine.inverse_passes == {"x": 4, "xy": 6, "z": 8}
+    assert results[1] == results[2] == results[3]
+
+
+def test_no_pass_buffer_outlives_a_dropped_per_shift_engine(monkeypatch):
+    # A helper drops each job when it returns: a job kept alive would hold
+    # the engine's pass buffers (about 9 MB at n = 48) between operations.
+    split_passes(monkeypatch, 2)
+    g, v = white_noise()
+    engine = StatsEngine(g, {"v": v, "h": None})
+    _kernels.angular_term_sums(engine, {"a": (LawKind.HYDRO_ENERGY, "v", "h")}, [0.2, 0.5], DIRS)
+    assert engine.pass_cpus == 2
+    refs = [weakref.ref(buffer) for buffer in engine._passes]
+    del engine
+    assert [ref() for ref in refs] == [None] * len(refs)
+
+
+def test_engines_on_more_threads_than_cpus_keep_their_bits(monkeypatch):
+    # Four threads, each with its own engine, contend for the helpers; the
+    # one that holds them splits its passes and the others run theirs
+    # inline.  A block run for the wrong engine would change the bits.
+    split_passes(monkeypatch, 2)
+    g, v = white_noise()
+
+    def shifts():
+        engine = StatsEngine(g, {"v": v})
+        return [engine.increments(ell)["v"].tobytes() for ell in SPLIT_ELLS * 5]
+
+    expected = shifts()
+    results = [None] * 4
+
+    def work(i):
+        results[i] = shifts()
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(results))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [expected] * len(results)
 
 
 @pytest.mark.parametrize("law", ALL_LAWS)
